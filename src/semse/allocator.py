@@ -5,7 +5,7 @@ served users, in units of the source's suts-per-word ratio. It decouples
 into (a) a per-(user, channel) scan for the symbols-per-word count k that
 maximizes similarity/k under the similarity and SE floors, and (b) a
 maximum-weight bipartite matching of users to channels over those per-pair
-optima, solved with the Hungarian algorithm. Pairs that cannot meet the
+optima, solved by shortest augmenting path. Pairs that cannot meet the
 floors carry weight 0; the matching may then leave such users unserved,
 which is reported as an SE contribution of exactly 0.
 
@@ -143,83 +143,95 @@ def weight_matrix(plans: list[list[PairPlan]]) -> np.ndarray:
     return np.array([[p.weight for p in row] for row in plans])
 
 
-def _min_cost_square(cost: np.ndarray) -> list[int]:
-    """Hungarian algorithm with potentials on a square cost matrix.
+def _min_cost_rect(cost: list[list[float]]) -> list[int]:
+    """Minimum-cost assignment of every row of a rectangular cost matrix.
 
-    Returns ``row_of_col`` where row_of_col[j] is the row matched to
-    column j. O(n^3).
+    ``cost`` is a list of rows with no more rows than columns. Returns
+    ``col_of_row``. Shortest augmenting path (Crouse, "On implementing 2D
+    rectangular assignment algorithms", IEEE TAES 2016): each row grows one
+    Dijkstra search over the columns not yet reached, preferring a free
+    column on ties so the search ends early, and the duals are updated once
+    per augmentation. O(rows^2 * cols) in the worst case.
     """
-    n = cost.shape[0]
-    INF = float("inf")
-    u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
-    p = [0] * (n + 1)  # p[j] = row matched to column j (1-based, 0 = free)
-    way = [0] * (n + 1)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = [INF] * (n + 1)
-        used = [False] * (n + 1)
+    inf = float("inf")
+    n, m = len(cost), len(cost[0])
+    u = [0.0] * n
+    v = [0.0] * m
+    col_of_row = [-1] * n
+    row_of_col = [-1] * m
+    path = [-1] * m
+    for cur in range(n):
+        dist = [inf] * m
+        # Scan high to low, as Crouse's reference code does. A tying free
+        # column replaces the current pick, so the lower-numbered one wins;
+        # an appended channel then seldom displaces a tied optimum, and the
+        # per-drop totals of a channel sweep stay non-decreasing to the bit.
+        remaining = list(range(m - 1, -1, -1))
+        rows_seen = []
+        cols_seen = []
+        i = cur
+        min_val = 0.0
         while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta = INF
-            j1 = 0
-            row = cost[i0 - 1]
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = row[j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
+            rows_seen.append(i)
+            row = cost[i]
+            base = min_val - u[i]
+            lowest = inf
+            index = -1
+            for it, j in enumerate(remaining):
+                r = base + row[j] - v[j]
+                d = dist[j]
+                if r < d:
+                    path[j] = i
+                    dist[j] = d = r
+                if d <= lowest and (d < lowest or row_of_col[j] < 0):
+                    lowest = d
+                    index = it
+            min_val = lowest
+            j = remaining[index]
+            cols_seen.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+            i = row_of_col[j]
+            if i < 0:
                 break
-        while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    return [p[j + 1] - 1 for j in range(n)]
+        u[cur] += min_val
+        for i in rows_seen[1:]:
+            u[i] += min_val - dist[col_of_row[i]]
+        for c in cols_seen:
+            v[c] -= min_val - dist[c]
+        while True:  # augment along the path back to row ``cur``
+            i = path[j]
+            row_of_col[j] = i
+            col_of_row[i], j = j, col_of_row[i]
+            if i == cur:
+                break
+    return col_of_row
 
 
 def hungarian_max(weights) -> Assignment:
     """Maximum-weight matching of a non-negative weight matrix.
 
-    Rectangular input is padded square with zeros; matched pairs of zero
-    weight are reported as unmatched. Only the optimal total is
-    contractual; which optimal matching is returned is not.
+    Solved as a minimum-cost assignment of the negated weights on the
+    rectangular matrix, transposed so that rows are the shorter side.
+    Matched pairs of zero weight are reported as unmatched. Only the
+    optimal total is contractual; which optimal matching is returned is not.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or w.size == 0:
         raise ValueError("weights must be a non-empty 2-D matrix")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite")
-    if np.any(w < 0):
-        raise ValueError("weights must be non-negative")
+    lo, hi = w.min(), w.max()
+    if not (0.0 <= lo and hi < np.inf):  # NaN fails both comparisons
+        raise ValueError("weights must be finite and non-negative")
     n, m = w.shape
-    size = max(n, m)
-    padded = np.zeros((size, size))
-    padded[:n, :m] = w
-    cost = float(w.max()) - padded  # negate + shift so the min-cost core applies
-    row_of_col = _min_cost_square(cost)
-    pairs = sorted(
-        (row_of_col[j], j)
-        for j in range(m)
-        if row_of_col[j] < n and w[row_of_col[j], j] > 0.0
-    )
+    flip = n > m
+    col_of_row = _min_cost_rect((-(w.T if flip else w)).tolist())
+    vals = w.tolist()
+    pairs = []
     total = 0.0
-    for i, j in pairs:
-        total += float(w[i, j])
+    for i, j in sorted(zip(col_of_row, range(m))) if flip else enumerate(col_of_row):
+        if vals[i][j] > 0.0:
+            pairs.append((i, j))
+            total += vals[i][j]
     return Assignment(pairs=tuple(pairs), total_weight=total)
 
 

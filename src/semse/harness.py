@@ -119,6 +119,13 @@ _STR_KEYS = {"surface", "cqi_4g", "cqi_5g", "sweep_param"}
 _LIST_KEYS = {"systems", "sweep_values"}
 
 
+def _finite(key: str, text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{key} must be finite, got {text.strip()!r}")
+    return x
+
+
 def load_scenario(path) -> ScenarioConfig:
     """Parse and validate a scenario file."""
     raw: dict = {}
@@ -140,13 +147,15 @@ def load_scenario(path) -> ScenarioConfig:
                 if key in _INT_KEYS:
                     raw[key] = int(value)
                 elif key in _FLOAT_KEYS:
-                    raw[key] = float(value)
+                    raw[key] = _finite(key, value)
                 elif key == "systems":
                     raw[key] = tuple(
                         SystemKind.parse(tok) for tok in value.split(",") if tok.strip()
                     )
                 elif key == "sweep_values":
-                    raw[key] = tuple(float(tok) for tok in value.split(",") if tok.strip())
+                    raw[key] = tuple(
+                        _finite(key, tok) for tok in value.split(",") if tok.strip()
+                    )
                 else:
                     raw[key] = value
             except ValueError as exc:

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semse.allocator import (
     Assignment,
@@ -11,9 +13,11 @@ from semse.allocator import (
     best_pair_plan,
     brute_force_allocation,
     build_pair_plans,
+    conventional_weights,
     hungarian_max,
     weight_matrix,
 )
+from semse.channel import RadioParams, sample_drop
 from semse.link_adaptation import SystemKind, builtin_table
 from semse.metrics import TransformFactor
 from semse.similarity import SimilaritySurface, default_surrogate
@@ -218,6 +222,60 @@ class TestHungarian:
             w = rng.uniform(0, 4, size=(5, 8))
             totals = [hungarian_max(w[:, :m]).total_weight for m in range(1, 9)]
             assert all(b >= a for a, b in zip(totals, totals[1:]))
+
+
+@st.composite
+def tied_weights(draw):
+    """Small matrices on a 0.1 grid, with zeroed rows/columns and copied columns."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    tenths = draw(st.lists(st.integers(0, 20), min_size=n * m, max_size=n * m))
+    w = np.asarray(tenths, dtype=float).reshape(n, m) / 10
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        w[i, :] = 0.0
+    for j in draw(st.sets(st.integers(0, m - 1), max_size=m)):
+        w[:, j] = 0.0
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)),
+                                  max_size=3)):
+        w[:, dst] = w[:, src]
+    return w
+
+
+class TestHungarianProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(tied_weights())
+    def test_matches_permutation_enumeration(self, w):
+        n, m = w.shape
+        expect, _ = brute_max_matching(w)
+        for weights, shape in ((w, (n, m)), (w.T, (m, n))):
+            a = hungarian_max(weights)
+            assert_valid_matching(a, *shape)
+            assert a.total_weight == pytest.approx(expect, abs=1e-9)
+            assert all(weights[i, j] > 0.0 for i, j in a.pairs)
+            assert list(a.pairs) == sorted(a.pairs)
+            total = 0.0
+            for i, j in a.pairs:
+                total += float(weights[i, j])
+            assert a.total_weight == total
+
+
+class TestAgainstScipy:
+    """Totals on sampled drops against scipy's rectangular assignment solver."""
+
+    @pytest.mark.parametrize("shape", [(120, 80), (80, 120), (200, 200)])
+    @pytest.mark.parametrize("system", [SystemKind.SEMANTIC, SystemKind.FOUR_G])
+    def test_total_matches_linear_sum_assignment(self, shape, system):
+        lsa = pytest.importorskip("scipy.optimize").linear_sum_assignment
+        cons = Constraints()
+        drop = sample_drop(*shape, RadioParams(), rng_seed=sum(shape))
+        if system is SystemKind.SEMANTIC:
+            w = weight_matrix(build_pair_plans(drop.snr_db, default_surrogate(20), cons))
+        else:
+            w = conventional_weights(drop.snr_db, drop.snr_linear, system, TABLES, MU40, cons)
+            assert len(np.unique(w)) < w.size // 10  # CQI steps: many tied weights
+        rows, cols = lsa(w, maximize=True)
+        assert hungarian_max(w).total_weight == pytest.approx(
+            float(w[rows, cols].sum()), rel=1e-12
+        )
 
 
 class TestAllocateSemantic:

@@ -2,6 +2,7 @@ import pytest
 
 from semse.cli import main
 from semse.harness import (
+    _FLOAT_KEYS,
     CSV_HEADER,
     ScenarioConfig,
     ScenarioError,
@@ -84,6 +85,16 @@ class TestLoadScenario:
             load_scenario(write_scenario(
                 tmp_path, "sweep_param = n_channels\nsweep_values = 1.5, 2\n"
             ))
+
+    @pytest.mark.parametrize("key", sorted(_FLOAT_KEYS) + ["sweep_values"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_float_rejected(self, tmp_path, capsys, key, bad):
+        value = f"10, {bad}" if key == "sweep_values" else bad
+        path = write_scenario(tmp_path, f"n_drops = 1\n{key} = {value}\n")
+        with pytest.raises(ScenarioError, match=rf":2: {key} must be finite"):
+            load_scenario(path)
+        assert main(["run", str(path)]) == 1
+        assert f"{key} must be finite" in capsys.readouterr().err
 
 
 def quick_cfg(**kw) -> ScenarioConfig:
