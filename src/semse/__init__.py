@@ -4,12 +4,15 @@ from .allocator import (
     Assignment,
     Constraints,
     PairPlan,
+    PlanArrays,
     allocate_conventional,
     allocate_semantic,
     best_pair_plan,
     brute_force_allocation,
     build_pair_plans,
+    conventional_drops,
     hungarian_max,
+    semantic_drops,
     weight_matrix,
 )
 from .channel import (
@@ -18,6 +21,7 @@ from .channel import (
     RadioParams,
     pathloss_db,
     sample_drop,
+    sample_drops,
     snr,
 )
 from .harness import (

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .link_adaptation import CqiTable, SystemKind, shannon_se, table_se
-from .metrics import TransformFactor
+from .metrics import TransformFactor, require_finite_fields
 from .similarity import SimilaritySurface
 
 # largest joint k-combination tensor the oracle materializes at once;
@@ -43,6 +44,7 @@ class Constraints:
     sse_threshold: float = 0.025  # normalized, suts/s/Hz per unit info_per_word
 
     def __post_init__(self) -> None:
+        require_finite_fields(self)
         if self.k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
         if not 0.0 <= self.similarity_threshold <= 1.0:
@@ -89,15 +91,17 @@ def best_pair_plan(
 ) -> PairPlan:
     """Scan k = 1..k_max for the feasible k maximizing similarity/k.
 
-    Ties break toward smaller k (same SE, less latency). Reference scalar
-    implementation; ``build_pair_plans`` is the vectorized equivalent.
+    Ties break toward smaller k (same SE, less latency); with both floors at
+    0 a pair of similarity 0 is feasible at k = 1 with weight 0. Reference
+    scalar implementation; ``build_pair_plans`` is the vectorized equivalent.
     """
     _require_k_coverage(surface, cons.k_max)
     best_k, best_xi, best_w = None, 0.0, 0.0
     for k in range(1, cons.k_max + 1):
         xi = surface.query(k, snr_db)
         w = xi / k
-        if xi >= cons.similarity_threshold and w >= cons.sse_threshold and w > best_w:
+        ok = xi >= cons.similarity_threshold and w >= cons.sse_threshold
+        if ok and (best_k is None or w > best_w):
             best_k, best_xi, best_w = k, xi, w
     if best_k is None:
         return PairPlan(user, channel, None, 0.0, 0.0, False)
@@ -109,38 +113,54 @@ def _require_k_coverage(surface: SimilaritySurface, k_max: int) -> None:
         raise ValueError(f"surface does not tabulate every k in 1..{k_max}")
 
 
+class PlanArrays(NamedTuple):
+    """Best plan of every pair of a link-matrix stack, shape (..., users, channels).
+
+    Where no k meets the floors, ``k`` is 0, ``similarity`` and ``weight``
+    are 0 and ``feasible`` is False.
+    """
+
+    k: np.ndarray
+    similarity: np.ndarray
+    weight: np.ndarray
+    feasible: np.ndarray
+
+    def plan(self, user: int, channel: int) -> PairPlan:
+        """The ``PairPlan`` of one pair of a single drop's arrays."""
+        k = int(self.k[user, channel])
+        return PairPlan(user, channel, k or None, float(self.similarity[user, channel]),
+                        float(self.weight[user, channel]), bool(self.feasible[user, channel]))
+
+
 def build_pair_plans(
     snr_db: np.ndarray, surface: SimilaritySurface, cons: Constraints
-) -> list[list[PairPlan]]:
-    """Per-pair optimal plans for a whole link matrix, shape (users, channels)."""
+) -> PlanArrays:
+    """Per-pair optimal plans for SNR of shape (..., users, channels).
+
+    Scans k = 1..k_max with one surface-row interpolation per k over the
+    whole array, keeping the first k of the largest feasible weight, so
+    ties break toward smaller k as in ``best_pair_plan``.
+    """
     _require_k_coverage(surface, cons.k_max)
     snr = np.atleast_2d(np.asarray(snr_db, dtype=float))
-    ks = np.arange(1, cons.k_max + 1)
-    rows = [surface.row_index(int(k)) for k in ks]
-    xi = surface.query_all_k(snr)[rows]  # (k_max, N, M)
-    w = xi / ks[:, None, None]
-    ok = (xi >= cons.similarity_threshold) & (w >= cons.sse_threshold)
-    w_ok = np.where(ok, w, 0.0)
-    best = np.argmax(w_ok, axis=0)  # first max -> smallest k on ties
-    n, m = snr.shape
-    plans: list[list[PairPlan]] = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            b = best[i, j]
-            if ok[b, i, j]:
-                row.append(
-                    PairPlan(i, j, int(ks[b]), float(xi[b, i, j]),
-                             float(w_ok[b, i, j]), True)
-                )
-            else:
-                row.append(PairPlan(i, j, None, 0.0, 0.0, False))
-        plans.append(row)
-    return plans
+    best_k = np.zeros(snr.shape, dtype=int)
+    best_xi = np.zeros(snr.shape)
+    best_w = np.zeros(snr.shape)
+    feasible = np.zeros(snr.shape, dtype=bool)
+    for k in range(1, cons.k_max + 1):
+        xi = surface.query(k, snr)
+        w = xi / k
+        take = (xi >= cons.similarity_threshold) & (w >= cons.sse_threshold)
+        take &= (w > best_w) | ~feasible
+        np.copyto(best_k, k, where=take)
+        np.copyto(best_xi, xi, where=take)
+        np.copyto(best_w, w, where=take)
+        feasible |= take
+    return PlanArrays(best_k, best_xi, best_w, feasible)
 
 
-def weight_matrix(plans: list[list[PairPlan]]) -> np.ndarray:
-    return np.array([[p.weight for p in row] for row in plans])
+def weight_matrix(plans: PlanArrays) -> np.ndarray:
+    return plans.weight
 
 
 def _min_cost_rect(cost: list[list[float]]) -> list[int]:
@@ -241,8 +261,21 @@ def allocate_semantic(
     """Jointly optimal service plan: per-pair k scan, then channel matching."""
     plans = build_pair_plans(snr_db, surface, cons)
     match = hungarian_max(weight_matrix(plans))
-    per_user = tuple(plans[i][j] for i, j in match.pairs)
+    per_user = tuple(plans.plan(i, j) for i, j in match.pairs)
     return Assignment(match.pairs, match.total_weight, per_user)
+
+
+def semantic_drops(
+    snr_db: np.ndarray, surface: SimilaritySurface, cons: Constraints
+) -> Iterator[Assignment]:
+    """``allocate_semantic`` of each drop of a (drops, users, channels) stack.
+
+    The k scan runs at once over the whole stack. Each drop is then matched
+    on its own as the result is iterated, so one matching at a time is held.
+    No per-pair plans are built.
+    """
+    weights = weight_matrix(build_pair_plans(snr_db, surface, cons))
+    return (hungarian_max(w) for w in weights)
 
 
 def conventional_weights(
@@ -277,6 +310,23 @@ def allocate_conventional(
     return hungarian_max(np.atleast_2d(w))
 
 
+def conventional_drops(
+    snr_db: np.ndarray,
+    snr_linear: np.ndarray,
+    system: SystemKind,
+    tables: dict[SystemKind, CqiTable],
+    tf: TransformFactor,
+    cons: Constraints,
+) -> Iterator[Assignment]:
+    """``allocate_conventional`` of each drop of a (drops, users, channels) stack.
+
+    The weights are computed at once; the drops are matched as the result
+    is iterated.
+    """
+    weights = conventional_weights(snr_db, snr_linear, system, tables, tf, cons)
+    return (hungarian_max(w) for w in weights)
+
+
 def brute_force_allocation(
     snr_db: np.ndarray, surface: SimilaritySurface, cons: Constraints
 ) -> Assignment:
@@ -292,8 +342,7 @@ def brute_force_allocation(
         raise ValueError(f"instance {n}x{m} with k_max {cons.k_max} exceeds oracle bound")
     _require_k_coverage(surface, cons.k_max)
     ks = np.arange(1, cons.k_max + 1)
-    rows = [surface.row_index(int(k)) for k in ks]
-    xi = surface.query_all_k(snr)[rows]  # (K, N, M)
+    xi = np.stack([surface.query(int(k), snr) for k in ks])  # (K, N, M)
     w = xi / ks[:, None, None]
     ok = (xi >= cons.similarity_threshold) & (w >= cons.sse_threshold)
     value = np.where(ok, w, 0.0)  # value[k-1, user, channel]

@@ -8,9 +8,11 @@ interference term and the link quality is a plain SNR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
+
+from .metrics import require_finite_fields
 
 # Users closer than 1 m are pushed out to 1 m; the log-distance pathloss
 # diverges at d -> 0 and uniform disc sampling can land arbitrarily close.
@@ -44,6 +46,7 @@ class RadioParams:
     cell_radius_km: float = 0.5
 
     def __post_init__(self) -> None:
+        require_finite_fields(self)
         if self.bandwidth_hz <= 0:
             raise ValueError(f"bandwidth_hz must be > 0, got {self.bandwidth_hz}")
         if self.cell_radius_km <= 0:
@@ -71,10 +74,12 @@ class LinkRealization:
 
 @dataclass(frozen=True, eq=False)
 class NetworkDrop:
-    """One Monte-Carlo realization of user positions, shadowing and fading.
+    """Monte-Carlo realizations of user positions, shadowing and fading.
 
     Per-link quantities are stored as arrays; ``fading_power``, ``snr_linear``
-    and ``snr_db`` have shape (n_users, n_channels), the rest (n_users,).
+    and ``snr_db`` have shape (..., n_users, n_channels), the rest
+    (..., n_users). A block of drops has one leading drop axis, and
+    ``block[d]`` is its drop ``d``.
     """
 
     user_distances_km: np.ndarray
@@ -85,11 +90,14 @@ class NetworkDrop:
 
     @property
     def n_users(self) -> int:
-        return self.fading_power.shape[0]
+        return self.fading_power.shape[-2]
 
     @property
     def n_channels(self) -> int:
-        return self.fading_power.shape[1]
+        return self.fading_power.shape[-1]
+
+    def __getitem__(self, d) -> "NetworkDrop":
+        return NetworkDrop(*(getattr(self, f.name)[d] for f in fields(self)))
 
     def link(self, user: int, channel: int) -> LinkRealization:
         return LinkRealization(
@@ -122,30 +130,38 @@ def snr(params: RadioParams, large_scale_gain, fading_power):
     return snr_linear, linear_to_db(snr_linear)
 
 
-def sample_drop(
-    n_users: int, n_channels: int, params: RadioParams, rng_seed: int
+def sample_drops(
+    n_users: int, n_channels: int, params: RadioParams, seeds
 ) -> NetworkDrop:
-    """Draw one network realization, deterministic for a given seed.
+    """Draw one network realization per seed, as a block with a leading drop axis.
 
-    Distances are uniform over the disc (CDF proportional to d^2), shadowing
-    is Normal(0, shadow_sigma_db) per user, fading power Exponential(1) per
-    (user, channel). Fading is drawn channel-by-channel, so for a fixed seed
-    the drop with m channels is exactly the first m channel-columns of the
-    drop with m+1 channels; channel sweeps therefore see nested realizations.
+    Drop d comes from its own generator, ``default_rng(seeds[d])``, so it does
+    not depend on the other seeds of the block. Distances are uniform over the
+    disc (CDF proportional to d^2), shadowing is Normal(0, shadow_sigma_db)
+    per user, fading power Exponential(1) per (user, channel). Fading is drawn
+    channel-by-channel, so for a fixed seed the drop with m channels is exactly
+    the first m channel-columns of the drop with m+1 channels; channel sweeps
+    therefore see nested realizations. Pathloss and SNR are computed once for
+    the whole block.
     """
     if n_users < 1 or n_channels < 1:
         raise ValueError(
             f"need at least one user and one channel, got {n_users}x{n_channels}"
         )
-    rng = np.random.default_rng(rng_seed)
-    distances = params.cell_radius_km * np.sqrt(rng.random(n_users))
-    distances = np.maximum(distances, MIN_DISTANCE_KM)
-    shadow_db = rng.normal(0.0, params.shadow_sigma_db, n_users)
-    fading = rng.exponential(1.0, size=(n_channels, n_users)).T.copy()
+    n_drops = len(seeds)
+    uniform = np.empty((n_drops, n_users))
+    shadow_db = np.empty((n_drops, n_users))
+    fading = np.empty((n_drops, n_users, n_channels))
+    for d, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        uniform[d] = rng.random(n_users)
+        shadow_db[d] = rng.normal(0.0, params.shadow_sigma_db, n_users)
+        fading[d] = rng.exponential(1.0, size=(n_channels, n_users)).T
+    distances = np.maximum(params.cell_radius_km * np.sqrt(uniform), MIN_DISTANCE_KM)
 
     pl_db = pathloss_db(distances, params)
     gain = db_to_linear(-(pl_db + shadow_db))
-    snr_linear, snr_db_ = snr(params, gain[:, None], fading)
+    snr_linear, snr_db_ = snr(params, gain[..., None], fading)
     return NetworkDrop(
         user_distances_km=distances,
         large_scale_gain=gain,
@@ -153,3 +169,13 @@ def sample_drop(
         snr_linear=snr_linear,
         snr_db=snr_db_,
     )
+
+
+def sample_drop(
+    n_users: int, n_channels: int, params: RadioParams, rng_seed: int
+) -> NetworkDrop:
+    """Draw one network realization, deterministic for a given seed.
+
+    The one-seed block of ``sample_drops``, without the drop axis.
+    """
+    return sample_drops(n_users, n_channels, params, [rng_seed])[0]

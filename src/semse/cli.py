@@ -75,9 +75,11 @@ def main(argv=None) -> int:
             cfg = _load(args)
             records = run_scenario(cfg)
             _emit(records, args.out)
+            # the closed form is exact only when no S-SE floor zeroes links
+            note = " (approximate, sse_threshold > 0)" if cfg.constraints.sse_threshold else ""
             for system, cross in crossover_bits_per_word(records).items():
                 print(
-                    f"crossover vs semantic: {system.value} at {cross:.4g} bits/word",
+                    f"crossover vs semantic: {system.value} at {cross:.4g} bits/word{note}",
                     file=sys.stderr,
                 )
         elif args.command == "compare":

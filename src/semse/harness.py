@@ -15,8 +15,15 @@ Each drop d of a run uses seed ``base_seed + d``. All systems and all sweep
 values share those seeds, so every system sees the identical network
 realizations and curve differences are attributable to the system or the
 swept parameter, never to sampling noise. Sweeping ``n_channels`` extends
-drops without re-randomizing existing links (see ``channel.sample_drop``),
+drops without re-randomizing existing links (see ``channel.sample_drops``),
 so per-drop totals are exactly monotone in the channel count.
+
+Drops are evaluated in blocks of whole drops, at most ``_BLOCK_PAIRS``
+(user, channel) pairs each, so memory does not grow with ``n_drops``. A
+block is sampled once per distinct radio and channel count among the sweep
+values, and its per-pair k scan runs once over the whole block; the
+semantic matchings are shared by every ``bits_per_word`` value, which only
+the bit-pipe weights depend on. Each drop is still matched on its own.
 
 Totals are accumulated in normalized units and scaled by the source's
 ``info_per_word`` only in the emitted records.
@@ -30,13 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocator import (
-    Assignment,
-    Constraints,
-    allocate_conventional,
-    allocate_semantic,
-)
-from .channel import RadioParams, sample_drop
+from .allocator import Constraints, conventional_drops, semantic_drops
+from .channel import RadioParams, sample_drops
 from .link_adaptation import CqiTable, SystemKind, builtin_table, load_cqi_table
 from .metrics import SourceStats, TransformFactor
 from .similarity import SimilaritySurface, default_surrogate, load_surface
@@ -46,6 +48,9 @@ SWEEPABLE = ("n_channels", "tx_power_dbm", "bits_per_word")
 CSV_HEADER = "system,sweep_param,sweep_value,mean_total_sse,std_error,n_drops"
 
 _SYSTEM_ORDER = {kind: i for i, kind in enumerate(SystemKind)}
+
+# Most (user, channel) pairs evaluated at once; a block holds at least one drop.
+_BLOCK_PAIRS = 1 << 16
 
 
 class ScenarioError(ValueError):
@@ -220,30 +225,48 @@ def _apply_sweep(cfg: ScenarioConfig, value):
     return radio, n_channels, tf
 
 
-def _solve(drop, system, surface, tables, tf, cons) -> Assignment:
-    if system is SystemKind.SEMANTIC:
-        return allocate_semantic(drop.snr_db, surface, cons)
-    return allocate_conventional(drop.snr_db, drop.snr_linear, system, tables, tf, cons)
+def _blocks(n_drops: int, pairs_per_drop: int):
+    """Drop-index ranges of the evaluation blocks, in order."""
+    size = max(1, _BLOCK_PAIRS // pairs_per_drop)
+    for start in range(0, n_drops, size):
+        yield range(start, min(start + size, n_drops))
 
 
 def iter_scenario_drops(cfg: ScenarioConfig):
     """Yield (sweep_value, drop_index, {system: normalized total}) per drop.
 
-    sweep_value is None when the scenario has no sweep.
+    sweep_value is None when the scenario has no sweep. The order is
+    block-major: for each block of drops, each sweep value in turn with the
+    block's drops in ascending order, so every (sweep_value, drop_index)
+    appears once and, per sweep value, the drops ascend.
     """
     surface = surface_for(cfg) if SystemKind.SEMANTIC in cfg.systems else None
     need_tables = any(s in cfg.systems for s in (SystemKind.FOUR_G, SystemKind.FIVE_G))
     tables = tables_for(cfg) if need_tables else {}
+    cons = cfg.constraints
     values = cfg.sweep_values if cfg.sweep_param else (None,)
-    for value in values:
-        radio, n_channels, tf = _apply_sweep(cfg, value)
-        for d in range(cfg.n_drops):
-            drop = sample_drop(cfg.n_users, n_channels, radio, cfg.base_seed + d)
+    settings = [(value, *_apply_sweep(cfg, value)) for value in values]
+    max_channels = max(n_channels for _value, _radio, n_channels, _tf in settings)
+    for block in _blocks(cfg.n_drops, cfg.n_users * max_channels):
+        seeds = [cfg.base_seed + d for d in block]
+        key = None
+        for value, radio, n_channels, tf in settings:
+            if key != (radio, n_channels):  # bits_per_word values share one sample
+                key = radio, n_channels
+                drops = sample_drops(cfg.n_users, n_channels, radio, seeds)
+                semantic = (
+                    [a.total_weight for a in semantic_drops(drops.snr_db, surface, cons)]
+                    if surface is not None else None
+                )
             totals = {
-                system: _solve(drop, system, surface, tables, tf, cfg.constraints).total_weight
+                system: semantic if system is SystemKind.SEMANTIC else [
+                    a.total_weight for a in conventional_drops(
+                        drops.snr_db, drops.snr_linear, system, tables, tf, cons)
+                ]
                 for system in cfg.systems
             }
-            yield value, d, totals
+            for i, d in enumerate(block):
+                yield value, d, {system: t[i] for system, t in totals.items()}
 
 
 def _aggregate(totals: list[float], src: SourceStats, n: int) -> tuple[float, float]:
@@ -282,7 +305,10 @@ def crossover_bits_per_word(records: list[SweepRecord]) -> dict[SystemKind, floa
     Meaningful for a ``bits_per_word`` sweep: conventional means scale as the
     inverse of bits_per_word while the semantic mean does not move, so each
     conventional curve crosses the semantic level at
-    (mean * bits_per_word) / semantic_mean.
+    (mean * bits_per_word) / semantic_mean, averaged over the sweep values.
+    That scaling, and so the value, is exact only with ``sse_threshold = 0``:
+    a floor above 0 zeroes a set of links that depends on bits_per_word, and
+    the value is then an approximation (the CLI labels it so).
     """
     mu_records = [r for r in records if r.sweep_param == "bits_per_word"]
     semantic = [r for r in mu_records if r.system is SystemKind.SEMANTIC]
@@ -313,22 +339,41 @@ def iter_comparison_drops(cfg: ScenarioConfig, fixed_k_values: list[int]):
         if not 1 <= k <= cons.k_max:
             raise ScenarioError(f"fixed k={k} outside 1..{cons.k_max}")
     surface = surface_for(cfg)
-    for d in range(cfg.n_drops):
-        drop = sample_drop(cfg.n_users, cfg.n_channels, cfg.radio, cfg.base_seed + d)
-        ideal = allocate_conventional(
-            drop.snr_db, drop.snr_linear, SystemKind.IDEAL, {}, cfg.tf, cons
+    slots = min(cfg.n_users, cfg.n_channels)
+    for block in _blocks(cfg.n_drops, cfg.n_users * cfg.n_channels):
+        drops = sample_drops(
+            cfg.n_users, cfg.n_channels, cfg.radio, [cfg.base_seed + d for d in block]
         )
+        ideal = conventional_drops(
+            drops.snr_db, drops.snr_linear, SystemKind.IDEAL, {}, cfg.tf, cons
+        )
+        optimized = [
+            a.total_weight for a in semantic_drops(drops.snr_db, surface, cons)
+        ]
+        # SNR of each drop's ideal-matched pairs, in user order; unused slots
+        # are masked out and score 0
+        users = np.zeros((len(block), slots), dtype=int)
+        channels = np.zeros((len(block), slots), dtype=int)
+        matched = np.zeros((len(block), slots), dtype=bool)
+        for i, match in enumerate(ideal):
+            n = len(match.pairs)
+            if n:
+                users[i, :n], channels[i, :n] = zip(*match.pairs)
+                matched[i, :n] = True
+        snr_matched = drops.snr_db[np.arange(len(block))[:, None], users, channels]
         fixed_totals = {}
         for k in fixed_k_values:
-            total = 0.0
-            for i, j in ideal.pairs:
-                xi = surface.query(k, float(drop.snr_db[i, j]))
-                w = xi / k
-                if xi >= cons.similarity_threshold and w >= cons.sse_threshold:
-                    total += w
+            xi = surface.query(k, snr_matched)
+            w = xi / k
+            score = np.where(
+                matched & (xi >= cons.similarity_threshold) & (w >= cons.sse_threshold), w, 0.0
+            )
+            total = np.zeros(len(block))
+            for slot in range(slots):  # left to right in pair order: same rounding per drop
+                total += score[:, slot]
             fixed_totals[k] = total
-        optimized = allocate_semantic(drop.snr_db, surface, cons).total_weight
-        yield d, fixed_totals, optimized
+        for i, d in enumerate(block):
+            yield d, {k: float(t[i]) for k, t in fixed_totals.items()}, optimized[i]
 
 
 def run_model_comparison(

@@ -13,9 +13,21 @@ sentence to words per sentence, carried as ``SourceStats.info_per_word``
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
+
+
+def require_finite_fields(obj) -> None:
+    """Reject a dataclass whose numeric fields include NaN or +-inf.
+
+    Raises ValueError naming the first such field.
+    """
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -25,6 +37,7 @@ class SourceStats:
     info_per_word: float = 1.0
 
     def __post_init__(self) -> None:
+        require_finite_fields(self)
         if self.info_per_word <= 0:
             raise ValueError(f"info_per_word must be > 0, got {self.info_per_word}")
 
@@ -36,6 +49,7 @@ class TransformFactor:
     bits_per_word: float = 40.0
 
     def __post_init__(self) -> None:
+        require_finite_fields(self)
         if self.bits_per_word <= 0:
             raise ValueError(f"bits_per_word must be > 0, got {self.bits_per_word}")
 

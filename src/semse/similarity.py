@@ -63,35 +63,20 @@ class SimilaritySurface:
             )
         object.__setattr__(self, "_k_index", {int(kk): i for i, kk in enumerate(k)})
 
-    def query(self, k: int, snr_db: float) -> float:
-        """Similarity at (k, snr_db); k must be tabulated exactly."""
+    def query(self, k: int, snr_db):
+        """Similarity of row k at snr_db; k must be tabulated exactly.
+
+        ``snr_db`` may be a scalar, giving a float, or an array of any shape,
+        giving an array of that shape from one interpolation of the row.
+        """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         try:
             row = self._k_index[int(k)]
         except KeyError:
             raise ValueError(f"k={k} is not tabulated in this surface") from None
-        return float(np.interp(snr_db, self.snr_grid_db, self.xi[row]))
-
-    def query_all_k(self, snr_db) -> np.ndarray:
-        """Similarity of every tabulated k at the given SNR(s).
-
-        Returns shape (n_k, *shape(snr_db)); used to scan candidate k values
-        over a whole link matrix in one pass.
-        """
-        s = np.asarray(snr_db, dtype=float)
-        out = np.empty((self.k_values.size,) + s.shape, dtype=float)
-        flat = s.ravel()
-        for i in range(self.k_values.size):
-            out[i] = np.interp(flat, self.snr_grid_db, self.xi[i]).reshape(s.shape)
-        return out
-
-    def row_index(self, k: int) -> int:
-        """Row of a tabulated k value; raises if k is not on the grid."""
-        try:
-            return self._k_index[int(k)]
-        except KeyError:
-            raise ValueError(f"k={k} is not tabulated in this surface") from None
+        out = np.interp(snr_db, self.snr_grid_db, self.xi[row])
+        return float(out) if out.ndim == 0 else out
 
     def covers_k_range(self, k_max: int) -> bool:
         return all(k in self._k_index for k in range(1, k_max + 1))

@@ -117,8 +117,8 @@ class TestBuildPairPlans:
         surface = default_surrogate(5)
         cons = Constraints(k_max=5, similarity_threshold=0.0, sse_threshold=0.0)
         plans = build_pair_plans(np.array([[10.0]]), surface, cons)
-        assert len(plans) == 1 and len(plans[0]) == 1
-        assert plans[0][0].feasible
+        assert plans.weight.shape == (1, 1)
+        assert plans.feasible[0, 0] and plans.plan(0, 0).feasible
 
     def test_identical_links_give_identical_weights(self):
         surface = default_surrogate(10)
@@ -128,29 +128,44 @@ class TestBuildPairPlans:
         assert np.all(w == w[0, 0])
 
     def test_matches_scalar_scan(self):
-        surface = default_surrogate(12)
-        cons = Constraints(k_max=12, similarity_threshold=0.85, sse_threshold=0.02)
+        # zero similarity below 0 dB: with both floors at 0 such a pair is
+        # feasible at k = 1 with weight 0
+        ks = np.arange(1, 13)
+        grid = np.array([-50.0, 0.0, 5.0, 25.0])
+        xi = np.stack([[0.0, 0.0, 0.9 - 0.2 / k, 1.0 - 0.1 / k] for k in ks])
+        surfaces = [default_surrogate(12), SimilaritySurface(ks, grid, xi)]
         rng = np.random.default_rng(21)
-        snr = rng.uniform(-15, 25, size=(5, 6))
-        plans = build_pair_plans(snr, surface, cons)
-        for i in range(5):
-            for j in range(6):
-                ref = best_pair_plan(surface, float(snr[i, j]), cons, user=i, channel=j)
-                assert plans[i][j] == ref
+        snr = rng.uniform(-15, 25, size=(4, 5, 6))
+        for floors in ((0.85, 0.02), (0.6, 0.0), (0.0, 0.0)):
+            cons = Constraints(12, *floors)
+            for surface in surfaces:
+                stack = build_pair_plans(snr, surface, cons)
+                for d in range(4):
+                    plans = build_pair_plans(snr[d], surface, cons)
+                    for whole, single in zip(stack, plans):
+                        assert whole[d].dtype == single.dtype
+                        assert np.array_equal(whole[d], single)
+                    for i in range(5):
+                        for j in range(6):
+                            ref = best_pair_plan(
+                                surface, float(snr[d, i, j]), cons, user=i, channel=j
+                            )
+                            assert plans.plan(i, j) == ref
+        zero = build_pair_plans(np.array([[-10.0]]), surfaces[1], cons).plan(0, 0)
+        assert zero.feasible and zero.k == 1 and zero.weight == 0.0
 
     def test_matched_plans_respect_floors(self):
         surface = default_surrogate(20)
         cons = Constraints()
         rng = np.random.default_rng(22)
-        snr = rng.uniform(-10, 25, size=(5, 5))
-        for row in build_pair_plans(snr, surface, cons):
-            for p in row:
-                if p.feasible:
-                    assert p.similarity >= cons.similarity_threshold
-                    assert p.weight >= cons.sse_threshold
-                    assert 1 <= p.k <= cons.k_max
-                else:
-                    assert p.weight == 0.0 and p.k is None
+        plans = build_pair_plans(rng.uniform(-10, 25, size=(3, 5, 5)), surface, cons)
+        ok = plans.feasible
+        assert ok.any() and not ok.all()
+        assert np.all(plans.similarity[ok] >= cons.similarity_threshold)
+        assert np.all(plans.weight[ok] >= cons.sse_threshold)
+        assert np.all((plans.k[ok] >= 1) & (plans.k[ok] <= cons.k_max))
+        assert np.all(plans.weight[~ok] == 0.0) and np.all(plans.k[~ok] == 0)
+        assert np.all(plans.similarity[~ok] == 0.0)
 
 
 class TestHungarian:

@@ -8,6 +8,7 @@ from semse.channel import (
     RadioParams,
     pathloss_db,
     sample_drop,
+    sample_drops,
     snr,
 )
 
@@ -94,6 +95,36 @@ def test_sample_drop_is_deterministic():
     assert np.array_equal(a.snr_db, b.snr_db)
     c = sample_drop(5, 4, PARAMS, 124)
     assert not np.array_equal(a.snr_db, c.snr_db)
+
+
+def reference_drop(n_users, n_channels, params, seed):
+    """One drop computed on its own, step by step, as (name, array) pairs."""
+    rng = np.random.default_rng(seed)
+    distances = params.cell_radius_km * np.sqrt(rng.random(n_users))
+    distances = np.maximum(distances, MIN_DISTANCE_KM)
+    shadow_db = rng.normal(0.0, params.shadow_sigma_db, n_users)
+    fading = rng.exponential(1.0, size=(n_channels, n_users)).T.copy()
+    gain = 10.0 ** (-(pathloss_db(distances, params) + shadow_db) / 10.0)
+    snr_linear, snr_db = snr(params, gain[:, None], fading)
+    return {
+        "user_distances_km": distances, "large_scale_gain": gain,
+        "fading_power": fading, "snr_linear": snr_linear, "snr_db": snr_db,
+    }
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (1, 1), (7, 3), (2, 9)])
+def test_sample_drops_equal_single_drops_bit_for_bit(shape):
+    params = RadioParams(tx_power_dbm=3.0, shadow_sigma_db=8.0)
+    seeds = list(range(40, 57))
+    block = sample_drops(*shape, params, seeds)
+    assert block.snr_db.shape == (len(seeds), *shape)
+    assert (block.n_users, block.n_channels) == shape
+    for d, seed in enumerate(seeds):
+        single = sample_drop(*shape, params, seed)
+        for name, expect in reference_drop(*shape, params, seed).items():
+            assert np.array_equal(getattr(block[d], name), expect)
+            assert np.array_equal(getattr(single, name), expect)
+            assert getattr(single, name).shape == expect.shape
 
 
 def test_sample_drop_rejects_zero_counts():

@@ -1,7 +1,11 @@
+import dataclasses
+
 import pytest
 
+from semse import harness
 from semse.cli import main
 from semse.harness import (
+    _BLOCK_PAIRS,
     _FLOAT_KEYS,
     CSV_HEADER,
     ScenarioConfig,
@@ -11,13 +15,17 @@ from semse.harness import (
     emit_csv,
     format_csv,
     iter_comparison_drops,
+    iter_scenario_drops,
     load_scenario,
     run_model_comparison,
     run_scenario,
+    surface_for,
+    tables_for,
 )
-from semse.allocator import Constraints
+from semse.allocator import Constraints, allocate_conventional, allocate_semantic
+from semse.channel import RadioParams, sample_drop
 from semse.link_adaptation import SystemKind
-from semse.metrics import SourceStats
+from semse.metrics import SourceStats, TransformFactor
 
 ALL_SYSTEMS = (
     SystemKind.SEMANTIC,
@@ -97,6 +105,26 @@ class TestLoadScenario:
         assert f"{key} must be finite" in capsys.readouterr().err
 
 
+NUMBER_FIELDS = [
+    (cls, f.name)
+    for cls in (RadioParams, Constraints, TransformFactor, SourceStats)
+    for f in dataclasses.fields(cls)
+    if f.type in ("float", float)
+]
+
+
+class TestLibraryBoundary:
+    def test_every_float_field_is_covered(self):
+        assert len(NUMBER_FIELDS) == 11
+
+    @pytest.mark.parametrize("cls, name", NUMBER_FIELDS,
+                             ids=[f"{c.__name__}.{n}" for c, n in NUMBER_FIELDS])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_field_rejected(self, cls, name, bad):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+            cls(**{name: bad})
+
+
 def quick_cfg(**kw) -> ScenarioConfig:
     defaults = dict(n_users=3, n_channels=3, n_drops=20, base_seed=9)
     defaults.update(kw)
@@ -145,6 +173,66 @@ class TestRunScenario:
     def test_single_drop_has_zero_std_error(self):
         records = run_scenario(quick_cfg(n_drops=1))
         assert all(r.std_error == 0.0 for r in records)
+
+
+class TestBlocks:
+    """Drops evaluated in blocks give the totals of one drop solved at a time."""
+
+    def big_cfg(self, **kw):
+        cfg = quick_cfg(n_users=60, n_channels=60, n_drops=20, base_seed=3, **kw)
+        assert cfg.n_users * cfg.n_channels * cfg.n_drops > _BLOCK_PAIRS
+        return cfg
+
+    def test_totals_past_the_pair_budget_equal_single_drop_solves(self):
+        cfg = self.big_cfg()
+        cons, surface, tables = cfg.constraints, surface_for(cfg), tables_for(cfg)
+        seen = []
+        for value, d, totals in iter_scenario_drops(cfg):
+            seen.append((value, d))
+            drop = sample_drop(cfg.n_users, cfg.n_channels, cfg.radio, cfg.base_seed + d)
+            expect = {SystemKind.SEMANTIC: allocate_semantic(drop.snr_db, surface, cons)}
+            for system in ALL_SYSTEMS[1:]:
+                expect[system] = allocate_conventional(
+                    drop.snr_db, drop.snr_linear, system, tables, cfg.tf, cons
+                )
+            assert totals == {s: a.total_weight for s, a in expect.items()}
+        assert seen == [(None, d) for d in range(cfg.n_drops)]
+
+    def test_comparison_past_the_pair_budget_equals_per_pair_scoring(self):
+        cfg = self.big_cfg()
+        cons, surface = cfg.constraints, surface_for(cfg)
+        scored = 0
+        for d, fixed, optimized in iter_comparison_drops(cfg, [3, 5, 8]):
+            drop = sample_drop(cfg.n_users, cfg.n_channels, cfg.radio, cfg.base_seed + d)
+            ideal = allocate_conventional(
+                drop.snr_db, drop.snr_linear, SystemKind.IDEAL, {}, cfg.tf, cons
+            )
+            for k, total in fixed.items():
+                expect = 0.0
+                for i, j in ideal.pairs:
+                    xi = surface.query(k, float(drop.snr_db[i, j]))
+                    if xi >= cons.similarity_threshold and xi / k >= cons.sse_threshold:
+                        expect += xi / k
+                        scored += 1
+                assert total == expect
+            assert optimized == allocate_semantic(drop.snr_db, surface, cons).total_weight
+        assert scored > 0
+
+    @pytest.mark.parametrize("sweep_param, values, samples", [
+        ("bits_per_word", (10.0, 20.0, 40.0), 1),
+        ("tx_power_dbm", (0.0, 10.0), 2),
+    ])
+    def test_sweep_values_share_a_sample_only_when_the_drop_is_the_same(
+        self, monkeypatch, sweep_param, values, samples
+    ):
+        seeds = []
+        real = harness.sample_drops
+        monkeypatch.setattr(
+            harness, "sample_drops", lambda *args: seeds.append(args[3]) or real(*args)
+        )
+        cfg = quick_cfg(sweep_param=sweep_param, sweep_values=values)
+        assert len(list(iter_scenario_drops(cfg))) == cfg.n_drops * len(values)
+        assert seeds == [list(range(9, 29))] * samples
 
 
 class TestCrossover:
@@ -283,3 +371,21 @@ class TestCli:
         assert main(["run", str(scenario)]) == 0
         captured = capsys.readouterr()
         assert "crossover vs semantic" in captured.err
+
+    @pytest.mark.parametrize("floor, approximate", [("0", False), ("0.01", True)])
+    def test_crossover_is_labelled_approximate_above_a_zero_floor(
+        self, tmp_path, capsys, floor, approximate
+    ):
+        scenario = write_scenario(
+            tmp_path,
+            f"n_users = 2\nn_channels = 2\nn_drops = 3\nsse_threshold = {floor}\n"
+            "sweep_param = bits_per_word\nsweep_values = 10, 40\n",
+        )
+        assert main(["run", str(scenario)]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 3
+        for line in lines:
+            assert line.startswith("crossover vs semantic: ")
+            assert line.endswith(
+                " bits/word (approximate, sse_threshold > 0)" if approximate else " bits/word"
+            )

@@ -45,14 +45,18 @@ class TestQuery:
         with pytest.raises(ValueError):
             s.query(0, 5.0)
 
-    def test_query_all_k_matches_scalar_queries(self):
+    def test_array_query_matches_scalar_queries(self):
         s = small_surface()
         rng = np.random.default_rng(3)
-        snrs = rng.uniform(-5, 15, size=(4, 2))
-        block = s.query_all_k(snrs)
-        for i, k in enumerate([1, 2, 3]):
+        snrs = rng.uniform(-5, 15, size=(4, 2, 3))
+        for k in (1, 2, 3):
+            block = s.query(k, snrs)
+            assert block.shape == snrs.shape
             for idx in np.ndindex(snrs.shape):
-                assert block[(i, *idx)] == pytest.approx(s.query(k, snrs[idx]), rel=1e-12)
+                assert block[idx] == s.query(k, float(snrs[idx]))
+        assert type(s.query(2, 5.0)) is float
+        with pytest.raises(ValueError):
+            s.query(4, snrs)
 
     def test_monotone_in_snr(self):
         s = small_surface()
@@ -65,7 +69,8 @@ class TestQuery:
     def test_range_bounds(self):
         s = default_surrogate(10)
         rng = np.random.default_rng(6)
-        vals = s.query_all_k(rng.uniform(-40, 40, 100))
+        snrs = rng.uniform(-40, 40, 100)
+        vals = np.stack([s.query(k, snrs) for k in s.k_values])
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
 
 
