@@ -3,6 +3,7 @@
 from .allocator import (
     Assignment,
     Constraints,
+    DropMatches,
     PairPlan,
     PlanArrays,
     allocate_conventional,
@@ -12,6 +13,7 @@ from .allocator import (
     build_pair_plans,
     conventional_drops,
     hungarian_max,
+    match_drops,
     semantic_drops,
     weight_matrix,
 )

@@ -23,7 +23,9 @@ Drops are evaluated in blocks of whole drops, at most ``_BLOCK_PAIRS``
 block is sampled once per distinct radio and channel count among the sweep
 values, and its per-pair k scan runs once over the whole block; the
 semantic matchings are shared by every ``bits_per_word`` value, which only
-the bit-pipe weights depend on. Each drop is still matched on its own.
+the bit-pipe weights depend on. Each system's matchings of a block come
+from one ``match_drops`` call, as arrays of per-drop totals and matched
+channels, so no per-pair Python object is built.
 
 Totals are accumulated in normalized units and scaled by the source's
 ``info_per_word`` only in the emitted records.
@@ -95,6 +97,8 @@ class ScenarioConfig:
                 )
             if not self.sweep_values:
                 raise ScenarioError("sweep_values must not be empty when sweeping")
+            if len(set(self.sweep_values)) < len(self.sweep_values):
+                raise ScenarioError(f"sweep_values must not repeat, got {self.sweep_values}")
             if self.sweep_param == "n_channels":
                 if any(v != int(v) or v < 1 for v in self.sweep_values):
                     raise ScenarioError("n_channels sweep values must be integers >= 1")
@@ -255,14 +259,13 @@ def iter_scenario_drops(cfg: ScenarioConfig):
                 key = radio, n_channels
                 drops = sample_drops(cfg.n_users, n_channels, radio, seeds)
                 semantic = (
-                    [a.total_weight for a in semantic_drops(drops.snr_db, surface, cons)]
+                    semantic_drops(drops.snr_db, surface, cons).total.tolist()
                     if surface is not None else None
                 )
             totals = {
-                system: semantic if system is SystemKind.SEMANTIC else [
-                    a.total_weight for a in conventional_drops(
-                        drops.snr_db, drops.snr_linear, system, tables, tf, cons)
-                ]
+                system: semantic if system is SystemKind.SEMANTIC else conventional_drops(
+                    drops.snr_db, drops.snr_linear, system, tables, tf, cons
+                ).total.tolist()
                 for system in cfg.systems
             }
             for i, d in enumerate(block):
@@ -338,29 +341,22 @@ def iter_comparison_drops(cfg: ScenarioConfig, fixed_k_values: list[int]):
     for k in fixed_k_values:
         if not 1 <= k <= cons.k_max:
             raise ScenarioError(f"fixed k={k} outside 1..{cons.k_max}")
+    if len(set(fixed_k_values)) < len(fixed_k_values):
+        raise ScenarioError(f"fixed k values must not repeat, got {fixed_k_values}")
     surface = surface_for(cfg)
-    slots = min(cfg.n_users, cfg.n_channels)
     for block in _blocks(cfg.n_drops, cfg.n_users * cfg.n_channels):
         drops = sample_drops(
             cfg.n_users, cfg.n_channels, cfg.radio, [cfg.base_seed + d for d in block]
         )
-        ideal = conventional_drops(
+        channel = conventional_drops(
             drops.snr_db, drops.snr_linear, SystemKind.IDEAL, {}, cfg.tf, cons
-        )
-        optimized = [
-            a.total_weight for a in semantic_drops(drops.snr_db, surface, cons)
-        ]
-        # SNR of each drop's ideal-matched pairs, in user order; unused slots
-        # are masked out and score 0
-        users = np.zeros((len(block), slots), dtype=int)
-        channels = np.zeros((len(block), slots), dtype=int)
-        matched = np.zeros((len(block), slots), dtype=bool)
-        for i, match in enumerate(ideal):
-            n = len(match.pairs)
-            if n:
-                users[i, :n], channels[i, :n] = zip(*match.pairs)
-                matched[i, :n] = True
-        snr_matched = drops.snr_db[np.arange(len(block))[:, None], users, channels]
+        ).channel
+        optimized = semantic_drops(drops.snr_db, surface, cons).total.tolist()
+        # SNR of each user's ideal-matched pair; unmatched users score 0
+        matched = channel >= 0
+        snr_matched = np.take_along_axis(
+            drops.snr_db, np.where(matched, channel, 0)[..., None], axis=2
+        )[..., 0]
         fixed_totals = {}
         for k in fixed_k_values:
             xi = surface.query(k, snr_matched)
@@ -369,11 +365,11 @@ def iter_comparison_drops(cfg: ScenarioConfig, fixed_k_values: list[int]):
                 matched & (xi >= cons.similarity_threshold) & (w >= cons.sse_threshold), w, 0.0
             )
             total = np.zeros(len(block))
-            for slot in range(slots):  # left to right in pair order: same rounding per drop
-                total += score[:, slot]
-            fixed_totals[k] = total
+            for user in range(cfg.n_users):  # left to right in user order: same rounding
+                total += score[:, user]
+            fixed_totals[k] = total.tolist()
         for i, d in enumerate(block):
-            yield d, {k: float(t[i]) for k, t in fixed_totals.items()}, optimized[i]
+            yield d, {k: t[i] for k, t in fixed_totals.items()}, optimized[i]
 
 
 def run_model_comparison(

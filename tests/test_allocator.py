@@ -1,13 +1,16 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from semse import allocator, harness
 from semse.allocator import (
     Assignment,
     Constraints,
+    _matches_stacked,
     allocate_conventional,
     allocate_semantic,
     best_pair_plan,
@@ -15,9 +18,10 @@ from semse.allocator import (
     build_pair_plans,
     conventional_weights,
     hungarian_max,
+    match_drops,
     weight_matrix,
 )
-from semse.channel import RadioParams, sample_drop
+from semse.channel import RadioParams, sample_drop, sample_drops
 from semse.link_adaptation import SystemKind, builtin_table
 from semse.metrics import TransformFactor
 from semse.similarity import SimilaritySurface, default_surrogate
@@ -273,6 +277,92 @@ class TestHungarianProperties:
             assert a.total_weight == total
 
 
+@st.composite
+def tied_stacks(draw):
+    """Stacks of 1-4 drops on a 0.1 grid, with zeroed rows and columns in some drops."""
+    d, n, m = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    tenths = draw(st.lists(st.integers(0, 4), min_size=d * n * m, max_size=d * n * m))
+    w = np.asarray(tenths, dtype=float).reshape(d, n, m) / 10
+    for drop, i in draw(st.lists(st.tuples(st.integers(0, d - 1), st.integers(0, n - 1)),
+                                 max_size=3)):
+        w[drop, i, :] = 0.0
+    for drop, j in draw(st.lists(st.tuples(st.integers(0, d - 1), st.integers(0, m - 1)),
+                                 max_size=3)):
+        w[drop, :, j] = 0.0
+    return w
+
+
+def per_drop_matches(w):
+    """(totals, channel of each user or -1) of ``hungarian_max`` on each drop."""
+    totals, channels = [], np.full(w.shape[:2], -1)
+    for d, drop in enumerate(w):
+        match = hungarian_max(drop)
+        totals.append(match.total_weight)
+        for i, j in match.pairs:
+            channels[d, i] = j
+    return totals, channels
+
+
+class TestStackedMatcher:
+    """The stacked matcher gives every drop the matching ``hungarian_max`` gives it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_stacks())
+    @example(np.array([[[0.2, 0.2, 0.0], [0.2, 0.2, 0.1]]]))
+    def test_equals_per_drop_hungarian_bit_for_bit(self, w):
+        for stack in (w, w.transpose(0, 2, 1)):
+            got = _matches_stacked(stack)
+            totals, channels = per_drop_matches(stack)
+            assert got.total.tolist() == totals
+            assert np.array_equal(got.channel, channels)
+
+    @pytest.mark.parametrize("shape", [(2, 120, 80), (64, 20, 20), (500, 5, 5)])
+    def test_match_drops_equals_per_drop_hungarian(self, shape):
+        drops = sample_drops(shape[1], shape[2], RadioParams(), range(shape[0]))
+        w = weight_matrix(build_pair_plans(drops.snr_db, default_surrogate(20), Constraints()))
+        got = match_drops(w)
+        totals, channels = per_drop_matches(w)
+        assert got.total.tolist() == totals
+        assert np.array_equal(got.channel, channels)
+
+    def test_rejects_bad_stacks(self):
+        with pytest.raises(ValueError):
+            match_drops(np.zeros((3, 3)))
+        with pytest.raises(ValueError):
+            match_drops(np.zeros((0, 3, 3)))
+        with pytest.raises(ValueError):
+            match_drops(np.full((100, 2, 2), -1.0))
+        with pytest.raises(ValueError):
+            match_drops(np.full((100, 2, 2), np.nan))
+
+    @pytest.mark.parametrize("workload, fixed_k, stacked", [
+        ("default.txt", None, True),
+        ("bits_per_word_sweep.txt", None, True),
+        ("default.txt", [1, 2, 3, 4, 5], True),
+        (None, None, False),  # overloaded cell: 120 users x 80 channels, 2 drops
+    ])
+    def test_benchmark_workloads_take_the_intended_matcher(
+        self, monkeypatch, workload, fixed_k, stacked
+    ):
+        if workload is None:
+            cfg = harness.ScenarioConfig(n_users=120, n_channels=80, n_drops=2)
+        else:
+            root = Path(__file__).resolve().parent.parent
+            cfg = harness.load_scenario(root / "scenarios" / workload)
+        paths = []
+        for name in ("_matches_stacked", "_matches_by_drop"):
+            real = getattr(allocator, name)
+            monkeypatch.setattr(
+                allocator, name,
+                lambda w, name=name, real=real: paths.append(name) or real(w),
+            )
+        if fixed_k:
+            harness.run_model_comparison(cfg, fixed_k)
+        else:
+            harness.run_scenario(cfg)
+        assert set(paths) == {"_matches_stacked" if stacked else "_matches_by_drop"}
+
+
 class TestAgainstScipy:
     """Totals on sampled drops against scipy's rectangular assignment solver."""
 
@@ -291,6 +381,23 @@ class TestAgainstScipy:
         assert hungarian_max(w).total_weight == pytest.approx(
             float(w[rows, cols].sum()), rel=1e-12
         )
+
+    @pytest.mark.parametrize("shape", [(64, 8, 6), (64, 6, 8), (200, 5, 5)])
+    @pytest.mark.parametrize("system", [SystemKind.SEMANTIC, SystemKind.FOUR_G])
+    def test_stacked_totals_match_linear_sum_assignment(self, shape, system):
+        lsa = pytest.importorskip("scipy.optimize").linear_sum_assignment
+        cons = Constraints()
+        drops = sample_drops(shape[1], shape[2], RadioParams(), range(100, 100 + shape[0]))
+        if system is SystemKind.SEMANTIC:
+            w = weight_matrix(build_pair_plans(drops.snr_db, default_surrogate(20), cons))
+        else:
+            w = conventional_weights(
+                drops.snr_db, drops.snr_linear, system, TABLES, MU40, cons
+            )
+        got = _matches_stacked(w)
+        for d, drop in enumerate(w):
+            rows, cols = lsa(drop, maximize=True)
+            assert got.total[d] == pytest.approx(float(drop[rows, cols].sum()), rel=1e-12)
 
 
 class TestAllocateSemantic:

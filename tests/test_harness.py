@@ -94,6 +94,16 @@ class TestLoadScenario:
                 tmp_path, "sweep_param = n_channels\nsweep_values = 1.5, 2\n"
             ))
 
+    def test_repeated_sweep_value_rejected(self, tmp_path, capsys):
+        # a repeat would emit the row twice, its mean over 2 x n_drops totals
+        path = write_scenario(
+            tmp_path, "n_drops = 3\nsweep_param = tx_power_dbm\nsweep_values = 10, 20, 10\n"
+        )
+        with pytest.raises(ScenarioError, match=r"must not repeat, got \(10.0, 20.0, 10.0\)"):
+            load_scenario(path)
+        assert main(["run", str(path)]) == 1
+        assert "sweep_values must not repeat" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", sorted(_FLOAT_KEYS) + ["sweep_values"])
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_float_rejected(self, tmp_path, capsys, key, bad):
@@ -349,6 +359,12 @@ class TestCli:
         assert main(["compare", str(self.scenario(tmp_path)), "--k", "1,2"]) == 0
         out = capsys.readouterr().out
         assert "fixed_k" in out and "optimized_k" in out
+
+    def test_compare_rejects_repeated_k(self, tmp_path, capsys):
+        assert main(["compare", str(self.scenario(tmp_path)), "--k", "2,3,2"]) == 1
+        captured = capsys.readouterr()
+        assert "fixed k values must not repeat, got [2, 3, 2]" in captured.err
+        assert captured.out == ""
 
     def test_tables_check(self, capsys):
         assert main(["tables", "--check"]) == 0
