@@ -11,10 +11,10 @@ from .allocator import (
     best_pair_plan,
     brute_force_allocation,
     build_pair_plans,
-    conventional_drops,
+    conventional_weights,
     hungarian_max,
     match_drops,
-    semantic_drops,
+    semantic_weights,
     weight_matrix,
 )
 from .channel import (

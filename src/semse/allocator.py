@@ -371,7 +371,10 @@ class DropMatches(NamedTuple):
 # (2-core host), the stacked one breaks even at about 50-90 drops from 5x5
 # to 20x20 and is 2-3.5x faster at 256; on larger matrices it breaks even
 # sooner (32-64 drops at 50x50, 2-8 at 120x80) but takes 2.5-2.8x as long
-# as the scalar one on 2 drops of 120x80.
+# as the scalar one on 2 drops of 120x80. A stack may mix systems. On ideal
+# (Shannon) weights, which seldom tie or fall to 0 so every search runs
+# longer, it breaks even at 50-90 drops up to 50x50 and at 16-24 drops of
+# 120x80, and takes 4.2-4.5x as long on 2 drops of 120x80.
 _STACK_MIN_DROPS = 64
 
 
@@ -425,15 +428,15 @@ def allocate_semantic(
     return Assignment(match.pairs, match.total_weight, per_user)
 
 
-def semantic_drops(
+def semantic_weights(
     snr_db: np.ndarray, surface: SimilaritySurface, cons: Constraints
-) -> DropMatches:
-    """``allocate_semantic`` of each drop of a (drops, users, channels) stack.
+) -> np.ndarray:
+    """Normalized semantic-SE weights of every pair, shape (..., users, channels).
 
-    The k scan runs at once over the whole stack, then ``match_drops``
-    matches every drop. No per-pair plans are built.
+    The weights ``allocate_semantic`` matches, from one k scan over the whole
+    array; no per-pair plans are built.
     """
-    return match_drops(weight_matrix(build_pair_plans(snr_db, surface, cons)))
+    return weight_matrix(build_pair_plans(snr_db, surface, cons))
 
 
 def conventional_weights(
@@ -466,18 +469,6 @@ def allocate_conventional(
     """Best channel matching for an ideal/4G/5G system, in normalized S-SE."""
     w = conventional_weights(snr_db, snr_linear, system, tables, tf, cons)
     return hungarian_max(np.atleast_2d(w))
-
-
-def conventional_drops(
-    snr_db: np.ndarray,
-    snr_linear: np.ndarray,
-    system: SystemKind,
-    tables: dict[SystemKind, CqiTable],
-    tf: TransformFactor,
-    cons: Constraints,
-) -> DropMatches:
-    """``allocate_conventional`` of each drop of a (drops, users, channels) stack."""
-    return match_drops(conventional_weights(snr_db, snr_linear, system, tables, tf, cons))
 
 
 def brute_force_allocation(

@@ -18,14 +18,15 @@ swept parameter, never to sampling noise. Sweeping ``n_channels`` extends
 drops without re-randomizing existing links (see ``channel.sample_drops``),
 so per-drop totals are exactly monotone in the channel count.
 
-Drops are evaluated in blocks of whole drops, at most ``_BLOCK_PAIRS``
-(user, channel) pairs each, so memory does not grow with ``n_drops``. A
-block is sampled once per distinct radio and channel count among the sweep
-values, and its per-pair k scan runs once over the whole block; the
-semantic matchings are shared by every ``bits_per_word`` value, which only
-the bit-pipe weights depend on. Each system's matchings of a block come
-from one ``match_drops`` call, as arrays of per-drop totals and matched
-channels, so no per-pair Python object is built.
+Drops are evaluated in blocks of whole drops, so memory does not grow with
+``n_drops``. A block is sampled once per distinct radio and channel count
+among the sweep values, and its per-pair k scan runs once over the whole
+block; the semantic weights are shared by every ``bits_per_word`` value,
+which only the bit-pipe weights depend on. Every weight stack of a sample
+(the semantic one, and each bit-pipe system at each of its
+``bits_per_word`` values) is matched in one ``match_drops`` call, which
+returns per-drop totals as arrays, so no per-pair Python object is built.
+``_BLOCK_PAIRS`` bounds the weights one such call matches.
 
 Totals are accumulated in normalized units and scaled by the source's
 ``info_per_word`` only in the emitted records.
@@ -39,7 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocator import Constraints, conventional_drops, semantic_drops
+from . import allocator  # looked up per call, so wrappers installed there see it
+from .allocator import Constraints
 from .channel import RadioParams, sample_drops
 from .link_adaptation import CqiTable, SystemKind, builtin_table, load_cqi_table
 from .metrics import SourceStats, TransformFactor
@@ -51,8 +53,12 @@ CSV_HEADER = "system,sweep_param,sweep_value,mean_total_sse,std_error,n_drops"
 
 _SYSTEM_ORDER = {kind: i for i, kind in enumerate(SystemKind)}
 
-# Most (user, channel) pairs evaluated at once; a block holds at least one drop.
-_BLOCK_PAIRS = 1 << 16
+# Most weights (users x channels x stacks) matched in one call; a block holds
+# at least one drop. The stacked matcher's temporaries take about 37 bytes a
+# weight: 1 << 16 raised the CLI's peak RSS on a bits_per_word sweep by 6%,
+# 1 << 15 by under 3%, and 1 << 14 left a 500-drop 5x5 scenario no faster
+# than one call per system.
+_BLOCK_PAIRS = 1 << 15
 
 
 class ScenarioError(ValueError):
@@ -86,6 +92,8 @@ class ScenarioConfig:
             raise ScenarioError("n_users and n_channels must be >= 1")
         if self.n_drops < 1:
             raise ScenarioError("n_drops must be >= 1")
+        if self.base_seed < 0:
+            raise ScenarioError(f"base_seed must be >= 0, got {self.base_seed}")
         if not self.systems:
             raise ScenarioError("systems must not be empty")
         if len(set(self.systems)) != len(self.systems):
@@ -106,6 +114,8 @@ class ScenarioConfig:
                 v <= 0 for v in self.sweep_values
             ):
                 raise ScenarioError("bits_per_word sweep values must be > 0")
+        elif self.sweep_values:
+            raise ScenarioError("sweep_values given without sweep_param")
 
 
 @dataclass(frozen=True)
@@ -229,11 +239,59 @@ def _apply_sweep(cfg: ScenarioConfig, value):
     return radio, n_channels, tf
 
 
-def _blocks(n_drops: int, pairs_per_drop: int):
+def _blocks(n_drops: int, weights_per_drop: int):
     """Drop-index ranges of the evaluation blocks, in order."""
-    size = max(1, _BLOCK_PAIRS // pairs_per_drop)
+    size = max(1, _BLOCK_PAIRS // weights_per_drop)
     for start in range(0, n_drops, size):
         yield range(start, min(start + size, n_drops))
+
+
+def _sweep_values(cfg: ScenarioConfig) -> tuple:
+    return cfg.sweep_values if cfg.sweep_param else (None,)
+
+
+def _scenario_blocks(cfg: ScenarioConfig):
+    """Yield (block, {(system, sweep_value): per-drop normalized totals}) per block.
+
+    Per block and distinct (radio, n_channels) sample among the sweep values,
+    every weight stack the sample needs is matched in one ``match_drops``
+    call: the semantic stack once, shared by the sample's ``bits_per_word``
+    values, and each bit-pipe system's stack at each of those values.
+    """
+    surface = surface_for(cfg) if SystemKind.SEMANTIC in cfg.systems else None
+    need_tables = any(s in cfg.systems for s in (SystemKind.FOUR_G, SystemKind.FIVE_G))
+    tables = tables_for(cfg) if need_tables else {}
+    cons = cfg.constraints
+    pipes = [s for s in cfg.systems if s is not SystemKind.SEMANTIC]
+    samples: dict = {}  # (radio, n_channels) -> [(sweep_value, tf), ...]
+    for value in _sweep_values(cfg):
+        radio, n_channels, tf = _apply_sweep(cfg, value)
+        samples.setdefault((radio, n_channels), []).append((value, tf))
+    n_stacks = {key: (surface is not None) + len(pipes) * len(group)
+                for key, group in samples.items()}
+    weights_per_drop = max(cfg.n_users * n_channels * n_stacks[radio, n_channels]
+                           for radio, n_channels in samples)
+    for block in _blocks(cfg.n_drops, weights_per_drop):
+        seeds = [cfg.base_seed + d for d in block]
+        totals = {}
+        for (radio, n_channels), group in samples.items():
+            drops = sample_drops(cfg.n_users, n_channels, radio, seeds)
+            # stack s holds the weights of every (system, sweep_value) in keys[s]
+            weights = np.empty((n_stacks[radio, n_channels], *drops.snr_db.shape))
+            keys = []
+            if surface is not None:
+                weights[0] = allocator.semantic_weights(drops.snr_db, surface, cons)
+                keys.append([(SystemKind.SEMANTIC, value) for value, _tf in group])
+            for value, tf in group:
+                for system in pipes:
+                    weights[len(keys)] = allocator.conventional_weights(
+                        drops.snr_db, drops.snr_linear, system, tables, tf, cons
+                    )
+                    keys.append([(system, value)])
+            matched = allocator.match_drops(weights.reshape(-1, cfg.n_users, n_channels))
+            for names, total in zip(keys, matched.total.reshape(len(keys), -1)):
+                totals.update(dict.fromkeys(names, total))
+        yield block, totals
 
 
 def iter_scenario_drops(cfg: ScenarioConfig):
@@ -244,51 +302,32 @@ def iter_scenario_drops(cfg: ScenarioConfig):
     block's drops in ascending order, so every (sweep_value, drop_index)
     appears once and, per sweep value, the drops ascend.
     """
-    surface = surface_for(cfg) if SystemKind.SEMANTIC in cfg.systems else None
-    need_tables = any(s in cfg.systems for s in (SystemKind.FOUR_G, SystemKind.FIVE_G))
-    tables = tables_for(cfg) if need_tables else {}
-    cons = cfg.constraints
-    values = cfg.sweep_values if cfg.sweep_param else (None,)
-    settings = [(value, *_apply_sweep(cfg, value)) for value in values]
-    max_channels = max(n_channels for _value, _radio, n_channels, _tf in settings)
-    for block in _blocks(cfg.n_drops, cfg.n_users * max_channels):
-        seeds = [cfg.base_seed + d for d in block]
-        key = None
-        for value, radio, n_channels, tf in settings:
-            if key != (radio, n_channels):  # bits_per_word values share one sample
-                key = radio, n_channels
-                drops = sample_drops(cfg.n_users, n_channels, radio, seeds)
-                semantic = (
-                    semantic_drops(drops.snr_db, surface, cons).total.tolist()
-                    if surface is not None else None
-                )
-            totals = {
-                system: semantic if system is SystemKind.SEMANTIC else conventional_drops(
-                    drops.snr_db, drops.snr_linear, system, tables, tf, cons
-                ).total.tolist()
-                for system in cfg.systems
-            }
+    for block, totals in _scenario_blocks(cfg):
+        for value in _sweep_values(cfg):
+            per_system = {system: totals[system, value].tolist() for system in cfg.systems}
             for i, d in enumerate(block):
-                yield value, d, {system: t[i] for system, t in totals.items()}
+                yield value, d, {system: t[i] for system, t in per_system.items()}
 
 
-def _aggregate(totals: list[float], src: SourceStats, n: int) -> tuple[float, float]:
-    arr = np.asarray(totals)
-    mean = float(arr.mean()) * src.info_per_word
-    stderr = 0.0 if n == 1 else float(arr.std(ddof=1)) / math.sqrt(n) * src.info_per_word
+def _aggregate(blocks: list[np.ndarray], src: SourceStats, n: int) -> tuple[float, float]:
+    """Mean and standard error of the per-drop totals of every block."""
+    totals = np.concatenate(blocks)
+    mean = float(totals.mean()) * src.info_per_word
+    stderr = 0.0 if n == 1 else float(totals.std(ddof=1)) / math.sqrt(n) * src.info_per_word
     return mean, stderr
 
 
 def run_scenario(cfg: ScenarioConfig) -> list[SweepRecord]:
     """Run the configured sweep and return one record per (system, value)."""
-    acc: dict = {}
-    for value, _d, totals in iter_scenario_drops(cfg):
-        for system, total in totals.items():
-            acc.setdefault((system, value), []).append(total)
+    values = _sweep_values(cfg)
+    acc = {(system, value): [] for value in values for system in cfg.systems}
+    for _block, totals in _scenario_blocks(cfg):
+        for key, total in totals.items():
+            acc[key].append(total)
     records = []
-    for value in (cfg.sweep_values if cfg.sweep_param else (None,)):
+    for value in values:
         for system in cfg.systems:
-            mean, stderr = _aggregate(acc[(system, value)], cfg.src, cfg.n_drops)
+            mean, stderr = _aggregate(acc[system, value], cfg.src, cfg.n_drops)
             records.append(
                 SweepRecord(
                     system=system,
@@ -328,6 +367,49 @@ def crossover_bits_per_word(records: list[SweepRecord]) -> dict[SystemKind, floa
     return out
 
 
+def _comparison_blocks(cfg: ScenarioConfig, fixed_k_values: list[int]):
+    """Yield (block, {k: per-drop fixed-k totals}, per-drop optimized totals).
+
+    The ideal system's and the semantic system's weights of a block are
+    matched in one ``match_drops`` call.
+    """
+    cons = cfg.constraints
+    for k in fixed_k_values:
+        if not 1 <= k <= cons.k_max:
+            raise ScenarioError(f"fixed k={k} outside 1..{cons.k_max}")
+    if len(set(fixed_k_values)) < len(fixed_k_values):
+        raise ScenarioError(f"fixed k values must not repeat, got {fixed_k_values}")
+    surface = surface_for(cfg)
+    for block in _blocks(cfg.n_drops, 2 * cfg.n_users * cfg.n_channels):
+        drops = sample_drops(
+            cfg.n_users, cfg.n_channels, cfg.radio, [cfg.base_seed + d for d in block]
+        )
+        matched = allocator.match_drops(np.concatenate([
+            allocator.conventional_weights(
+                drops.snr_db, drops.snr_linear, SystemKind.IDEAL, {}, cfg.tf, cons
+            ),
+            allocator.semantic_weights(drops.snr_db, surface, cons),
+        ]))
+        channel = matched.channel[:len(block)]
+        # SNR of each user's ideal-matched pair; unmatched users score 0
+        served = channel >= 0
+        snr_matched = np.take_along_axis(
+            drops.snr_db, np.where(served, channel, 0)[..., None], axis=2
+        )[..., 0]
+        fixed_totals = {}
+        for k in fixed_k_values:
+            xi = surface.query(k, snr_matched)
+            w = xi / k
+            score = np.where(
+                served & (xi >= cons.similarity_threshold) & (w >= cons.sse_threshold), w, 0.0
+            )
+            total = np.zeros(len(block))
+            for user in range(cfg.n_users):  # left to right in user order: same rounding
+                total += score[:, user]
+            fixed_totals[k] = total
+        yield block, fixed_totals, matched.total[len(block):]
+
+
 def iter_comparison_drops(cfg: ScenarioConfig, fixed_k_values: list[int]):
     """Per-drop totals of the fixed-k conventional-assignment policy vs ours.
 
@@ -337,39 +419,10 @@ def iter_comparison_drops(cfg: ScenarioConfig, fixed_k_values: list[int]):
     the joint semantic optimization. Yields (drop_index, {k: total},
     optimized_total), all normalized.
     """
-    cons = cfg.constraints
-    for k in fixed_k_values:
-        if not 1 <= k <= cons.k_max:
-            raise ScenarioError(f"fixed k={k} outside 1..{cons.k_max}")
-    if len(set(fixed_k_values)) < len(fixed_k_values):
-        raise ScenarioError(f"fixed k values must not repeat, got {fixed_k_values}")
-    surface = surface_for(cfg)
-    for block in _blocks(cfg.n_drops, cfg.n_users * cfg.n_channels):
-        drops = sample_drops(
-            cfg.n_users, cfg.n_channels, cfg.radio, [cfg.base_seed + d for d in block]
-        )
-        channel = conventional_drops(
-            drops.snr_db, drops.snr_linear, SystemKind.IDEAL, {}, cfg.tf, cons
-        ).channel
-        optimized = semantic_drops(drops.snr_db, surface, cons).total.tolist()
-        # SNR of each user's ideal-matched pair; unmatched users score 0
-        matched = channel >= 0
-        snr_matched = np.take_along_axis(
-            drops.snr_db, np.where(matched, channel, 0)[..., None], axis=2
-        )[..., 0]
-        fixed_totals = {}
-        for k in fixed_k_values:
-            xi = surface.query(k, snr_matched)
-            w = xi / k
-            score = np.where(
-                matched & (xi >= cons.similarity_threshold) & (w >= cons.sse_threshold), w, 0.0
-            )
-            total = np.zeros(len(block))
-            for user in range(cfg.n_users):  # left to right in user order: same rounding
-                total += score[:, user]
-            fixed_totals[k] = total.tolist()
+    for block, fixed_totals, optimized in _comparison_blocks(cfg, fixed_k_values):
+        fixed = {k: t.tolist() for k, t in fixed_totals.items()}
         for i, d in enumerate(block):
-            yield d, {k: t[i] for k, t in fixed_totals.items()}, optimized[i]
+            yield d, {k: t[i] for k, t in fixed.items()}, float(optimized[i])
 
 
 def run_model_comparison(
@@ -380,9 +433,9 @@ def run_model_comparison(
     One record per fixed k (sweep_param ``fixed_k``) plus one for the joint
     optimization (sweep_param ``optimized_k``, sweep_value 0).
     """
-    fixed_acc: dict[int, list[float]] = {k: [] for k in fixed_k_values}
-    opt_acc: list[float] = []
-    for _d, fixed_totals, optimized in iter_comparison_drops(cfg, fixed_k_values):
+    fixed_acc: dict[int, list] = {k: [] for k in fixed_k_values}
+    opt_acc = []
+    for _block, fixed_totals, optimized in _comparison_blocks(cfg, fixed_k_values):
         for k, total in fixed_totals.items():
             fixed_acc[k].append(total)
         opt_acc.append(optimized)

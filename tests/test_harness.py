@@ -1,8 +1,9 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
-from semse import harness
+from semse import allocator, harness
 from semse.cli import main
 from semse.harness import (
     _BLOCK_PAIRS,
@@ -187,6 +188,40 @@ class TestRunScenario:
 
 class TestBlocks:
     """Drops evaluated in blocks give the totals of one drop solved at a time."""
+
+    @pytest.mark.parametrize("kw, fixed_k, stacks, samples", [
+        (dict(n_users=6, n_channels=6, n_drops=100, sweep_param="bits_per_word",
+              sweep_values=(10.0, 20.0, 40.0)), None, 10, 1),
+        (dict(n_users=6, n_channels=6, n_drops=300, sweep_param="tx_power_dbm",
+              sweep_values=(0.0, 10.0)), None, 4, 2),
+        (dict(n_users=6, n_drops=300, sweep_param="n_channels", sweep_values=(2.0, 5.0)),
+         None, 4, 2),
+        (dict(n_users=100, n_channels=100, n_drops=2), None, 4, 1),  # one drop per block
+        (dict(n_users=6, n_channels=6, n_drops=1000), [1, 2], 2, 1),
+    ])
+    def test_one_match_drops_call_per_block_and_sample(
+        self, monkeypatch, kw, fixed_k, stacks, samples
+    ):
+        cfg = quick_cfg(**kw)
+        blocks, shapes = [], []
+        real_sample, real_match = harness.sample_drops, allocator.match_drops
+        monkeypatch.setattr(
+            harness, "sample_drops", lambda *args: blocks.append(args[3]) or real_sample(*args)
+        )
+        monkeypatch.setattr(
+            allocator, "match_drops", lambda w: shapes.append(w.shape) or real_match(w)
+        )
+        if fixed_k:
+            run_model_comparison(cfg, fixed_k)
+        else:
+            run_scenario(cfg)
+        assert len(shapes) == len(blocks) > samples
+        for seeds, shape in zip(blocks, shapes):
+            assert shape[0] == stacks * len(seeds)
+            assert len(seeds) == 1 or np.prod(shape) <= _BLOCK_PAIRS
+        seeds = [s for block in blocks for s in block]
+        every_seed = range(cfg.base_seed, cfg.base_seed + cfg.n_drops)
+        assert sorted(seeds) == sorted([*every_seed] * samples)
 
     def big_cfg(self, **kw):
         cfg = quick_cfg(n_users=60, n_channels=60, n_drops=20, base_seed=3, **kw)
@@ -377,6 +412,25 @@ class TestCli:
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.txt")]) == 2
+
+    def test_sweep_values_without_sweep_param_rejected(self, tmp_path, capsys):
+        # used to run unswept and print one "none" row per system, exit 0
+        scenario = write_scenario(tmp_path, "n_drops = 2\nsweep_values = 10, 20\n")
+        assert main(["run", str(scenario)]) == 1
+        captured = capsys.readouterr()
+        assert "sweep_values given without sweep_param" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("text, argv", [
+        ("n_drops = 2\nbase_seed = -1\n", []),
+        ("n_drops = 2\n", ["--seed", "-1"]),
+    ])
+    def test_negative_base_seed_rejected(self, tmp_path, capsys, text, argv):
+        scenario = write_scenario(tmp_path, text)
+        assert main(["run", str(scenario), *argv]) == 1
+        captured = capsys.readouterr()
+        assert "base_seed must be >= 0, got -1" in captured.err
+        assert captured.out == ""
 
     def test_crossover_emitted_on_bits_per_word_sweep(self, tmp_path, capsys):
         scenario = write_scenario(
