@@ -55,21 +55,17 @@ class RadioParams:
             raise ValueError(f"pathloss_b must be >= 0, got {self.pathloss_b}")
         if self.shadow_sigma_db < 0:
             raise ValueError(f"shadow_sigma_db must be >= 0, got {self.shadow_sigma_db}")
+        try:
+            10.0 ** (self.tx_power_dbm / 10.0)
+        except OverflowError:
+            raise ValueError(
+                f"tx_power_dbm = {self.tx_power_dbm} overflows the transmit power in mW"
+            ) from None
 
     @property
     def noise_power_mw(self) -> float:
         """Total noise power over one channel, in mW."""
         return float(db_to_linear(self.noise_psd_dbm_hz)) * self.bandwidth_hz
-
-
-@dataclass(frozen=True)
-class LinkRealization:
-    """One (user, channel) link draw, all gains as linear power ratios."""
-
-    large_scale_gain: float
-    fading_power: float
-    snr_linear: float
-    snr_db: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,24 +84,8 @@ class NetworkDrop:
     snr_linear: np.ndarray
     snr_db: np.ndarray
 
-    @property
-    def n_users(self) -> int:
-        return self.fading_power.shape[-2]
-
-    @property
-    def n_channels(self) -> int:
-        return self.fading_power.shape[-1]
-
     def __getitem__(self, d) -> "NetworkDrop":
         return NetworkDrop(*(getattr(self, f.name)[d] for f in fields(self)))
-
-    def link(self, user: int, channel: int) -> LinkRealization:
-        return LinkRealization(
-            large_scale_gain=float(self.large_scale_gain[user]),
-            fading_power=float(self.fading_power[user, channel]),
-            snr_linear=float(self.snr_linear[user, channel]),
-            snr_db=float(self.snr_db[user, channel]),
-        )
 
 
 def pathloss_db(distance_km: float, params: RadioParams) -> float:
@@ -159,8 +139,14 @@ def sample_drops(
         fading[d] = rng.exponential(1.0, size=(n_channels, n_users)).T
     distances = np.maximum(params.cell_radius_km * np.sqrt(uniform), MIN_DISTANCE_KM)
 
-    pl_db = pathloss_db(distances, params)
-    gain = db_to_linear(-(pl_db + shadow_db))
+    loss_db = pathloss_db(distances, params) + shadow_db
+    gain = db_to_linear(-loss_db)
+    if not np.all(gain > 0):  # a loss beyond about 3233 dB underflows to 0
+        raise ValueError(
+            f"a loss of {loss_db.max():.4g} dB leaves no received power (pathloss_a = "
+            f"{params.pathloss_a}, pathloss_b = {params.pathloss_b}, cell_radius_km = "
+            f"{params.cell_radius_km}, shadow_sigma_db = {params.shadow_sigma_db})"
+        )
     snr_linear, snr_db_ = snr(params, gain[..., None], fading)
     return NetworkDrop(
         user_distances_km=distances,

@@ -84,7 +84,12 @@ def main(argv=None) -> int:
                 )
         elif args.command == "compare":
             cfg = _load(args)
-            fixed_ks = [int(tok) for tok in args.k.split(",") if tok.strip()]
+            try:
+                fixed_ks = [int(tok) for tok in args.k.split(",") if tok.strip()]
+            except ValueError:
+                fixed_ks = []
+            if not fixed_ks:
+                raise ValueError(f"--k must be comma-separated integers, got {args.k!r}")
             records = run_model_comparison(cfg, fixed_ks)
             _emit(records, args.out)
         elif args.command == "tables":

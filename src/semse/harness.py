@@ -398,11 +398,8 @@ def _comparison_blocks(cfg: ScenarioConfig, fixed_k_values: list[int]):
         )[..., 0]
         fixed_totals = {}
         for k in fixed_k_values:
-            xi = surface.query(k, snr_matched)
-            w = xi / k
-            score = np.where(
-                served & (xi >= cons.similarity_threshold) & (w >= cons.sse_threshold), w, 0.0
-            )
+            _xi, w, ok = allocator.sse_at_k(surface, k, snr_matched, cons)
+            score = np.where(served & ok, w, 0.0)
             total = np.zeros(len(block))
             for user in range(cfg.n_users):  # left to right in user order: same rounding
                 total += score[:, user]

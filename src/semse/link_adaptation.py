@@ -17,7 +17,6 @@ switching point. Both are plain data and can be overridden per scenario.
 from __future__ import annotations
 
 import enum
-import hashlib
 from dataclasses import dataclass
 from importlib import resources
 
@@ -94,14 +93,8 @@ def shannon_se(snr_linear):
     return float(out) if out.ndim == 0 else out
 
 
-def snr_to_cqi(table: CqiTable, snr_db):
-    """Largest CQI index whose threshold is <= snr_db; 0 means outage."""
-    idx = np.searchsorted(table.thresholds_db, np.asarray(snr_db, dtype=float), side="right")
-    return int(idx) if idx.ndim == 0 else idx
-
-
 def table_se(table: CqiTable, snr_db):
-    """Spectral efficiency selected by the CQI table; 0 in outage."""
+    """Efficiency of the largest CQI index whose threshold is <= snr_db; 0 in outage."""
     idx = np.searchsorted(table.thresholds_db, np.asarray(snr_db, dtype=float), side="right")
     eff = np.concatenate(([0.0], table.efficiencies))
     out = eff[idx]
@@ -154,6 +147,7 @@ def check_builtin_tables() -> list[str]:
 
     Raises CqiTableError on any mismatch.
     """
+    import hashlib  # only this check needs it; keeps it out of the CLI's start-up
     report = []
     for system, expected in BUILTIN_TABLE_SHA256.items():
         digest = hashlib.sha256(_builtin_bytes(system)).hexdigest()

@@ -14,7 +14,6 @@ import pytest
 from semse.allocator import (
     Constraints,
     allocate_semantic,
-    brute_force_allocation,
     hungarian_max,
 )
 from semse.channel import RadioParams, pathloss_db, sample_drop, snr
@@ -33,6 +32,7 @@ from semse.link_adaptation import (
 )
 from semse.metrics import SourceStats, TransformFactor, equivalent_semantic_se
 from semse.similarity import default_surrogate
+from oracles import brute_force_allocation
 
 LTE_EFFICIENCIES = [
     0.1523, 0.2344, 0.3770, 0.6016, 0.8770, 1.1758, 1.4766,

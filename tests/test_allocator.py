@@ -11,10 +11,7 @@ from semse.allocator import (
     Assignment,
     Constraints,
     _matches_stacked,
-    allocate_conventional,
     allocate_semantic,
-    best_pair_plan,
-    brute_force_allocation,
     build_pair_plans,
     conventional_weights,
     hungarian_max,
@@ -25,6 +22,9 @@ from semse.channel import RadioParams, sample_drop, sample_drops
 from semse.link_adaptation import SystemKind, builtin_table
 from semse.metrics import TransformFactor
 from semse.similarity import SimilaritySurface, default_surrogate
+
+import oracles
+from oracles import best_pair_plan, brute_force_allocation
 
 MU40 = TransformFactor(40.0)
 TABLES = {
@@ -447,21 +447,23 @@ class TestAllocateSemantic:
                 assert best >= total - 1e-12
 
 
-class TestAllocateConventional:
+class TestConventionalWeights:
+    """Bit-pipe weights matched the way the harness matches them."""
+
     def test_all_links_in_outage(self):
         snr_db = np.full((3, 3), -40.0)
         snr_lin = 10 ** (snr_db / 10)
-        a = allocate_conventional(
+        a = hungarian_max(conventional_weights(
             snr_db, snr_lin, SystemKind.FOUR_G, TABLES, MU40, Constraints()
-        )
+        ))
         assert a.pairs == () and a.total_weight == 0.0
 
     def test_single_ideal_link_value(self):
         snr_db = np.array([[14.666]])
         snr_lin = 10 ** (snr_db / 10)
-        a = allocate_conventional(
+        a = hungarian_max(conventional_weights(
             snr_db, snr_lin, SystemKind.IDEAL, {}, MU40, Constraints()
-        )
+        ))
         assert a.total_weight == pytest.approx(0.1229, abs=1e-3)
 
     def test_ideal_dominates_table_systems(self):
@@ -471,7 +473,9 @@ class TestAllocateConventional:
             snr_db = rng.uniform(-10, 30, size=(5, 5))
             snr_lin = 10 ** (snr_db / 10)
             totals = {
-                s: allocate_conventional(snr_db, snr_lin, s, TABLES, MU40, cons).total_weight
+                s: hungarian_max(
+                    conventional_weights(snr_db, snr_lin, s, TABLES, MU40, cons)
+                ).total_weight
                 for s in (SystemKind.IDEAL, SystemKind.FOUR_G, SystemKind.FIVE_G)
             }
             assert totals[SystemKind.IDEAL] >= totals[SystemKind.FOUR_G]
@@ -481,12 +485,13 @@ class TestAllocateConventional:
         # R/mu below the floor contributes nothing even if positive
         cons = Constraints(sse_threshold=0.2)
         snr_db = np.array([[0.0]])  # shannon 1 bit/s/Hz -> 0.025 < 0.2
-        a = allocate_conventional(snr_db, np.array([[1.0]]), SystemKind.IDEAL, {}, MU40, cons)
+        w = conventional_weights(snr_db, np.array([[1.0]]), SystemKind.IDEAL, {}, MU40, cons)
+        a = hungarian_max(w)
         assert a.total_weight == 0.0 and a.pairs == ()
 
     def test_semantic_system_is_rejected(self):
         with pytest.raises(ValueError):
-            allocate_conventional(
+            conventional_weights(
                 np.zeros((2, 2)), np.ones((2, 2)), SystemKind.SEMANTIC,
                 TABLES, MU40, Constraints(),
             )
@@ -532,7 +537,7 @@ class TestBruteForce:
         rng = np.random.default_rng(31)
         instances = [rng.uniform(-10, 20, size=(3, 3)) for _ in range(10)]
         direct = [brute_force_allocation(s, surface, cons) for s in instances]
-        monkeypatch.setattr("semse.allocator._JOINT_BLOCK_LIMIT", 4)
+        monkeypatch.setattr(oracles, "_JOINT_BLOCK_LIMIT", 4)
         blocked = [brute_force_allocation(s, surface, cons) for s in instances]
         for a, b in zip(direct, blocked):
             assert a.total_weight == b.total_weight

@@ -1,0 +1,47 @@
+"""The package's public surface: what ``import semse`` exports and what it costs.
+
+``semse`` exports exactly the names the README's Library use section
+documents, and that section's example runs as written.
+"""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+from types import ModuleType
+
+import semse
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def library_use() -> str:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_library_use_example_runs(capsys):
+    code = re.search(r"```python\n(.*?)```", library_use(), re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out
+
+
+def test_every_export_is_documented():
+    exported = [
+        name for name, value in vars(semse).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    ]
+    assert exported
+    section = library_use()
+    assert [name for name in exported if not re.search(rf"\b{name}\b", section)] == []
+
+
+def test_cli_import_leaves_hashlib_unloaded():
+    # only `semse tables --check` hashes anything; numpy alone does not load it
+    probe = "import sys, numpy, semse.cli; print('hashlib' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    ).stdout
+    assert out.strip() == "False"

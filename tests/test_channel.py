@@ -118,7 +118,6 @@ def test_sample_drops_equal_single_drops_bit_for_bit(shape):
     seeds = list(range(40, 57))
     block = sample_drops(*shape, params, seeds)
     assert block.snr_db.shape == (len(seeds), *shape)
-    assert (block.n_users, block.n_channels) == shape
     for d, seed in enumerate(seeds):
         single = sample_drop(*shape, params, seed)
         for name, expect in reference_drop(*shape, params, seed).items():
@@ -136,7 +135,6 @@ def test_sample_drop_rejects_zero_counts():
 
 def test_sample_drop_shapes_and_bounds():
     drop = sample_drop(6, 3, PARAMS, 5)
-    assert drop.n_users == 6 and drop.n_channels == 3
     assert drop.snr_db.shape == (6, 3)
     assert np.all(drop.user_distances_km > 0)
     assert np.all(drop.user_distances_km <= PARAMS.cell_radius_km)
@@ -145,16 +143,16 @@ def test_sample_drop_shapes_and_bounds():
     assert np.all(drop.snr_linear > 0)
 
 
-def test_link_accessor_consistency():
+def test_snr_arrays_follow_the_link_budget():
     drop = sample_drop(4, 5, PARAMS, 11)
     p_mw = 10 ** (PARAMS.tx_power_dbm / 10)
     noise_mw = 10 ** (PARAMS.noise_psd_dbm_hz / 10) * PARAMS.bandwidth_hz
     for n in range(4):
         for m in range(5):
-            link = drop.link(n, m)
-            expect = link.large_scale_gain * link.fading_power * p_mw / noise_mw
-            assert link.snr_linear == pytest.approx(expect, rel=1e-12)
-            assert link.snr_db == pytest.approx(10 * math.log10(link.snr_linear), rel=1e-12)
+            snr_linear = float(drop.snr_linear[n, m])
+            expect = drop.large_scale_gain[n] * drop.fading_power[n, m] * p_mw / noise_mw
+            assert snr_linear == pytest.approx(expect, rel=1e-12)
+            assert drop.snr_db[n, m] == pytest.approx(10 * math.log10(snr_linear), rel=1e-12)
 
 
 def test_channel_columns_are_nested_across_m():

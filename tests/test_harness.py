@@ -23,7 +23,12 @@ from semse.harness import (
     surface_for,
     tables_for,
 )
-from semse.allocator import Constraints, allocate_conventional, allocate_semantic
+from semse.allocator import (
+    Constraints,
+    allocate_semantic,
+    conventional_weights,
+    hungarian_max,
+)
 from semse.channel import RadioParams, sample_drop
 from semse.link_adaptation import SystemKind
 from semse.metrics import SourceStats, TransformFactor
@@ -237,9 +242,9 @@ class TestBlocks:
             drop = sample_drop(cfg.n_users, cfg.n_channels, cfg.radio, cfg.base_seed + d)
             expect = {SystemKind.SEMANTIC: allocate_semantic(drop.snr_db, surface, cons)}
             for system in ALL_SYSTEMS[1:]:
-                expect[system] = allocate_conventional(
+                expect[system] = hungarian_max(conventional_weights(
                     drop.snr_db, drop.snr_linear, system, tables, cfg.tf, cons
-                )
+                ))
             assert totals == {s: a.total_weight for s, a in expect.items()}
         assert seen == [(None, d) for d in range(cfg.n_drops)]
 
@@ -249,9 +254,9 @@ class TestBlocks:
         scored = 0
         for d, fixed, optimized in iter_comparison_drops(cfg, [3, 5, 8]):
             drop = sample_drop(cfg.n_users, cfg.n_channels, cfg.radio, cfg.base_seed + d)
-            ideal = allocate_conventional(
+            ideal = hungarian_max(conventional_weights(
                 drop.snr_db, drop.snr_linear, SystemKind.IDEAL, {}, cfg.tf, cons
-            )
+            ))
             for k, total in fixed.items():
                 expect = 0.0
                 for i, j in ideal.pairs:
@@ -401,6 +406,15 @@ class TestCli:
         assert "fixed k values must not repeat, got [2, 3, 2]" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("k", ["", "abc", "1.5"])
+    def test_compare_rejects_k_that_is_not_a_list_of_integers(self, tmp_path, capsys, k):
+        # "" used to print only the optimized_k row with exit 0, the others
+        # to fail with int()'s message, which does not name the flag
+        assert main(["compare", str(self.scenario(tmp_path)), "--k", k]) == 1
+        captured = capsys.readouterr()
+        assert f"--k must be comma-separated integers, got {k!r}" in captured.err
+        assert captured.out == ""
+
     def test_tables_check(self, capsys):
         assert main(["tables", "--check"]) == 0
         out = capsys.readouterr().out
@@ -430,6 +444,22 @@ class TestCli:
         assert main(["run", str(scenario), *argv]) == 1
         captured = capsys.readouterr()
         assert "base_seed must be >= 0, got -1" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("key, value", [
+        ("tx_power_dbm", "1e308"),
+        ("bits_per_word", "5e-324"),
+        ("pathloss_a", "1e308"),
+        ("cell_radius_km", "1e308"),
+    ])
+    def test_finite_value_that_overflows_is_rejected_by_key(
+        self, tmp_path, capsys, key, value
+    ):
+        # each used to fail in the matcher or in snr() with a message naming no key
+        scenario = write_scenario(tmp_path, f"n_drops = 3\n{key} = {value}\n")
+        assert main(["run", str(scenario)]) == 1
+        captured = capsys.readouterr()
+        assert f"{key} = {float(value)}" in captured.err
         assert captured.out == ""
 
     def test_crossover_emitted_on_bits_per_word_sweep(self, tmp_path, capsys):

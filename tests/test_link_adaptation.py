@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semse.link_adaptation import (
     BUILTIN_TABLE_SHA256,
@@ -10,7 +15,6 @@ from semse.link_adaptation import (
     check_builtin_tables,
     load_cqi_table,
     shannon_se,
-    snr_to_cqi,
     table_se,
 )
 
@@ -55,16 +59,16 @@ def test_builtin_hashes_pinned():
 
 def test_cqi_selection_rules():
     table = builtin_table(SystemKind.FOUR_G)
-    assert snr_to_cqi(table, table.thresholds_db[0] - 0.01) == 0
-    assert snr_to_cqi(table, float(table.thresholds_db[6])) == 7  # boundary inclusive
-    assert snr_to_cqi(table, table.thresholds_db[-1] + 50.0) == 15
+    assert table_se(table, table.thresholds_db[0] - 0.01) == 0.0
+    assert table_se(table, float(table.thresholds_db[6])) == table.efficiencies[6]  # inclusive
+    assert table_se(table, table.thresholds_db[-1] + 50.0) == table.efficiencies[14]
 
 
 def test_threshold_requantization_is_idempotent():
     for system in (SystemKind.FOUR_G, SystemKind.FIVE_G):
         table = builtin_table(system)
-        for i, thr in enumerate(table.thresholds_db, start=1):
-            assert snr_to_cqi(table, float(thr)) == i
+        for thr, eff in zip(table.thresholds_db, table.efficiencies):
+            assert table_se(table, float(thr)) == eff
 
 
 def test_table_se_values():
@@ -108,6 +112,24 @@ def test_table_se_vectorized_matches_scalar():
     assert vec.shape == grid.shape
     for g, v in zip(grid, vec):
         assert table_se(table, float(g)) == v
+
+
+def increasing(lo, hi):
+    """15 strictly increasing floats in [lo, hi]."""
+    return st.lists(st.floats(lo, hi), min_size=15, max_size=15, unique=True).map(sorted)
+
+
+@settings(deadline=None)
+@given(increasing(1e-6, 20.0), increasing(-50.0, 50.0))
+def test_repr_written_table_reads_back_equal(efficiencies, thresholds):
+    lines = ["index,efficiency,threshold_db"]
+    lines += [f"{i},{e!r},{t!r}" for i, (e, t) in enumerate(zip(efficiencies, thresholds), 1)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        table = load_cqi_table(path)
+    assert np.array_equal(table.efficiencies, efficiencies)
+    assert np.array_equal(table.thresholds_db, thresholds)
 
 
 def test_load_cqi_table_round_trip(tmp_path):

@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semse.similarity import (
     SimilaritySurface,
@@ -104,7 +109,30 @@ class TestValidation:
             SimilaritySurface(np.array([1, 2]), np.array([0.0]), np.array([[0.5]]))
 
 
+@st.composite
+def surface_grids(draw):
+    """(k values, SNR grid, similarity rows) of a valid surface."""
+    k = sorted(draw(st.lists(st.integers(1, 40), min_size=1, max_size=6, unique=True)))
+    grid = sorted(draw(st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=8, unique=True)))
+    rows = st.lists(st.floats(0.0, 1.0), min_size=len(grid), max_size=len(grid)).map(sorted)
+    return k, grid, [draw(rows) for _ in k]
+
+
 class TestLoad:
+    @settings(deadline=None)
+    @given(surface_grids())
+    def test_repr_written_surface_reads_back_equal(self, surface):
+        k, grid, rows = surface
+        lines = ["k\\snr," + ",".join(map(repr, grid))]
+        lines += [f"{kk}," + ",".join(map(repr, row)) for kk, row in zip(k, rows)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "surface.csv"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            loaded = load_surface(path)
+        assert np.array_equal(loaded.k_values, k) and loaded.k_values.dtype.kind == "i"
+        assert np.array_equal(loaded.snr_grid_db, grid)
+        assert np.array_equal(loaded.xi, rows)
+
     def write(self, tmp_path, text):
         p = tmp_path / "surface.csv"
         p.write_text(text, encoding="utf-8")
