@@ -355,6 +355,18 @@ class DropMatches(NamedTuple):
 _STACK_MIN_DROPS = 64
 
 
+def sum_by_user(x: np.ndarray) -> np.ndarray:
+    """Per-drop sums of a (drops, users) array, left to right in user order.
+
+    ``hungarian_max`` sums a drop's matched weights in that order, so a total
+    summed here has the same rounding.
+    """
+    total = np.zeros(len(x))
+    for column in x.T:
+        total += column
+    return total
+
+
 def _matches_by_drop(w: np.ndarray) -> DropMatches:
     """``match_drops`` with one ``hungarian_max`` call per drop."""
     total = np.zeros(w.shape[0])
@@ -378,10 +390,7 @@ def _matches_stacked(w: np.ndarray) -> DropMatches:
         channel = _max_weight_stack(w)
     matched = np.take_along_axis(w, np.maximum(channel, 0)[..., None], axis=2)[..., 0]
     served = (channel >= 0) & (matched > 0.0)
-    total = np.zeros(n_drops)
-    for user in range(n):  # left to right in user order, as hungarian_max sums
-        total += np.where(served[:, user], matched[:, user], 0.0)
-    return DropMatches(total, np.where(served, channel, -1))
+    return DropMatches(sum_by_user(np.where(served, matched, 0.0)), np.where(served, channel, -1))
 
 
 def match_drops(weights) -> DropMatches:

@@ -61,6 +61,11 @@ class RadioParams:
             raise ValueError(
                 f"tx_power_dbm = {self.tx_power_dbm} overflows the transmit power in mW"
             ) from None
+        with np.errstate(over="ignore"):
+            noise_mw = self.noise_power_mw
+        if not 0.0 < noise_mw < np.inf:
+            raise ValueError(f"noise_psd_dbm_hz = {self.noise_psd_dbm_hz} and bandwidth_hz = "
+                             f"{self.bandwidth_hz} give a noise power of {noise_mw} mW")
 
     @property
     def noise_power_mw(self) -> float:
@@ -139,15 +144,22 @@ def sample_drops(
         fading[d] = rng.exponential(1.0, size=(n_channels, n_users)).T
     distances = np.maximum(params.cell_radius_km * np.sqrt(uniform), MIN_DISTANCE_KM)
 
-    loss_db = pathloss_db(distances, params) + shadow_db
-    gain = db_to_linear(-loss_db)
-    if not np.all(gain > 0):  # a loss beyond about 3233 dB underflows to 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss_db = pathloss_db(distances, params) + shadow_db
+        gain = db_to_linear(-loss_db)
+    # a loss above about 3233 dB underflows the gain to 0, one below -3083 dB overflows it
+    if not np.all((gain > 0) & (gain < np.inf)):
         raise ValueError(
-            f"a loss of {loss_db.max():.4g} dB leaves no received power (pathloss_a = "
-            f"{params.pathloss_a}, pathloss_b = {params.pathloss_b}, cell_radius_km = "
-            f"{params.cell_radius_km}, shadow_sigma_db = {params.shadow_sigma_db})"
+            f"losses of {loss_db.min():.4g} to {loss_db.max():.4g} dB put the received "
+            f"power outside the float range (pathloss_a = {params.pathloss_a}, pathloss_b = "
+            f"{params.pathloss_b}, cell_radius_km = {params.cell_radius_km}, "
+            f"shadow_sigma_db = {params.shadow_sigma_db})"
         )
-    snr_linear, snr_db_ = snr(params, gain[..., None], fading)
+    with np.errstate(over="ignore", divide="ignore"):
+        snr_linear, snr_db_ = snr(params, gain[..., None], fading)
+    if not np.all((snr_linear > 0) & (snr_linear < np.inf)):
+        budget = ", ".join(f"{f.name} = {getattr(params, f.name)}" for f in fields(params))
+        raise ValueError(f"the link budget puts an SNR outside the float range ({budget})")
     return NetworkDrop(
         user_distances_km=distances,
         large_scale_gain=gain,

@@ -18,18 +18,19 @@ swept parameter, never to sampling noise. Sweeping ``n_channels`` extends
 drops without re-randomizing existing links (see ``channel.sample_drops``),
 so per-drop totals are exactly monotone in the channel count.
 
-Drops are evaluated in blocks of whole drops, so memory does not grow with
-``n_drops``. A block is sampled once per distinct radio and channel count
-among the sweep values, and its per-pair k scan runs once over the whole
-block; the semantic weights are shared by every ``bits_per_word`` value,
-which only the bit-pipe weights depend on. Every weight stack of a sample
-(the semantic one, and each bit-pipe system at each of its
-``bits_per_word`` values) is matched in one ``match_drops`` call, which
-returns per-drop totals as arrays, so no per-pair Python object is built.
-``_BLOCK_PAIRS`` bounds the weights one such call matches.
+One block loop serves ``semse run`` and ``semse compare``. It evaluates
+blocks of whole drops, so memory does not grow with ``n_drops``; one
+``_BLOCK_PAIRS`` budget bounds the weights one ``match_drops`` call matches.
+A block is sampled once per distinct radio and channel count among the
+sweep values, its per-pair k scan runs once over the whole block, and every
+weight stack of the sample (the semantic one, shared by every
+``bits_per_word`` value, and each bit-pipe system at each of those values)
+is matched in one call that returns per-drop totals as arrays. ``compare``
+runs the loop with the ideal and semantic systems and no sweep.
 
-Totals are accumulated in normalized units and scaled by the source's
-``info_per_word`` only in the emitted records.
+Each per-drop total is keyed by the (system, sweep_param, sweep_value) of
+the CSV row it averages into; one aggregation scales the means by the
+source's ``info_per_word``.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import allocator  # looked up per call, so wrappers installed there see it
-from .allocator import Constraints
+from .allocator import Constraints, DropMatches
 from .channel import RadioParams, sample_drops
 from .link_adaptation import CqiTable, SystemKind, builtin_table, load_cqi_table
 from .metrics import SourceStats, TransformFactor
@@ -180,19 +181,10 @@ def load_scenario(path) -> ScenarioConfig:
             except ValueError as exc:
                 raise ScenarioError(f"{path}:{lineno}: {exc}") from None
 
-    radio_kwargs = {
-        k: raw.pop(k)
-        for k in (
-            "bandwidth_hz", "noise_psd_dbm_hz", "tx_power_dbm", "pathloss_a",
-            "pathloss_b", "shadow_sigma_db", "cell_radius_km",
-        )
-        if k in raw
-    }
-    cons_kwargs = {
-        k: raw.pop(k)
-        for k in ("k_max", "similarity_threshold", "sse_threshold")
-        if k in raw
-    }
+    radio_kwargs, cons_kwargs = (
+        {f.name: raw.pop(f.name) for f in dataclasses.fields(cls) if f.name in raw}
+        for cls in (RadioParams, Constraints)
+    )
     cfg_kwargs = {}
     if "bits_per_word" in raw:
         cfg_kwargs["tf"] = TransformFactor(raw.pop("bits_per_word"))
@@ -250,15 +242,19 @@ def _sweep_values(cfg: ScenarioConfig) -> tuple:
     return cfg.sweep_values if cfg.sweep_param else (None,)
 
 
-def _scenario_blocks(cfg: ScenarioConfig):
-    """Yield (block, {(system, sweep_value): per-drop normalized totals}) per block.
+def _row(system: SystemKind, sweep_param: str | None, value) -> tuple:
+    """Key (system, sweep_param, sweep_value) of the CSV row a total averages into."""
+    return system, sweep_param or "none", 0.0 if value is None else float(value)
 
-    Per block and distinct (radio, n_channels) sample among the sweep values,
-    every weight stack the sample needs is matched in one ``match_drops``
-    call: the semantic stack once, shared by the sample's ``bits_per_word``
-    values, and each bit-pipe system's stack at each of those values.
+
+def _matched_blocks(cfg: ScenarioConfig, surface: SimilaritySurface | None):
+    """Yield (block, drops, {row key: DropMatches}) per block and sample.
+
+    A sample is a distinct (radio, n_channels) among the sweep values. One
+    ``match_drops`` call matches all its stacks: the semantic one if
+    ``surface`` is given, shared by its ``bits_per_word`` values, and each
+    bit-pipe system's at each of those values.
     """
-    surface = surface_for(cfg) if SystemKind.SEMANTIC in cfg.systems else None
     need_tables = any(s in cfg.systems for s in (SystemKind.FOUR_G, SystemKind.FIVE_G))
     tables = tables_for(cfg) if need_tables else {}
     cons = cfg.constraints
@@ -273,72 +269,104 @@ def _scenario_blocks(cfg: ScenarioConfig):
                            for radio, n_channels in samples)
     for block in _blocks(cfg.n_drops, weights_per_drop):
         seeds = [cfg.base_seed + d for d in block]
-        totals = {}
         for (radio, n_channels), group in samples.items():
             drops = sample_drops(cfg.n_users, n_channels, radio, seeds)
-            # stack s holds the weights of every (system, sweep_value) in keys[s]
+            # stack s holds the weights of every row in rows[s]
             weights = np.empty((n_stacks[radio, n_channels], *drops.snr_db.shape))
-            keys = []
+            rows = []
             if surface is not None:
                 weights[0] = allocator.semantic_weights(drops.snr_db, surface, cons)
-                keys.append([(SystemKind.SEMANTIC, value) for value, _tf in group])
+                rows.append([_row(SystemKind.SEMANTIC, cfg.sweep_param, v) for v, _tf in group])
             for value, tf in group:
                 for system in pipes:
-                    weights[len(keys)] = allocator.conventional_weights(
+                    weights[len(rows)] = allocator.conventional_weights(
                         drops.snr_db, drops.snr_linear, system, tables, tf, cons
                     )
-                    keys.append([(system, value)])
+                    rows.append([_row(system, cfg.sweep_param, value)])
             matched = allocator.match_drops(weights.reshape(-1, cfg.n_users, n_channels))
-            for names, total in zip(keys, matched.total.reshape(len(keys), -1)):
-                totals.update(dict.fromkeys(names, total))
+            stacks = zip(rows, matched.total.reshape(len(rows), len(block)),
+                         matched.channel.reshape(len(rows), len(block), cfg.n_users))
+            yield block, drops, {row: DropMatches(total, channel)
+                                 for names, total, channel in stacks for row in names}
+
+
+def _row_totals(cfg: ScenarioConfig, fixed_k_values: list[int] | None):
+    """Yield (block, {row key: per-drop normalized totals}) per block and sample.
+
+    The rows of ``semse run`` if ``fixed_k_values`` is None, else of ``semse
+    compare``: the unswept scenario runs with the ideal and semantic systems,
+    and the ideal matching is scored with every user at each fixed k (pairs
+    below the similarity or S-SE floor score 0) next to the optimized total.
+    """
+    if fixed_k_values is None:
+        surface = surface_for(cfg) if SystemKind.SEMANTIC in cfg.systems else None
+        for block, _drops, matches in _matched_blocks(cfg, surface):
+            yield block, {row: m.total for row, m in matches.items()}
+        return
+    cons = cfg.constraints
+    for k in fixed_k_values:
+        if not 1 <= k <= cons.k_max:
+            raise ScenarioError(f"fixed k={k} outside 1..{cons.k_max}")
+    if len(set(fixed_k_values)) < len(fixed_k_values):
+        raise ScenarioError(f"fixed k values must not repeat, got {fixed_k_values}")
+    surface = surface_for(cfg)
+    cfg = dataclasses.replace(cfg, systems=(SystemKind.IDEAL, SystemKind.SEMANTIC),
+                              sweep_param=None, sweep_values=())
+    for block, drops, matches in _matched_blocks(cfg, surface):
+        channel = matches[SystemKind.IDEAL, "none", 0.0].channel
+        # SNR of each user's ideal-matched pair; unmatched users score 0
+        served = channel >= 0
+        snr_matched = np.take_along_axis(
+            drops.snr_db, np.where(served, channel, 0)[..., None], axis=2
+        )[..., 0]
+        totals = {}
+        for k in fixed_k_values:
+            _xi, w, ok = allocator.sse_at_k(surface, k, snr_matched, cons)
+            score = np.where(served & ok, w, 0.0)
+            totals[SystemKind.SEMANTIC, "fixed_k", float(k)] = allocator.sum_by_user(score)
+        optimized = matches[SystemKind.SEMANTIC, "none", 0.0].total
+        totals[SystemKind.SEMANTIC, "optimized_k", 0.0] = optimized
         yield block, totals
 
 
-def iter_scenario_drops(cfg: ScenarioConfig):
-    """Yield (sweep_value, drop_index, {system: normalized total}) per drop.
+def iter_drop_totals(cfg: ScenarioConfig, fixed_k_values: list[int] | None):
+    """Yield (drop_index, {row key: normalized total}) per drop and sample.
 
-    sweep_value is None when the scenario has no sweep. The order is
-    block-major: for each block of drops, each sweep value in turn with the
-    block's drops in ascending order, so every (sweep_value, drop_index)
-    appears once and, per sweep value, the drops ascend.
+    A row key is the (system, sweep_param, sweep_value) of a record of
+    ``run_scenario(cfg)``, or of ``run_model_comparison(cfg, fixed_k_values)``
+    if that is not None. Per block, each sample yields the block's drops in
+    order, so a drop appears once per sample, with that sample's rows.
     """
-    for block, totals in _scenario_blocks(cfg):
-        for value in _sweep_values(cfg):
-            per_system = {system: totals[system, value].tolist() for system in cfg.systems}
-            for i, d in enumerate(block):
-                yield value, d, {system: t[i] for system, t in per_system.items()}
+    for block, totals in _row_totals(cfg, fixed_k_values):
+        lists = {row: t.tolist() for row, t in totals.items()}
+        for i, d in enumerate(block):
+            yield d, {row: t[i] for row, t in lists.items()}
 
 
-def _aggregate(blocks: list[np.ndarray], src: SourceStats, n: int) -> tuple[float, float]:
-    """Mean and standard error of the per-drop totals of every block."""
-    totals = np.concatenate(blocks)
-    mean = float(totals.mean()) * src.info_per_word
-    stderr = 0.0 if n == 1 else float(totals.std(ddof=1)) / math.sqrt(n) * src.info_per_word
-    return mean, stderr
+def _records(cfg: ScenarioConfig, rows: list, fixed_k_values: list[int] | None):
+    """A record per row key, in order: its totals' mean and std error times info_per_word."""
+    acc = {row: [] for row in rows}
+    for _block, totals in _row_totals(cfg, fixed_k_values):
+        for row, total in totals.items():
+            acc[row].append(total)
+    n, scale = cfg.n_drops, cfg.src.info_per_word
+    records = []
+    for row, parts in acc.items():
+        totals = np.concatenate(parts)
+        mean = float(totals.mean()) * scale
+        stderr = 0.0 if n == 1 else float(totals.std(ddof=1)) / math.sqrt(n) * scale
+        if not (math.isfinite(mean) and math.isfinite(stderr)):
+            raise ValueError(f"the {row[0].value} mean S-SE or its std error "
+                             f"overflows at info_per_word = {scale}")
+        records.append(SweepRecord(*row, mean, stderr, n))
+    return records
 
 
 def run_scenario(cfg: ScenarioConfig) -> list[SweepRecord]:
     """Run the configured sweep and return one record per (system, value)."""
-    values = _sweep_values(cfg)
-    acc = {(system, value): [] for value in values for system in cfg.systems}
-    for _block, totals in _scenario_blocks(cfg):
-        for key, total in totals.items():
-            acc[key].append(total)
-    records = []
-    for value in values:
-        for system in cfg.systems:
-            mean, stderr = _aggregate(acc[system, value], cfg.src, cfg.n_drops)
-            records.append(
-                SweepRecord(
-                    system=system,
-                    sweep_param=cfg.sweep_param or "none",
-                    sweep_value=float(value) if value is not None else 0.0,
-                    mean_total_sse=mean,
-                    std_error=stderr,
-                    n_drops=cfg.n_drops,
-                )
-            )
-    return records
+    rows = [_row(system, cfg.sweep_param, value)
+            for value in _sweep_values(cfg) for system in cfg.systems]
+    return _records(cfg, rows, None)
 
 
 def crossover_bits_per_word(records: list[SweepRecord]) -> dict[SystemKind, float]:
@@ -367,61 +395,6 @@ def crossover_bits_per_word(records: list[SweepRecord]) -> dict[SystemKind, floa
     return out
 
 
-def _comparison_blocks(cfg: ScenarioConfig, fixed_k_values: list[int]):
-    """Yield (block, {k: per-drop fixed-k totals}, per-drop optimized totals).
-
-    The ideal system's and the semantic system's weights of a block are
-    matched in one ``match_drops`` call.
-    """
-    cons = cfg.constraints
-    for k in fixed_k_values:
-        if not 1 <= k <= cons.k_max:
-            raise ScenarioError(f"fixed k={k} outside 1..{cons.k_max}")
-    if len(set(fixed_k_values)) < len(fixed_k_values):
-        raise ScenarioError(f"fixed k values must not repeat, got {fixed_k_values}")
-    surface = surface_for(cfg)
-    for block in _blocks(cfg.n_drops, 2 * cfg.n_users * cfg.n_channels):
-        drops = sample_drops(
-            cfg.n_users, cfg.n_channels, cfg.radio, [cfg.base_seed + d for d in block]
-        )
-        matched = allocator.match_drops(np.concatenate([
-            allocator.conventional_weights(
-                drops.snr_db, drops.snr_linear, SystemKind.IDEAL, {}, cfg.tf, cons
-            ),
-            allocator.semantic_weights(drops.snr_db, surface, cons),
-        ]))
-        channel = matched.channel[:len(block)]
-        # SNR of each user's ideal-matched pair; unmatched users score 0
-        served = channel >= 0
-        snr_matched = np.take_along_axis(
-            drops.snr_db, np.where(served, channel, 0)[..., None], axis=2
-        )[..., 0]
-        fixed_totals = {}
-        for k in fixed_k_values:
-            _xi, w, ok = allocator.sse_at_k(surface, k, snr_matched, cons)
-            score = np.where(served & ok, w, 0.0)
-            total = np.zeros(len(block))
-            for user in range(cfg.n_users):  # left to right in user order: same rounding
-                total += score[:, user]
-            fixed_totals[k] = total
-        yield block, fixed_totals, matched.total[len(block):]
-
-
-def iter_comparison_drops(cfg: ScenarioConfig, fixed_k_values: list[int]):
-    """Per-drop totals of the fixed-k conventional-assignment policy vs ours.
-
-    For each drop: match channels by the ideal system's bit-domain weights,
-    then score that matching's semantic SE with every user forced to the
-    given k (pairs violating the similarity or SE floor score 0); also solve
-    the joint semantic optimization. Yields (drop_index, {k: total},
-    optimized_total), all normalized.
-    """
-    for block, fixed_totals, optimized in _comparison_blocks(cfg, fixed_k_values):
-        fixed = {k: t.tolist() for k, t in fixed_totals.items()}
-        for i, d in enumerate(block):
-            yield d, {k: t[i] for k, t in fixed.items()}, float(optimized[i])
-
-
 def run_model_comparison(
     cfg: ScenarioConfig, fixed_k_values: list[int]
 ) -> list[SweepRecord]:
@@ -430,23 +403,9 @@ def run_model_comparison(
     One record per fixed k (sweep_param ``fixed_k``) plus one for the joint
     optimization (sweep_param ``optimized_k``, sweep_value 0).
     """
-    fixed_acc: dict[int, list] = {k: [] for k in fixed_k_values}
-    opt_acc = []
-    for _block, fixed_totals, optimized in _comparison_blocks(cfg, fixed_k_values):
-        for k, total in fixed_totals.items():
-            fixed_acc[k].append(total)
-        opt_acc.append(optimized)
-    records = []
-    for k in fixed_k_values:
-        mean, stderr = _aggregate(fixed_acc[k], cfg.src, cfg.n_drops)
-        records.append(
-            SweepRecord(SystemKind.SEMANTIC, "fixed_k", float(k), mean, stderr, cfg.n_drops)
-        )
-    mean, stderr = _aggregate(opt_acc, cfg.src, cfg.n_drops)
-    records.append(
-        SweepRecord(SystemKind.SEMANTIC, "optimized_k", 0.0, mean, stderr, cfg.n_drops)
-    )
-    return records
+    rows = [(SystemKind.SEMANTIC, "fixed_k", float(k)) for k in fixed_k_values]
+    rows.append((SystemKind.SEMANTIC, "optimized_k", 0.0))
+    return _records(cfg, rows, fixed_k_values)
 
 
 def format_csv(records: list[SweepRecord]) -> str:

@@ -20,8 +20,7 @@ from semse.channel import RadioParams, pathloss_db, sample_drop, snr
 from semse.harness import (
     ScenarioConfig,
     crossover_bits_per_word,
-    iter_comparison_drops,
-    iter_scenario_drops,
+    iter_drop_totals,
     run_scenario,
 )
 from semse.link_adaptation import (
@@ -144,8 +143,10 @@ def test_criterion_5_fixed_k_policy_dominated():
     cfg = ScenarioConfig(n_drops=500)  # table defaults: 5x5, thresholds 0.9 / 0.025
     fixed_ks = [1, 2, 3, 4, 5]
     sums = {k: 0.0 for k in fixed_ks}
-    for _d, fixed, optimized in iter_comparison_drops(cfg, fixed_ks):
-        for k, total in fixed.items():
+    for _d, totals in iter_drop_totals(cfg, fixed_ks):
+        optimized = totals[SystemKind.SEMANTIC, "optimized_k", 0.0]
+        for k in fixed_ks:
+            total = totals[SystemKind.SEMANTIC, "fixed_k", float(k)]
             assert optimized >= total  # per-drop, exact
             sums[k] += total
     assert any(v == 0.0 for v in sums.values()), (
@@ -162,17 +163,17 @@ def test_criterion_6_more_channels_never_hurt():
         sweep_values=tuple(float(m) for m in range(1, 11)),
     )
     per_drop: dict = {}
-    for value, d, totals in iter_scenario_drops(cfg):
-        per_drop.setdefault(d, {})[value] = totals
+    for d, totals in iter_drop_totals(cfg, None):
+        per_drop.setdefault(d, {}).update(totals)
     means = {system: [] for system in ALL_SYSTEMS}
     for value in cfg.sweep_values:
         for system in ALL_SYSTEMS:
             means[system].append(
-                np.mean([per_drop[d][value][system] for d in per_drop])
+                np.mean([per_drop[d][system, "n_channels", value] for d in per_drop])
             )
-    for d, by_value in per_drop.items():
+    for d, by_row in per_drop.items():
         for system in ALL_SYSTEMS:
-            series = [by_value[v][system] for v in cfg.sweep_values]
+            series = [by_row[system, "n_channels", v] for v in cfg.sweep_values]
             assert all(b >= a for a, b in zip(series, series[1:])), (
                 f"drop {d}, {system}: total decreased when a channel was added"
             )

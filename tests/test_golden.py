@@ -2,7 +2,8 @@
 
 ``tests/golden/`` pins the output of ``semse run`` on each file in
 ``scenarios/`` and on the sweep scenarios kept beside the goldens, and of
-``semse compare`` on the default scenario: the CSV, and where there is one
+``semse compare`` on the default scenario and on a swept one (``compare``
+ignores the sweep and ``systems``): the CSV, and where there is one
 the ``<name>.stderr`` file with the crossover lines. A refactor or speed-up
 must reproduce these bytes exactly; a change that alters them on purpose
 regenerates them with
@@ -28,6 +29,7 @@ CASES = {
     "n_channels_sweep": ["run", "tests/golden/n_channels_sweep.txt"],
     "tx_power_sweep": ["run", "tests/golden/tx_power_sweep.txt"],
     "compare_default": ["compare", "scenarios/default.txt", "--k", "1,2,3,4,5"],
+    "compare_swept": ["compare", "tests/golden/compare_swept.txt", "--k", "1,3,5"],
 }
 
 

@@ -15,8 +15,7 @@ from semse.harness import (
     crossover_bits_per_word,
     emit_csv,
     format_csv,
-    iter_comparison_drops,
-    iter_scenario_drops,
+    iter_drop_totals,
     load_scenario,
     run_model_comparison,
     run_scenario,
@@ -141,6 +140,12 @@ class TestLibraryBoundary:
             cls(**{name: bad})
 
 
+def split_comparison(totals: dict) -> tuple[dict, float]:
+    """A compare drop's totals as ({k: fixed-k total}, optimized total)."""
+    fixed = {int(k): t for (_s, param, k), t in totals.items() if param == "fixed_k"}
+    return fixed, totals[SystemKind.SEMANTIC, "optimized_k", 0.0]
+
+
 def quick_cfg(**kw) -> ScenarioConfig:
     defaults = dict(n_users=3, n_channels=3, n_drops=20, base_seed=9)
     defaults.update(kw)
@@ -237,22 +242,23 @@ class TestBlocks:
         cfg = self.big_cfg()
         cons, surface, tables = cfg.constraints, surface_for(cfg), tables_for(cfg)
         seen = []
-        for value, d, totals in iter_scenario_drops(cfg):
-            seen.append((value, d))
+        for d, totals in iter_drop_totals(cfg, None):
+            seen.append(d)
             drop = sample_drop(cfg.n_users, cfg.n_channels, cfg.radio, cfg.base_seed + d)
             expect = {SystemKind.SEMANTIC: allocate_semantic(drop.snr_db, surface, cons)}
             for system in ALL_SYSTEMS[1:]:
                 expect[system] = hungarian_max(conventional_weights(
                     drop.snr_db, drop.snr_linear, system, tables, cfg.tf, cons
                 ))
-            assert totals == {s: a.total_weight for s, a in expect.items()}
-        assert seen == [(None, d) for d in range(cfg.n_drops)]
+            assert totals == {(s, "none", 0.0): a.total_weight for s, a in expect.items()}
+        assert seen == list(range(cfg.n_drops))
 
     def test_comparison_past_the_pair_budget_equals_per_pair_scoring(self):
         cfg = self.big_cfg()
         cons, surface = cfg.constraints, surface_for(cfg)
         scored = 0
-        for d, fixed, optimized in iter_comparison_drops(cfg, [3, 5, 8]):
+        for d, totals in iter_drop_totals(cfg, [3, 5, 8]):
+            fixed, optimized = split_comparison(totals)
             drop = sample_drop(cfg.n_users, cfg.n_channels, cfg.radio, cfg.base_seed + d)
             ideal = hungarian_max(conventional_weights(
                 drop.snr_db, drop.snr_linear, SystemKind.IDEAL, {}, cfg.tf, cons
@@ -281,8 +287,24 @@ class TestBlocks:
             harness, "sample_drops", lambda *args: seeds.append(args[3]) or real(*args)
         )
         cfg = quick_cfg(sweep_param=sweep_param, sweep_values=values)
-        assert len(list(iter_scenario_drops(cfg))) == cfg.n_drops * len(values)
+        rows = [(d, row) for d, totals in iter_drop_totals(cfg, None) for row in totals]
+        assert len(set(rows)) == len(rows) == cfg.n_drops * len(values) * len(cfg.systems)
         assert seeds == [list(range(9, 29))] * samples
+
+    @pytest.mark.parametrize("fixed_k", [None, [1, 3, 5]], ids=["run", "compare"])
+    def test_view_totals_average_to_the_csv_row_means(self, fixed_k):
+        cfg = quick_cfg(src=SourceStats(2.5), sweep_param="tx_power_dbm",
+                        sweep_values=(0.0, 10.0))
+        by_row: dict = {}
+        for _d, totals in iter_drop_totals(cfg, fixed_k):
+            for row, total in totals.items():
+                by_row.setdefault(row, []).append(total)
+        records = run_scenario(cfg) if fixed_k is None else run_model_comparison(cfg, fixed_k)
+        assert len(by_row) == (8 if fixed_k is None else 4)
+        assert {(r.system, r.sweep_param, r.sweep_value): r.mean_total_sse for r in records} == {
+            row: float(np.mean(totals)) * cfg.src.info_per_word for row, totals in by_row.items()
+        }
+        assert all(len(totals) == cfg.n_drops for totals in by_row.values())
 
 
 class TestCrossover:
@@ -319,10 +341,11 @@ class TestComparison:
 
     def test_fixed_k_out_of_range(self):
         with pytest.raises(ScenarioError, match="fixed k"):
-            list(iter_comparison_drops(quick_cfg(), [25]))
+            list(iter_drop_totals(quick_cfg(), [25]))
 
     def test_optimized_dominates_fixed_per_drop(self):
-        for _d, fixed, optimized in iter_comparison_drops(quick_cfg(), [1, 3, 5]):
+        for _d, totals in iter_drop_totals(quick_cfg(), [1, 3, 5]):
+            fixed, optimized = split_comparison(totals)
             for total in fixed.values():
                 assert optimized >= total
 
@@ -451,16 +474,22 @@ class TestCli:
         ("bits_per_word", "5e-324"),
         ("pathloss_a", "1e308"),
         ("cell_radius_km", "1e308"),
+        ("info_per_word", "1.5e308"),  # used to print an inf mean with exit 0
+        ("noise_psd_dbm_hz", "-1e308"),  # the noise power underflows to 0
+        ("bandwidth_hz", "5e-324"),
+        ("pathloss_a", "-1e308"),  # the gain overflows
+        ("tx_power_dbm", "3082"),  # the SNR overflows
     ])
     def test_finite_value_that_overflows_is_rejected_by_key(
         self, tmp_path, capsys, key, value
     ):
         # each used to fail in the matcher or in snr() with a message naming no key
         scenario = write_scenario(tmp_path, f"n_drops = 3\n{key} = {value}\n")
-        assert main(["run", str(scenario)]) == 1
-        captured = capsys.readouterr()
-        assert f"{key} = {float(value)}" in captured.err
-        assert captured.out == ""
+        for argv in (["run", str(scenario)], ["compare", str(scenario), "--k", "1"]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert f"{key} = {float(value)}" in captured.err
+            assert captured.out == ""
 
     def test_crossover_emitted_on_bits_per_word_sweep(self, tmp_path, capsys):
         scenario = write_scenario(
