@@ -90,9 +90,12 @@ def _require_k_coverage(surface: SimilaritySurface, k_max: int) -> None:
         raise ValueError(f"surface does not tabulate every k in 1..{k_max}")
 
 
-def sse_at_k(surface: SimilaritySurface, k: int, snr_db, cons: Constraints):
-    """(similarity, normalized S-SE similarity/k, both floors met) of links at one k."""
-    xi = surface.query(k, snr_db)
+def sse_at_k(surface: SimilaritySurface, k: int, located: tuple, cons: Constraints):
+    """(similarity, normalized S-SE similarity/k, both floors met) of links at one k.
+
+    ``located`` is ``surface.locate`` of the links' SNR.
+    """
+    xi = surface.interpolate(k, located)
     w = xi / k
     return xi, w, (xi >= cons.similarity_threshold) & (w >= cons.sse_threshold)
 
@@ -121,10 +124,11 @@ def build_pair_plans(
 ) -> PlanArrays:
     """Per-pair optimal plans for SNR of shape (..., users, channels).
 
-    Scans k = 1..k_max with one surface-row interpolation per k over the
-    whole array, keeping the first k of the largest feasible weight, so
-    ties break toward smaller k (same SE, less latency). With both floors
-    at 0 a pair of similarity 0 is feasible at k = 1 with weight 0.
+    Locates the SNR on the surface grid once, then scans k = 1..k_max with
+    one surface-row evaluation per k over the whole array, keeping the
+    first k of the largest feasible weight, so ties break toward smaller k
+    (same SE, less latency). With both floors at 0 a pair of similarity 0
+    is feasible at k = 1 with weight 0.
     """
     _require_k_coverage(surface, cons.k_max)
     snr = np.atleast_2d(np.asarray(snr_db, dtype=float))
@@ -132,8 +136,9 @@ def build_pair_plans(
     best_xi = np.zeros(snr.shape)
     best_w = np.zeros(snr.shape)
     feasible = np.zeros(snr.shape, dtype=bool)
+    located = surface.locate(snr)
     for k in range(1, cons.k_max + 1):
-        xi, w, take = sse_at_k(surface, k, snr, cons)
+        xi, w, take = sse_at_k(surface, k, located, cons)
         take &= (w > best_w) | ~feasible
         np.copyto(best_k, k, where=take)
         np.copyto(best_xi, xi, where=take)

@@ -8,6 +8,7 @@ interference term and the link quality is a plain SNR.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -115,33 +116,111 @@ def snr(params: RadioParams, large_scale_gain, fading_power):
     return snr_linear, linear_to_db(snr_linear)
 
 
+# numpy's SeedSequence pool hash (4 pool words, 8 output words) and PCG64's
+# 128-bit LCG multiplier, as numpy's bit_generator.pyx and pcg64.h define them
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+SEED_LIMIT = 1 << 128
+
+
+def _hash_constants(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiplier) pair of each of n successive hash calls, as columns.
+
+    Each call xors its word with the running constant, then multiplies the
+    constant by ``mult`` and the word by the new constant.
+    """
+    xor, mul = [], []
+    for _ in range(n):
+        xor.append(init)
+        init = init * mult & _MASK32
+        mul.append(init)
+    return np.array(xor, np.uint32)[:, None], np.array(mul, np.uint32)[:, None]
+
+
+# the pool takes 4 calls to fill and 4 x 3 to cross-mix; the output 8
+_POOL_XOR, _POOL_MUL = _hash_constants(_INIT_A, _MULT_A, 16)
+_OUT_XOR, _OUT_MUL = _hash_constants(_INIT_B, _MULT_B, 8)
+# cross-mix round src: (src, the other 3 pool words, its 3 hash calls)
+_ROUNDS = [(src, np.array([i for i in range(4) if i != src]), slice(4 + 3 * src, 7 + 3 * src))
+           for src in range(4)]
+
+
+def _hashmix(words: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    words = (words ^ xor) * mul
+    return words ^ (words >> _XSHIFT)
+
+
+def _pcg64_states(seeds: list[int]):
+    """Yield the PCG64 state of ``default_rng(seed)`` for every seed in [0, 2**128).
+
+    Runs numpy's ``SeedSequence(seed)`` pool hash for all seeds at once over
+    a (4, seeds) array of 32-bit seed words (a seed below 2**128 fills at
+    most the 4 pool words, and the unused ones hash as 0), takes the 8
+    output words as PCG64's (initstate, initseq), then makes PCG64's two
+    seeding steps in Python ints. The hash constants do not depend on the
+    data, so each cross-mix round hashes its source word into the other 3
+    words at once.
+    """
+    words = np.frombuffer(b"".join(s.to_bytes(16, "little") for s in seeds), "<u4")
+    pool = _hashmix(words.reshape(-1, 4).T, _POOL_XOR[:4], _POOL_MUL[:4])
+    for src, dst, calls in _ROUNDS:
+        hashed = _hashmix(pool[src], _POOL_XOR[calls], _POOL_MUL[calls])
+        mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed
+        pool[dst] = mixed ^ (mixed >> _XSHIFT)
+    out = _hashmix(np.concatenate([pool, pool]), _OUT_XOR, _OUT_MUL).astype(np.uint64)
+    # little-endian word pairs: (initstate high, low, initseq high, low)
+    limbs = (out[0::2] | (out[1::2] << np.uint64(32))).T.tolist()
+    for state_hi, state_lo, seq_hi, seq_lo in limbs:
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        state = ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128
+        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+               "has_uint32": 0, "uinteger": 0}
+
+
 def sample_drops(
     n_users: int, n_channels: int, params: RadioParams, seeds
 ) -> NetworkDrop:
     """Draw one network realization per seed, as a block with a leading drop axis.
 
-    Drop d comes from its own generator, ``default_rng(seeds[d])``, so it does
-    not depend on the other seeds of the block. Distances are uniform over the
-    disc (CDF proportional to d^2), shadowing is Normal(0, shadow_sigma_db)
-    per user, fading power Exponential(1) per (user, channel). Fading is drawn
-    channel-by-channel, so for a fixed seed the drop with m channels is exactly
-    the first m channel-columns of the drop with m+1 channels; channel sweeps
-    therefore see nested realizations. Pathloss and SNR are computed once for
-    the whole block.
+    Drop d's draws equal those of ``numpy.random.default_rng(seeds[d])``, so
+    it does not depend on the other seeds of the block; every seed must be an
+    integer in [0, 2**128). The generator start states of the whole block are
+    computed in one numpy pass, and one reused generator draws every drop.
+    Distances are uniform over the disc (CDF proportional to d^2), shadowing
+    is Normal(0, shadow_sigma_db) per user, fading power Exponential(1) per
+    (user, channel). Fading is drawn channel-by-channel, so for a fixed seed
+    the drop with m channels is exactly the first m channel-columns of the
+    drop with m+1 channels; channel sweeps therefore see nested realizations.
+    Pathloss and SNR are computed once for the whole block.
     """
     if n_users < 1 or n_channels < 1:
         raise ValueError(
             f"need at least one user and one channel, got {n_users}x{n_channels}"
         )
+    seeds = [operator.index(s) for s in seeds]
+    bad = [s for s in seeds if not 0 <= s < SEED_LIMIT]
+    if bad:
+        raise ValueError(f"seed {bad[0]} is outside [0, 2**128)")
     n_drops = len(seeds)
     uniform = np.empty((n_drops, n_users))
-    shadow_db = np.empty((n_drops, n_users))
-    fading = np.empty((n_drops, n_users, n_channels))
-    for d, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        uniform[d] = rng.random(n_users)
-        shadow_db[d] = rng.normal(0.0, params.shadow_sigma_db, n_users)
-        fading[d] = rng.exponential(1.0, size=(n_channels, n_users)).T
+    normal = np.empty((n_drops, n_users))
+    fading = np.empty((n_drops, n_channels, n_users))
+    rng = np.random.Generator(np.random.PCG64(0))
+    # rng.normal(0.0, sigma, n) is 0.0 + sigma * standard_normal and
+    # rng.exponential(1.0, ...) is 1.0 * standard_exponential, so drawing the
+    # standard variates in place and scaling the block after gives the same bits
+    for d, state in enumerate(_pcg64_states(seeds)):
+        rng.bit_generator.state = state
+        rng.random(out=uniform[d])
+        rng.standard_normal(out=normal[d])
+        rng.standard_exponential(out=fading[d])
+    shadow_db = 0.0 + params.shadow_sigma_db * normal
+    fading = np.ascontiguousarray(fading.transpose(0, 2, 1))
     distances = np.maximum(params.cell_radius_km * np.sqrt(uniform), MIN_DISTANCE_KM)
 
     with np.errstate(over="ignore", invalid="ignore"):

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import allocator  # looked up per call, so wrappers installed there see it
 from .allocator import Constraints, DropMatches
-from .channel import RadioParams, sample_drops
+from .channel import SEED_LIMIT, RadioParams, sample_drops
 from .link_adaptation import CqiTable, SystemKind, builtin_table, load_cqi_table
 from .metrics import SourceStats, TransformFactor
 from .similarity import SimilaritySurface, default_surrogate, load_surface
@@ -95,6 +95,9 @@ class ScenarioConfig:
             raise ScenarioError("n_drops must be >= 1")
         if self.base_seed < 0:
             raise ScenarioError(f"base_seed must be >= 0, got {self.base_seed}")
+        if self.base_seed + self.n_drops - 1 >= SEED_LIMIT:
+            raise ScenarioError(f"base_seed + n_drops - 1 must be below 2**128, got base_seed "
+                                f"= {self.base_seed} with n_drops = {self.n_drops}")
         if not self.systems:
             raise ScenarioError("systems must not be empty")
         if len(set(self.systems)) != len(self.systems):
@@ -319,9 +322,10 @@ def _row_totals(cfg: ScenarioConfig, fixed_k_values: list[int] | None):
         snr_matched = np.take_along_axis(
             drops.snr_db, np.where(served, channel, 0)[..., None], axis=2
         )[..., 0]
+        located = surface.locate(snr_matched)
         totals = {}
         for k in fixed_k_values:
-            _xi, w, ok = allocator.sse_at_k(surface, k, snr_matched, cons)
+            _xi, w, ok = allocator.sse_at_k(surface, k, located, cons)
             score = np.where(served & ok, w, 0.0)
             totals[SystemKind.SEMANTIC, "fixed_k", float(k)] = allocator.sum_by_user(score)
         optimized = matches[SystemKind.SEMANTIC, "none", 0.0].total

@@ -7,6 +7,13 @@ grid in dB, entries the similarity in [0, 1]. Queries interpolate linearly
 along the SNR axis only (k is inherently discrete) and clamp to the edge
 values outside the grid.
 
+The interpolation is ``np.interp``'s formula, ``slope[j] * (x - grid[j]) +
+xi[j]``, with the slopes tabulated once per surface. ``locate`` finds an
+SNR array's grid cells once, and ``interpolate`` evaluates any k-row there,
+so a scan over every k makes one bin search. The values equal
+``np.interp``'s bit for bit, at the grid ends and at +-inf too; a NaN SNR
+gives NaN (``np.interp`` returns the column's value on a one-column grid).
+
 A measured table can be loaded from CSV; ``default_surrogate`` builds a
 deterministic stand-in with the right qualitative shape so the rest of the
 pipeline runs without any trained model.
@@ -29,11 +36,14 @@ class SimilaritySurface:
     snr_grid_db: np.ndarray  # strictly increasing, dB
     xi: np.ndarray  # shape (len(k_values), len(snr_grid_db)), in [0, 1]
     _k_index: dict = field(init=False, repr=False, compare=False)
+    _slope: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         k = np.asarray(self.k_values, dtype=int)
         s = np.asarray(self.snr_grid_db, dtype=float)
-        x = np.asarray(self.xi, dtype=float)
+        # + 0.0 turns -0.0 entries into 0.0, so 0 * slope + xi at a grid point
+        # is the stored entry, sign bit included
+        x = np.asarray(self.xi, dtype=float) + 0.0
         object.__setattr__(self, "k_values", k)
         object.__setattr__(self, "snr_grid_db", s)
         object.__setattr__(self, "xi", x)
@@ -43,6 +53,14 @@ class SimilaritySurface:
             )
         if np.any(np.diff(k) <= 0):
             raise SurfaceError("k values must be strictly increasing")
+        if s.size == 0:
+            raise SurfaceError("SNR grid must have at least one column")
+        if not (np.all(np.isfinite(s)) and np.all(np.isfinite(x))):
+            raise SurfaceError("SNR grid and similarities must be finite")
+        with np.errstate(over="ignore"):
+            span = s[-1] - s[0]
+        if span == np.inf:
+            raise SurfaceError(f"SNR grid from {s[0]} dB to {s[-1]} dB is wider than a float")
         if np.any(np.diff(s) <= 0):
             j = int(np.flatnonzero(np.diff(s) <= 0)[0]) + 1
             raise SurfaceError(
@@ -61,22 +79,49 @@ class SimilaritySurface:
                 f"similarity decreases along SNR at k={k[i]} between "
                 f"{s[j]} dB and {s[j + 1]} dB"
             )
+        slope = np.zeros_like(x)
+        with np.errstate(over="ignore"):
+            slope[:, :-1] = np.diff(x, axis=1) / np.diff(s)
+        steep = np.argwhere(slope == np.inf)
+        if steep.size:
+            i, j = steep[0]
+            raise SurfaceError(
+                f"similarity slope at k={k[i]} between {s[j]} dB and {s[j + 1]} dB "
+                f"overflows a float"
+            )
+        object.__setattr__(self, "_slope", slope)
         object.__setattr__(self, "_k_index", {int(kk): i for i, kk in enumerate(k)})
 
-    def query(self, k: int, snr_db):
-        """Similarity of row k at snr_db; k must be tabulated exactly.
+    def locate(self, snr_db) -> tuple:
+        """(grid column j, offset x - grid[j]) of each SNR, clipped to the grid.
 
-        ``snr_db`` may be a scalar, giving a float, or an array of any shape,
-        giving an array of that shape from one interpolation of the row.
+        ``snr_db`` may be a scalar or an array of any shape; ``interpolate``
+        evaluates any k-row at the result.
         """
+        grid = self.snr_grid_db
+        x = np.clip(np.asarray(snr_db, dtype=float), grid[0], grid[-1])
+        j = grid.searchsorted(x, side="right") - 1
+        return j, x - grid.take(j)
+
+    def interpolate(self, k: int, located: tuple):
+        """Similarity of row k at SNRs ``locate`` returned, as np.interp computes it."""
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         try:
             row = self._k_index[int(k)]
         except KeyError:
             raise ValueError(f"k={k} is not tabulated in this surface") from None
-        out = np.interp(snr_db, self.snr_grid_db, self.xi[row])
-        return float(out) if out.ndim == 0 else out
+        j, dx = located
+        return self._slope[row].take(j) * dx + self.xi[row].take(j)
+
+    def query(self, k: int, snr_db):
+        """Similarity of row k at snr_db; k must be tabulated exactly.
+
+        ``snr_db`` may be a scalar, giving a float, or an array of any shape,
+        giving an array of that shape.
+        """
+        out = self.interpolate(k, self.locate(snr_db))
+        return float(out) if np.ndim(out) == 0 else out
 
     def covers_k_range(self, k_max: int) -> bool:
         return all(k in self._k_index for k in range(1, k_max + 1))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semse.channel import (
     MIN_DISTANCE_KM,
@@ -124,6 +126,48 @@ def test_sample_drops_equal_single_drops_bit_for_bit(shape):
             assert np.array_equal(getattr(block[d], name), expect)
             assert np.array_equal(getattr(single, name), expect)
             assert getattr(single, name).shape == expect.shape
+
+
+@st.composite
+def seed_blocks(draw):
+    """A block of consecutive seeds in [0, 2**128), often across a 32-bit word edge."""
+    size = draw(st.integers(1, 5))
+    edge = draw(st.sampled_from([None, 2**32, 2**64, 2**96, 2**128]))
+    if edge is None:
+        start = draw(st.integers(0, 2**128 - size))
+    elif edge == 2**128:
+        start = edge - size  # the block ends at the largest seed
+    else:
+        start = edge - draw(st.integers(1, size))
+    return list(range(start, start + size))
+
+
+@settings(deadline=None)
+@given(seed_blocks(), st.integers(1, 4), st.integers(1, 4), st.sampled_from([0.0, 6.0, 8.5]))
+def test_sample_drops_equal_default_rng_drops_for_every_seed_width(seeds, n, m, sigma):
+    params = RadioParams(shadow_sigma_db=sigma)
+    block = sample_drops(n, m, params, seeds)
+    for d, seed in enumerate(seeds):
+        for name, expect in reference_drop(n, m, params, seed).items():
+            assert np.array_equal(getattr(block[d], name), expect)
+
+
+def test_sample_drops_takes_numpy_integer_seeds():
+    seeds = [np.int64(3), np.uint64(2**64 - 1), np.uint32(7)]
+    block = sample_drops(3, 2, PARAMS, seeds)
+    for d, seed in enumerate(seeds):
+        assert np.array_equal(block[d].snr_db, reference_drop(3, 2, PARAMS, seed)["snr_db"])
+
+
+@pytest.mark.parametrize("seed", [2**128, -1, 2**130 + 5])
+def test_sample_drops_rejects_seeds_outside_128_bits(seed):
+    with pytest.raises(ValueError, match=rf"seed {seed} is outside \[0, 2\*\*128\)"):
+        sample_drops(2, 2, PARAMS, [5, seed, 6])
+
+
+def test_sample_drops_rejects_a_non_integer_seed():
+    with pytest.raises(TypeError):
+        sample_drops(2, 2, PARAMS, [1.5])
 
 
 def test_sample_drop_rejects_zero_counts():

@@ -469,6 +469,23 @@ class TestCli:
         assert "base_seed must be >= 0, got -1" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("text, argv", [
+        (f"n_drops = 2\nbase_seed = {2**128 - 1}\n", []),
+        ("n_drops = 2\n", ["--seed", str(2**128 - 1)]),
+    ])
+    def test_seed_past_128_bits_rejected(self, tmp_path, capsys, text, argv):
+        # drop 1 would take seed 2**128, which numpy's 4-word seed pool cannot hold
+        scenario = write_scenario(tmp_path, text)
+        assert main(["run", str(scenario), *argv]) == 1
+        captured = capsys.readouterr()
+        assert f"got base_seed = {2**128 - 1} with n_drops = 2" in captured.err
+        assert captured.out == ""
+
+    def test_last_128_bit_seeds_run(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path, "n_users = 2\nn_channels = 2\nn_drops = 2\n")
+        assert main(["run", str(scenario), "--seed", str(2**128 - 2)]) == 0
+        assert ",2\n" in capsys.readouterr().out
+
     @pytest.mark.parametrize("key, value", [
         ("tx_power_dbm", "1e308"),
         ("bits_per_word", "5e-324"),

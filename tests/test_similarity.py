@@ -108,6 +108,31 @@ class TestValidation:
         with pytest.raises(SurfaceError):
             SimilaritySurface(np.array([1, 2]), np.array([0.0]), np.array([[0.5]]))
 
+    def test_overflowing_slope_rejected(self):
+        # the step from 0 to 1 over 1e-310 dB used to interpolate to inf
+        with pytest.raises(SurfaceError, match=r"slope at k=1 between 0.0 dB and 1e-310 dB"):
+            SimilaritySurface([1], [0.0, 1e-310, 10.0], [[0.0, 1.0, 1.0]])
+
+    @pytest.mark.parametrize("grid, row", [
+        ([0.0, np.nan], [0.5, 0.5]),
+        ([0.0, np.inf], [0.5, 0.5]),
+        ([0.0, 1.0], [0.5, np.nan]),
+    ])
+    def test_non_finite_entries_rejected(self, grid, row):
+        with pytest.raises(SurfaceError, match="finite"):
+            SimilaritySurface([1], grid, [row])
+
+    def test_empty_grid_rejected(self, tmp_path):
+        # used to load, then fail in np.interp at the first query
+        p = tmp_path / "surface.csv"
+        p.write_text("k\\snr\n1\n", encoding="utf-8")
+        with pytest.raises(SurfaceError, match="at least one column"):
+            load_surface(p)
+
+    def test_grid_wider_than_a_float_rejected(self):
+        with pytest.raises(SurfaceError, match="wider than a float"):
+            SimilaritySurface([1], [-1e308, 1e308], [[0.0, 1.0]])
+
 
 @st.composite
 def surface_grids(draw):
@@ -116,6 +141,69 @@ def surface_grids(draw):
     grid = sorted(draw(st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=8, unique=True)))
     rows = st.lists(st.floats(0.0, 1.0), min_size=len(grid), max_size=len(grid)).map(sorted)
     return k, grid, [draw(rows) for _ in k]
+
+
+def slope_overflows(grid, rows) -> bool:
+    """Whether np.interp's slope (xi[j+1] - xi[j]) / (grid[j+1] - grid[j]) overflows."""
+    with np.errstate(over="ignore"):
+        slopes = np.diff(np.asarray(rows, dtype=float), axis=1) / np.diff(grid)
+    return bool(np.any(slopes == np.inf))
+
+
+def same_bits(a, b) -> bool:
+    """Equal values with equal sign bits, NaN where the other is NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
+
+
+@st.composite
+def uneven_surfaces(draw):
+    """(k values, SNR grid, rows) with grid spacings from subnormal to 1e306."""
+    grid = sorted(draw(st.lists(
+        st.one_of(st.floats(-1e306, 1e306), st.floats(-1e-300, 1e-300)),
+        min_size=1, max_size=7, unique=True,
+    )))
+    rows = st.lists(st.floats(0.0, 1.0), min_size=len(grid), max_size=len(grid)).map(sorted)
+    k = list(range(1, draw(st.integers(1, 3)) + 1))
+    return k, grid, [draw(rows) for _ in k]
+
+
+class TestInterp:
+    @settings(max_examples=300, deadline=None)
+    @given(uneven_surfaces(), st.lists(st.floats(allow_nan=False), max_size=6))
+    def test_query_equals_np_interp_bit_for_bit(self, surface, extra):
+        k, grid, rows = surface
+        if slope_overflows(grid, rows):
+            with pytest.raises(SurfaceError, match="slope"):
+                SimilaritySurface(k, grid, rows)
+            return
+        s = SimilaritySurface(k, grid, rows)
+        g = np.asarray(grid)
+        snrs = np.concatenate([
+            g, np.nextafter(g, -np.inf), np.nextafter(g, np.inf),
+            [g[0] - 1.0, g[-1] + 1.0, -1e308, 1e308, -np.inf, np.inf], extra,
+        ])
+        for kk, row in zip(k, rows):
+            got = s.query(kk, snrs)
+            assert same_bits(got, np.interp(snrs, g, s.xi[kk - 1]))
+            assert same_bits(got, [s.query(kk, float(x)) for x in snrs])
+            # np.interp gives the column's value for NaN on a one-column grid
+            assert np.isnan(s.query(kk, np.nan))
+            if g.size > 1:
+                assert np.isnan(np.interp(np.nan, g, s.xi[kk - 1]))
+
+    def test_locate_once_serves_every_row(self):
+        s = small_surface()
+        snrs = np.array([[-1.0, 0.0, 2.5], [5.0, 9.0, 12.0]])
+        located = s.locate(snrs)
+        for k in (1, 2, 3):
+            assert same_bits(s.interpolate(k, located), s.query(k, snrs))
+
+    def test_negative_zero_entries_read_as_zero(self):
+        s = SimilaritySurface([1], [-1.0, 0.0, 1.0], [[-0.0, -0.0, 0.5]])
+        assert same_bits(s.query(1, [-2.0, -1.0, -0.0, 0.0]), [0.0, 0.0, 0.0, 0.0])
 
 
 class TestLoad:
@@ -128,6 +216,11 @@ class TestLoad:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "surface.csv"
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            if slope_overflows(grid, rows):
+                # a subnormal SNR spacing under a similarity step
+                with pytest.raises(SurfaceError, match="slope"):
+                    load_surface(path)
+                return
             loaded = load_surface(path)
         assert np.array_equal(loaded.k_values, k) and loaded.k_values.dtype.kind == "i"
         assert np.array_equal(loaded.snr_grid_db, grid)
