@@ -3,7 +3,6 @@
 from .allocator import (
     Constraints,
     DropMatches,
-    allocate_semantic,
     build_pair_plans,
     conventional_weights,
     hungarian_max,

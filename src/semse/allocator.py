@@ -9,6 +9,12 @@ optima, solved by shortest augmenting path. Pairs that cannot meet the
 floors carry weight 0; the matching may then leave such users unserved,
 which is reported as an SE contribution of exactly 0.
 
+Both steps run on arrays. A drop's semantic allocation is ``plans =
+build_pair_plans(snr_db, surface, cons)``, then ``hungarian_max(plans.weight)``;
+a matched pair (i, j) has k ``plans.k[i, j]`` and similarity
+``plans.similarity[i, j]``. A stack of drops goes through
+``semantic_weights`` and ``match_drops``.
+
 ``hungarian_max`` matches one drop. ``match_drops`` matches a stack of
 drops: from ``_STACK_MIN_DROPS`` drops up it runs every drop's search at
 once, with numpy over the drop axis, and below that it calls
@@ -25,7 +31,7 @@ scale. The exhaustive joint oracle the tests compare against lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -56,22 +62,6 @@ class Constraints:
 
 
 @dataclass(frozen=True)
-class PairPlan:
-    """Best plan for one (user, channel) pair.
-
-    ``weight`` is the normalized SE similarity/k, or 0 if no k satisfies
-    the floors (then ``k`` is None and ``feasible`` False).
-    """
-
-    user: int
-    channel: int
-    k: int | None
-    similarity: float
-    weight: float
-    feasible: bool
-
-
-@dataclass(frozen=True)
 class Assignment:
     """A partial user-to-channel matching and its objective value.
 
@@ -82,7 +72,6 @@ class Assignment:
 
     pairs: tuple
     total_weight: float
-    per_user: tuple = field(default_factory=tuple)
 
 
 def _require_k_coverage(surface: SimilaritySurface, k_max: int) -> None:
@@ -111,12 +100,6 @@ class PlanArrays(NamedTuple):
     similarity: np.ndarray
     weight: np.ndarray
     feasible: np.ndarray
-
-    def plan(self, user: int, channel: int) -> PairPlan:
-        """The ``PairPlan`` of one pair of a single drop's arrays."""
-        k = int(self.k[user, channel])
-        return PairPlan(user, channel, k or None, float(self.similarity[user, channel]),
-                        float(self.weight[user, channel]), bool(self.feasible[user, channel]))
 
 
 def build_pair_plans(
@@ -409,23 +392,13 @@ def match_drops(weights) -> DropMatches:
     return _matches_stacked(w) if len(w) >= _STACK_MIN_DROPS else _matches_by_drop(w)
 
 
-def allocate_semantic(
-    snr_db: np.ndarray, surface: SimilaritySurface, cons: Constraints
-) -> Assignment:
-    """Jointly optimal service plan: per-pair k scan, then channel matching."""
-    plans = build_pair_plans(snr_db, surface, cons)
-    match = hungarian_max(weight_matrix(plans))
-    per_user = tuple(plans.plan(i, j) for i, j in match.pairs)
-    return Assignment(match.pairs, match.total_weight, per_user)
-
-
 def semantic_weights(
     snr_db: np.ndarray, surface: SimilaritySurface, cons: Constraints
 ) -> np.ndarray:
     """Normalized semantic-SE weights of every pair, shape (..., users, channels).
 
-    The weights ``allocate_semantic`` matches, from one k scan over the whole
-    array; no per-pair plans are built.
+    ``build_pair_plans(...).weight``: the weights a semantic allocation
+    matches, from one k scan over the whole array.
     """
     return weight_matrix(build_pair_plans(snr_db, surface, cons))
 

@@ -29,8 +29,9 @@ is matched in one call that returns per-drop totals as arrays. ``compare``
 runs the loop with the ideal and semantic systems and no sweep.
 
 Each per-drop total is keyed by the (system, sweep_param, sweep_value) of
-the CSV row it averages into; one aggregation scales the means by the
-source's ``info_per_word``.
+the CSV row it averages into. ``drop_totals`` joins a row's blocks into one
+(n_drops,) array, and the CSV row is that array's mean and standard error,
+scaled by the source's ``info_per_word``. Totals stay arrays until then.
 """
 
 from __future__ import annotations
@@ -44,13 +45,14 @@ import numpy as np
 from . import allocator  # looked up per call, so wrappers installed there see it
 from .allocator import Constraints, DropMatches
 from .channel import SEED_LIMIT, RadioParams, sample_drops
-from .link_adaptation import CqiTable, SystemKind, builtin_table, load_cqi_table
+from .link_adaptation import CqiTable, CqiTableError, SystemKind, builtin_table, load_cqi_table
 from .metrics import SourceStats, TransformFactor
 from .similarity import SimilaritySurface, default_surrogate, load_surface
 
 SWEEPABLE = ("n_channels", "tx_power_dbm", "bits_per_word")
 
 CSV_HEADER = "system,sweep_param,sweep_value,mean_total_sse,std_error,n_drops"
+_csv_number = "{:.6g}".format  # how the results CSV prints every number
 
 _SYSTEM_ORDER = {kind: i for i, kind in enumerate(SystemKind)}
 
@@ -109,8 +111,15 @@ class ScenarioConfig:
                 )
             if not self.sweep_values:
                 raise ScenarioError("sweep_values must not be empty when sweeping")
-            if len(set(self.sweep_values)) < len(self.sweep_values):
-                raise ScenarioError(f"sweep_values must not repeat, got {self.sweep_values}")
+            printed: dict = {}  # each value's sweep_value text in the results CSV
+            for v in self.sweep_values:
+                text = _csv_number(float(v) + 0.0)  # + 0.0: -0.0 repeats 0.0
+                if text in printed and v == printed[text]:
+                    raise ScenarioError(f"sweep_values must not repeat, got {self.sweep_values}")
+                if text in printed:
+                    raise ScenarioError(f"sweep_values {printed[text]!r} and {v!r} both print "
+                                        f"as {text} in the results CSV")
+                printed[text] = v
             if self.sweep_param == "n_channels":
                 if any(v != int(v) or v < 1 for v in self.sweep_values):
                     raise ScenarioError("n_channels sweep values must be integers >= 1")
@@ -217,8 +226,12 @@ def surface_for(cfg: ScenarioConfig) -> SimilaritySurface:
 
 def tables_for(cfg: ScenarioConfig) -> dict[SystemKind, CqiTable]:
     tables = {}
-    for system, source in ((SystemKind.FOUR_G, cfg.cqi_4g), (SystemKind.FIVE_G, cfg.cqi_5g)):
-        tables[system] = builtin_table(system) if source == "builtin" else load_cqi_table(source)
+    for system, key in ((SystemKind.FOUR_G, "cqi_4g"), (SystemKind.FIVE_G, "cqi_5g")):
+        source = getattr(cfg, key)
+        try:
+            tables[system] = builtin_table(system) if source == "builtin" else load_cqi_table(source)
+        except CqiTableError as exc:
+            raise CqiTableError(f"{key}: {exc}") from None
     return tables
 
 
@@ -251,7 +264,7 @@ def _row(system: SystemKind, sweep_param: str | None, value) -> tuple:
 
 
 def _matched_blocks(cfg: ScenarioConfig, surface: SimilaritySurface | None):
-    """Yield (block, drops, {row key: DropMatches}) per block and sample.
+    """Yield (drops, {row key: DropMatches}) per block and sample, blocks in order.
 
     A sample is a distinct (radio, n_channels) among the sweep values. One
     ``match_drops`` call matches all its stacks: the semantic one if
@@ -289,74 +302,65 @@ def _matched_blocks(cfg: ScenarioConfig, surface: SimilaritySurface | None):
             matched = allocator.match_drops(weights.reshape(-1, cfg.n_users, n_channels))
             stacks = zip(rows, matched.total.reshape(len(rows), len(block)),
                          matched.channel.reshape(len(rows), len(block), cfg.n_users))
-            yield block, drops, {row: DropMatches(total, channel)
-                                 for names, total, channel in stacks for row in names}
+            yield drops, {row: DropMatches(total, channel)
+                          for names, total, channel in stacks for row in names}
 
 
-def _row_totals(cfg: ScenarioConfig, fixed_k_values: list[int] | None):
-    """Yield (block, {row key: per-drop normalized totals}) per block and sample.
+def drop_totals(cfg: ScenarioConfig, fixed_k_values: list[int] | None) -> dict:
+    """{row key: (n_drops,) normalized totals}, drop d's total at index d.
 
-    The rows of ``semse run`` if ``fixed_k_values`` is None, else of ``semse
-    compare``: the unswept scenario runs with the ideal and semantic systems,
-    and the ideal matching is scored with every user at each fixed k (pairs
-    below the similarity or S-SE floor score 0) next to the optimized total.
+    A row key is the (system, sweep_param, sweep_value) of a record of
+    ``run_scenario(cfg)`` if ``fixed_k_values`` is None, else of
+    ``run_model_comparison(cfg, fixed_k_values)``: the unswept scenario runs
+    with the ideal and semantic systems, and the ideal matching is scored
+    with every user at each fixed k (pairs below the similarity or S-SE
+    floor score 0) next to the optimized total. The record's mean is the
+    array's mean times ``info_per_word``.
     """
     if fixed_k_values is None:
         surface = surface_for(cfg) if SystemKind.SEMANTIC in cfg.systems else None
-        for block, _drops, matches in _matched_blocks(cfg, surface):
-            yield block, {row: m.total for row, m in matches.items()}
-        return
-    cons = cfg.constraints
-    for k in fixed_k_values:
-        if not 1 <= k <= cons.k_max:
-            raise ScenarioError(f"fixed k={k} outside 1..{cons.k_max}")
-    if len(set(fixed_k_values)) < len(fixed_k_values):
-        raise ScenarioError(f"fixed k values must not repeat, got {fixed_k_values}")
-    surface = surface_for(cfg)
-    cfg = dataclasses.replace(cfg, systems=(SystemKind.IDEAL, SystemKind.SEMANTIC),
-                              sweep_param=None, sweep_values=())
-    for block, drops, matches in _matched_blocks(cfg, surface):
-        channel = matches[SystemKind.IDEAL, "none", 0.0].channel
-        # SNR of each user's ideal-matched pair; unmatched users score 0
-        served = channel >= 0
-        snr_matched = np.take_along_axis(
-            drops.snr_db, np.where(served, channel, 0)[..., None], axis=2
-        )[..., 0]
-        located = surface.locate(snr_matched)
-        totals = {}
+    else:
+        cons = cfg.constraints
         for k in fixed_k_values:
-            _xi, w, ok = allocator.sse_at_k(surface, k, located, cons)
-            score = np.where(served & ok, w, 0.0)
-            totals[SystemKind.SEMANTIC, "fixed_k", float(k)] = allocator.sum_by_user(score)
-        optimized = matches[SystemKind.SEMANTIC, "none", 0.0].total
-        totals[SystemKind.SEMANTIC, "optimized_k", 0.0] = optimized
-        yield block, totals
-
-
-def iter_drop_totals(cfg: ScenarioConfig, fixed_k_values: list[int] | None):
-    """Yield (drop_index, {row key: normalized total}) per drop and sample.
-
-    A row key is the (system, sweep_param, sweep_value) of a record of
-    ``run_scenario(cfg)``, or of ``run_model_comparison(cfg, fixed_k_values)``
-    if that is not None. Per block, each sample yields the block's drops in
-    order, so a drop appears once per sample, with that sample's rows.
-    """
-    for block, totals in _row_totals(cfg, fixed_k_values):
-        lists = {row: t.tolist() for row, t in totals.items()}
-        for i, d in enumerate(block):
-            yield d, {row: t[i] for row, t in lists.items()}
+            if not 1 <= k <= cons.k_max:
+                raise ScenarioError(f"fixed k={k} outside 1..{cons.k_max}")
+        if len(set(fixed_k_values)) < len(fixed_k_values):
+            raise ScenarioError(f"fixed k values must not repeat, got {fixed_k_values}")
+        surface = surface_for(cfg)
+        cfg = dataclasses.replace(cfg, systems=(SystemKind.IDEAL, SystemKind.SEMANTIC),
+                                  sweep_param=None, sweep_values=())
+    parts: dict = {}  # {row key: its per-drop totals, block by block}
+    for drops, matches in _matched_blocks(cfg, surface):
+        if fixed_k_values is None:
+            totals = {row: m.total for row, m in matches.items()}
+        else:
+            channel = matches[SystemKind.IDEAL, "none", 0.0].channel
+            # SNR of each user's ideal-matched pair; unmatched users score 0
+            served = channel >= 0
+            snr_matched = np.take_along_axis(
+                drops.snr_db, np.where(served, channel, 0)[..., None], axis=2
+            )[..., 0]
+            located = surface.locate(snr_matched)
+            totals = {}
+            for k in fixed_k_values:
+                _xi, w, ok = allocator.sse_at_k(surface, k, located, cons)
+                score = np.where(served & ok, w, 0.0)
+                totals[SystemKind.SEMANTIC, "fixed_k", float(k)] = allocator.sum_by_user(score)
+            optimized = matches[SystemKind.SEMANTIC, "none", 0.0].total
+            totals[SystemKind.SEMANTIC, "optimized_k", 0.0] = optimized
+        for row, total in totals.items():
+            parts.setdefault(row, []).append(total)
+    return {row: np.concatenate(p) for row, p in parts.items()}
 
 
 def _records(cfg: ScenarioConfig, rows: list, fixed_k_values: list[int] | None):
     """A record per row key, in order: its totals' mean and std error times info_per_word."""
-    acc = {row: [] for row in rows}
-    for _block, totals in _row_totals(cfg, fixed_k_values):
-        for row, total in totals.items():
-            acc[row].append(total)
+    by_row = drop_totals(cfg, fixed_k_values)
+    assert by_row.keys() == set(rows), f"block rows {list(by_row)} are not the records' {rows}"
     n, scale = cfg.n_drops, cfg.src.info_per_word
     records = []
-    for row, parts in acc.items():
-        totals = np.concatenate(parts)
+    for row in rows:
+        totals = by_row[row]
         mean = float(totals.mean()) * scale
         stderr = 0.0 if n == 1 else float(totals.std(ddof=1)) / math.sqrt(n) * scale
         if not (math.isfinite(mean) and math.isfinite(stderr)):
@@ -421,8 +425,8 @@ def format_csv(records: list[SweepRecord]) -> str:
     lines = [CSV_HEADER]
     for r in rows:
         lines.append(
-            f"{r.system.value},{r.sweep_param},{r.sweep_value:.6g},"
-            f"{r.mean_total_sse:.6g},{r.std_error:.6g},{r.n_drops}"
+            f"{r.system.value},{r.sweep_param},{_csv_number(r.sweep_value)},"
+            f"{_csv_number(r.mean_total_sse)},{_csv_number(r.std_error)},{r.n_drops}"
         )
     return "\n".join(lines) + "\n"
 

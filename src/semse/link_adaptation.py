@@ -61,8 +61,10 @@ class CqiTableError(ValueError):
 class CqiTable:
     """CQI index -> (efficiency, minimum SNR) mapping, indices 1..15.
 
-    ``thresholds_db[i]`` is the lowest SNR at which index i+1 is selected;
-    below ``thresholds_db[0]`` the link is in outage and the SE is 0.
+    Efficiencies are finite, positive and strictly increasing; thresholds
+    are finite and strictly increasing. ``thresholds_db[i]`` is the lowest
+    SNR at which index i+1 is selected; below ``thresholds_db[0]`` the link
+    is in outage and the SE is 0.
     """
 
     efficiencies: np.ndarray
@@ -78,6 +80,13 @@ class CqiTable:
                 f"expected 15 CQI entries, got {eff.size} efficiencies "
                 f"and {thr.size} thresholds"
             )
+        for column, values, rule, ok in (
+            ("efficiency", eff, "finite and > 0", np.isfinite(eff) & (eff > 0)),
+            ("threshold_db", thr, "finite", np.isfinite(thr)),
+        ):
+            if not ok.all():
+                i = int(np.argmin(ok))
+                raise CqiTableError(f"CQI index {i + 1} {column} must be {rule}, got {values[i]}")
         if np.any(np.diff(eff) <= 0):
             raise CqiTableError("efficiencies must be strictly increasing")
         if np.any(np.diff(thr) <= 0):

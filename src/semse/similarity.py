@@ -131,7 +131,8 @@ def load_surface(path) -> SimilaritySurface:
     """Load a similarity table from CSV.
 
     Expected layout: first row ``k\\snr, s1, s2, ...`` giving the SNR grid in
-    dB; each following row ``k, xi1, xi2, ...``. UTF-8, decimal points.
+    dB; each following row ``k, xi1, xi2, ...``, k an integer (``2`` or
+    ``2.0``). UTF-8, decimal points.
     """
     with open(path, encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
@@ -152,10 +153,15 @@ def load_surface(path) -> SimilaritySurface:
                 f"expected {snr_grid.size}"
             )
         try:
-            k_values.append(int(float(toks[0])))
+            k = float(toks[0])
             rows.append([float(t) for t in toks[1:]])
         except ValueError as exc:
             raise SurfaceError(f"{path}: line {lineno}: {exc}") from None
+        if not k.is_integer():
+            raise SurfaceError(
+                f"{path}: line {lineno}: k must be an integer, got {toks[0].strip()!r}"
+            )
+        k_values.append(int(k))
     try:
         return SimilaritySurface(np.array(k_values), snr_grid, np.array(rows))
     except SurfaceError as exc:

@@ -1,15 +1,16 @@
 """Reference implementations the tests compare the allocator against.
 
 ``best_pair_plan`` is the scalar k scan that ``allocator.build_pair_plans``
-vectorizes; ``brute_force_allocation`` enumerates every injective
-user-to-channel map jointly with every per-user k.
+vectorizes; ``brute_force_links`` enumerates every injective
+user-to-channel map jointly with every per-user k, and
+``brute_force_allocation`` reports its optimum as an ``Assignment``.
 """
 
 import itertools
 
 import numpy as np
 
-from semse.allocator import Assignment, Constraints, PairPlan, _require_k_coverage
+from semse.allocator import Assignment, Constraints, PlanArrays, _require_k_coverage
 from semse.similarity import SimilaritySurface
 
 # largest joint k-combination tensor the oracle materializes at once;
@@ -17,15 +18,14 @@ from semse.similarity import SimilaritySurface
 _JOINT_BLOCK_LIMIT = 1 << 22
 
 
-def best_pair_plan(
-    surface: SimilaritySurface, snr_db: float, cons: Constraints,
-    user: int = -1, channel: int = -1,
-) -> PairPlan:
-    """Scan k = 1..k_max for the feasible k maximizing similarity/k.
+def best_pair_plan(surface: SimilaritySurface, snr_db: float, cons: Constraints) -> PlanArrays:
+    """Scan k = 1..k_max for the feasible k maximizing similarity/k, one pair.
 
-    Ties break toward smaller k (same SE, less latency); with both floors at
-    0 a pair of similarity 0 is feasible at k = 1 with weight 0. Reference
-    scalar implementation; ``build_pair_plans`` is the vectorized equivalent.
+    Returns a ``PlanArrays`` of scalars, with ``build_pair_plans``'s
+    convention: k, similarity and weight 0 where no k is feasible. Ties break
+    toward smaller k (same SE, less latency); with both floors at 0 a pair of
+    similarity 0 is feasible at k = 1 with weight 0. Reference scalar
+    implementation; ``build_pair_plans`` is the vectorized equivalent.
     """
     _require_k_coverage(surface, cons.k_max)
     best_k, best_xi, best_w = None, 0.0, 0.0
@@ -36,18 +36,19 @@ def best_pair_plan(
         if ok and (best_k is None or w > best_w):
             best_k, best_xi, best_w = k, xi, w
     if best_k is None:
-        return PairPlan(user, channel, None, 0.0, 0.0, False)
-    return PairPlan(user, channel, best_k, best_xi, best_w, True)
+        return PlanArrays(0, 0.0, 0.0, False)
+    return PlanArrays(best_k, best_xi, best_w, True)
 
 
-def brute_force_allocation(
+def brute_force_links(
     snr_db: np.ndarray, surface: SimilaritySurface, cons: Constraints
-) -> Assignment:
+) -> list[tuple[int, int, int, float, float]]:
     """Exhaustive joint optimum over assignments and per-user k. Test oracle.
 
     Enumerates every injective map between users and channels together with
-    every k combination for the mapped users. Bounded to 6x6 links and
-    k_max 20.
+    every k combination for the mapped users, and returns the optimum's
+    links of positive weight as sorted (user, channel, k, similarity, weight)
+    tuples. Bounded to 6x6 links and k_max 20.
     """
     snr = np.atleast_2d(np.asarray(snr_db, dtype=float))
     n, m = snr.shape
@@ -94,17 +95,18 @@ def brute_force_allocation(
             best_pairs = pairs
             best_kvec = tuple(int(x) for x in kvec)
 
-    kept = []
-    for (i, j), kz in zip(best_pairs, best_kvec):
-        if value[kz, i, j] > 0.0:
-            kept.append((i, j, int(ks[kz])))
-    kept.sort()
+    return sorted(
+        (i, j, kz + 1, float(xi[kz, i, j]), float(value[kz, i, j]))
+        for (i, j), kz in zip(best_pairs, best_kvec) if value[kz, i, j] > 0.0
+    )
+
+
+def brute_force_allocation(
+    snr_db: np.ndarray, surface: SimilaritySurface, cons: Constraints
+) -> Assignment:
+    """``brute_force_links``'s optimum as the pairs and total weight ``hungarian_max`` returns."""
+    links = brute_force_links(snr_db, surface, cons)
     total = 0.0
-    per_user = []
-    pairs_out = []
-    for i, j, k in kept:
-        kz = k - 1
-        total += float(value[kz, i, j])
-        pairs_out.append((i, j))
-        per_user.append(PairPlan(i, j, k, float(xi[kz, i, j]), float(value[kz, i, j]), True))
-    return Assignment(tuple(pairs_out), total, tuple(per_user))
+    for *_link, w in links:
+        total += w
+    return Assignment(tuple((i, j) for i, j, *_plan in links), total)

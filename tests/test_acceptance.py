@@ -13,14 +13,14 @@ import pytest
 
 from semse.allocator import (
     Constraints,
-    allocate_semantic,
+    build_pair_plans,
     hungarian_max,
 )
 from semse.channel import RadioParams, pathloss_db, sample_drop, snr
 from semse.harness import (
     ScenarioConfig,
     crossover_bits_per_word,
-    iter_drop_totals,
+    drop_totals,
     run_scenario,
 )
 from semse.link_adaptation import (
@@ -114,7 +114,7 @@ def test_criterion_3_decomposition_equivalence():
     for trial in range(500):
         cons = settings[trial % 2]
         snr_db = rng.uniform(-12.0, 24.0, size=(4, 4))
-        fast = allocate_semantic(snr_db, surface, cons)
+        fast = hungarian_max(build_pair_plans(snr_db, surface, cons).weight)
         oracle = brute_force_allocation(snr_db, surface, cons)
         assert fast.total_weight == oracle.total_weight
     _pass(3, "per-pair scan + matching equals joint brute force on 500 instances", t0, 30.0)
@@ -142,13 +142,13 @@ def test_criterion_5_fixed_k_policy_dominated():
     t0 = time.perf_counter()
     cfg = ScenarioConfig(n_drops=500)  # table defaults: 5x5, thresholds 0.9 / 0.025
     fixed_ks = [1, 2, 3, 4, 5]
-    sums = {k: 0.0 for k in fixed_ks}
-    for _d, totals in iter_drop_totals(cfg, fixed_ks):
-        optimized = totals[SystemKind.SEMANTIC, "optimized_k", 0.0]
-        for k in fixed_ks:
-            total = totals[SystemKind.SEMANTIC, "fixed_k", float(k)]
-            assert optimized >= total  # per-drop, exact
-            sums[k] += total
+    totals = drop_totals(cfg, fixed_ks)
+    optimized = totals[SystemKind.SEMANTIC, "optimized_k", 0.0]
+    sums = {}
+    for k in fixed_ks:
+        total = totals[SystemKind.SEMANTIC, "fixed_k", float(k)]
+        assert np.all(optimized >= total)  # per-drop, exact
+        sums[k] = total.sum()
     assert any(v == 0.0 for v in sums.values()), (
         "similarity threshold 0.9 should shut out at least one fixed k entirely"
     )
@@ -162,23 +162,17 @@ def test_criterion_6_more_channels_never_hurt():
         sweep_param="n_channels",
         sweep_values=tuple(float(m) for m in range(1, 11)),
     )
-    per_drop: dict = {}
-    for d, totals in iter_drop_totals(cfg, None):
-        per_drop.setdefault(d, {}).update(totals)
-    means = {system: [] for system in ALL_SYSTEMS}
-    for value in cfg.sweep_values:
-        for system in ALL_SYSTEMS:
-            means[system].append(
-                np.mean([per_drop[d][system, "n_channels", value] for d in per_drop])
-            )
-    for d, by_row in per_drop.items():
-        for system in ALL_SYSTEMS:
-            series = [by_row[system, "n_channels", v] for v in cfg.sweep_values]
-            assert all(b >= a for a, b in zip(series, series[1:])), (
-                f"drop {d}, {system}: total decreased when a channel was added"
-            )
+    totals = drop_totals(cfg, None)
     for system in ALL_SYSTEMS:
-        assert all(b >= a for a, b in zip(means[system], means[system][1:]))
+        # series[v, d]: drop d's total at the v-th channel count
+        series = np.stack([totals[system, "n_channels", v] for v in cfg.sweep_values])
+        assert series.shape == (len(cfg.sweep_values), cfg.n_drops)
+        fell = np.flatnonzero(~np.all(series[1:] >= series[:-1], axis=0))
+        assert fell.size == 0, (
+            f"drops {fell.tolist()}, {system}: total decreased when a channel was added"
+        )
+        means = [row.mean() for row in series]
+        assert all(b >= a for a, b in zip(means, means[1:]))
     _pass(6, "mean and per-drop totals non-decreasing in channel count, 4 systems", t0, 300.0)
 
 
@@ -265,14 +259,17 @@ def test_criterion_9_invariant_suites():
     cons = Constraints()
     for seed in range(20):
         d = sample_drop(5, 5, params, 4000 + seed)
-        a = allocate_semantic(d.snr_db, surface5, cons)
+        plans = build_pair_plans(d.snr_db, surface5, cons)
+        a = hungarian_max(plans.weight)
         users = [i for i, _ in a.pairs]
         channels = [j for _, j in a.pairs]
         assert len(set(users)) == len(users) and len(set(channels)) == len(channels)
-        assert a.total_weight == pytest.approx(sum(p.weight for p in a.per_user), abs=1e-12)
-        for p in a.per_user:
-            assert p.similarity >= cons.similarity_threshold
-            assert p.weight >= cons.sse_threshold
+        assert a.total_weight == pytest.approx(
+            sum(plans.weight[i, j] for i, j in a.pairs), abs=1e-12
+        )
+        for i, j in a.pairs:
+            assert plans.similarity[i, j] >= cons.similarity_threshold
+            assert plans.weight[i, j] >= cons.sse_threshold
 
     # seed determinism end to end
     d1 = sample_drop(5, 5, params, 123)

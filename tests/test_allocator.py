@@ -11,7 +11,6 @@ from semse.allocator import (
     Assignment,
     Constraints,
     _matches_stacked,
-    allocate_semantic,
     build_pair_plans,
     conventional_weights,
     hungarian_max,
@@ -24,7 +23,7 @@ from semse.metrics import TransformFactor
 from semse.similarity import SimilaritySurface, default_surrogate
 
 import oracles
-from oracles import best_pair_plan, brute_force_allocation
+from oracles import best_pair_plan, brute_force_allocation, brute_force_links
 
 MU40 = TransformFactor(40.0)
 TABLES = {
@@ -65,20 +64,23 @@ def brute_max_matching(w):
     return best, best_pairs
 
 
-def assert_valid_matching(assignment: Assignment, n, m):
+def assert_valid_matching(assignment: Assignment, n, m, weight=None):
+    """A partial injective matching of an n x m matrix; its total is ``weight``'s if given."""
     users = [i for i, _ in assignment.pairs]
     channels = [j for _, j in assignment.pairs]
     assert len(set(users)) == len(users)
     assert len(set(channels)) == len(channels)
     assert all(0 <= i < n for i in users)
     assert all(0 <= j < m for j in channels)
-    recomputed = 0.0
-    per_pair = {(p.user, p.channel): p.weight for p in assignment.per_user}
-    for i, j in assignment.pairs:
-        if (i, j) in per_pair:
-            recomputed += per_pair[(i, j)]
-    if assignment.per_user:
+    if weight is not None:
+        recomputed = sum(float(weight[i, j]) for i, j in assignment.pairs)
         assert assignment.total_weight == pytest.approx(recomputed, abs=1e-12)
+
+
+def semantic_allocation(snr, surface, cons):
+    """(plans, matching) of one drop: the k scan, then the channel matching."""
+    plans = build_pair_plans(snr, surface, cons)
+    return plans, hungarian_max(plans.weight)
 
 
 class TestBestPairPlan:
@@ -95,7 +97,7 @@ class TestBestPairPlan:
         cons = Constraints(k_max=3, similarity_threshold=0.9, sse_threshold=0.0)
         plan = best_pair_plan(surface, 0.0, cons)
         assert not plan.feasible
-        assert plan.k is None and plan.weight == 0.0
+        assert plan.k == 0 and plan.weight == 0.0
 
     def test_constant_similarity_prefers_smallest_k(self):
         surface = flat_surface([0.7, 0.7, 0.7, 0.7])
@@ -122,7 +124,7 @@ class TestBuildPairPlans:
         cons = Constraints(k_max=5, similarity_threshold=0.0, sse_threshold=0.0)
         plans = build_pair_plans(np.array([[10.0]]), surface, cons)
         assert plans.weight.shape == (1, 1)
-        assert plans.feasible[0, 0] and plans.plan(0, 0).feasible
+        assert plans.feasible[0, 0] and plans.k[0, 0] >= 1
 
     def test_identical_links_give_identical_weights(self):
         surface = default_surrogate(10)
@@ -151,12 +153,10 @@ class TestBuildPairPlans:
                         assert np.array_equal(whole[d], single)
                     for i in range(5):
                         for j in range(6):
-                            ref = best_pair_plan(
-                                surface, float(snr[d, i, j]), cons, user=i, channel=j
-                            )
-                            assert plans.plan(i, j) == ref
-        zero = build_pair_plans(np.array([[-10.0]]), surfaces[1], cons).plan(0, 0)
-        assert zero.feasible and zero.k == 1 and zero.weight == 0.0
+                            ref = best_pair_plan(surface, float(snr[d, i, j]), cons)
+                            assert tuple(a[i, j] for a in plans) == ref
+        zero = build_pair_plans(np.array([[-10.0]]), surfaces[1], cons)
+        assert zero.feasible[0, 0] and zero.k[0, 0] == 1 and zero.weight[0, 0] == 0.0
 
     def test_matched_plans_respect_floors(self):
         surface = default_surrogate(20)
@@ -404,16 +404,15 @@ class TestAllocateSemantic:
     def test_single_feasible_link(self):
         surface = default_surrogate(20)
         cons = Constraints()
-        a = allocate_semantic(np.array([[18.0]]), surface, cons)
+        plans, a = semantic_allocation(np.array([[18.0]]), surface, cons)
         assert a.pairs == ((0, 0),)
-        plan = a.per_user[0]
-        assert plan.feasible and plan.weight == a.total_weight
+        assert plans.feasible[0, 0] and plans.weight[0, 0] == a.total_weight
 
     def test_two_by_two_against_joint_enumeration(self):
         surface = flat_surface([0.5, 0.92, 0.95])
         cons = Constraints(k_max=3, similarity_threshold=0.9, sse_threshold=0.0)
         snr = np.array([[0.0, 5.0], [5.0, 0.0]])
-        a = allocate_semantic(snr, surface, cons)
+        _plans, a = semantic_allocation(snr, surface, cons)
         b = brute_force_allocation(snr, surface, cons)
         assert a.total_weight == b.total_weight == pytest.approx(0.92)
 
@@ -423,10 +422,10 @@ class TestAllocateSemantic:
         rng = np.random.default_rng(27)
         for _ in range(100):
             snr = rng.uniform(-12, 24, size=(4, 4))
-            a = allocate_semantic(snr, surface, cons)
+            plans, a = semantic_allocation(snr, surface, cons)
             b = brute_force_allocation(snr, surface, cons)
             assert a.total_weight == b.total_weight
-            assert_valid_matching(a, 4, 4)
+            assert_valid_matching(a, 4, 4, plans.weight)
 
     def test_beats_random_feasible_policies(self):
         surface = default_surrogate(8)
@@ -434,7 +433,7 @@ class TestAllocateSemantic:
         rng = np.random.default_rng(28)
         for _ in range(30):
             snr = rng.uniform(-10, 20, size=(4, 5))
-            best = allocate_semantic(snr, surface, cons).total_weight
+            best = semantic_allocation(snr, surface, cons)[1].total_weight
             for _ in range(20):
                 cols = rng.permutation(5)[:4]
                 total = 0.0
@@ -527,7 +526,7 @@ class TestBruteForce:
         for shape in ((2, 5), (5, 2), (3, 4), (4, 3)):
             for _ in range(20):
                 snr = rng.uniform(-10, 20, size=shape)
-                a = allocate_semantic(snr, surface, cons)
+                _plans, a = semantic_allocation(snr, surface, cons)
                 b = brute_force_allocation(snr, surface, cons)
                 assert a.total_weight == b.total_weight
 
@@ -536,9 +535,13 @@ class TestBruteForce:
         cons = Constraints(k_max=6, similarity_threshold=0.5, sse_threshold=0.0)
         rng = np.random.default_rng(31)
         instances = [rng.uniform(-10, 20, size=(3, 3)) for _ in range(10)]
-        direct = [brute_force_allocation(s, surface, cons) for s in instances]
+        direct = [brute_force_links(s, surface, cons) for s in instances]
+        direct_totals = [brute_force_allocation(s, surface, cons) for s in instances]
         monkeypatch.setattr(oracles, "_JOINT_BLOCK_LIMIT", 4)
-        blocked = [brute_force_allocation(s, surface, cons) for s in instances]
-        for a, b in zip(direct, blocked):
+        blocked = [brute_force_links(s, surface, cons) for s in instances]
+        blocked_totals = [brute_force_allocation(s, surface, cons) for s in instances]
+        for a, b in zip(direct_totals, blocked_totals):
             assert a.total_weight == b.total_weight
-            assert a.pairs == b.pairs and a.per_user == b.per_user
+            assert a.pairs == b.pairs
+        # same k, and so the same similarity and weight, on every kept link
+        assert direct == blocked

@@ -1,7 +1,8 @@
 """The package's public surface: what ``import semse`` exports and what it costs.
 
 ``semse`` exports exactly the names the README's Library use section
-documents, and that section's example runs as written.
+documents, and that section's example runs as written. The defaults the
+README's Scenario files section shows are the ones ``ScenarioConfig`` has.
 """
 
 import os
@@ -12,6 +13,7 @@ from pathlib import Path
 from types import ModuleType
 
 import semse
+from semse.harness import ScenarioConfig, load_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -19,6 +21,15 @@ ROOT = Path(__file__).resolve().parent.parent
 def library_use() -> str:
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     return readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_scenario_defaults_are_the_real_defaults(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Scenario files\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```ini\n(.*?)```", section, re.S).group(1)
+    path = tmp_path / "defaults.txt"
+    path.write_text(block, encoding="utf-8")
+    assert load_scenario(path) == ScenarioConfig()
 
 
 def test_library_use_example_runs(capsys):

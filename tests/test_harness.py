@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -13,9 +14,9 @@ from semse.harness import (
     ScenarioError,
     SweepRecord,
     crossover_bits_per_word,
+    drop_totals,
     emit_csv,
     format_csv,
-    iter_drop_totals,
     load_scenario,
     run_model_comparison,
     run_scenario,
@@ -24,7 +25,7 @@ from semse.harness import (
 )
 from semse.allocator import (
     Constraints,
-    allocate_semantic,
+    build_pair_plans,
     conventional_weights,
     hungarian_max,
 )
@@ -109,6 +110,23 @@ class TestLoadScenario:
         assert main(["run", str(path)]) == 1
         assert "sweep_values must not repeat" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sweep_param, values", [
+        ("tx_power_dbm", "10.0000001, 10.0000002"),
+        ("bits_per_word", "40, 20, 40.0000004"),
+        ("n_channels", "1000000, 1000001"),
+    ])
+    def test_sweep_values_that_print_alike_rejected(self, tmp_path, capsys, sweep_param, values):
+        # both would print as the same sweep_value in two rows of the CSV
+        path = write_scenario(
+            tmp_path, f"n_drops = 3\nsweep_param = {sweep_param}\nsweep_values = {values}\n"
+        )
+        first, *_, last = (float(v) for v in values.split(","))
+        message = f"sweep_values {first!r} and {last!r} both print as {first:.6g} in the results CSV"
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            load_scenario(path)
+        assert main(["run", str(path)]) == 1
+        assert "sweep_values" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", sorted(_FLOAT_KEYS) + ["sweep_values"])
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_float_rejected(self, tmp_path, capsys, key, bad):
@@ -141,7 +159,7 @@ class TestLibraryBoundary:
 
 
 def split_comparison(totals: dict) -> tuple[dict, float]:
-    """A compare drop's totals as ({k: fixed-k total}, optimized total)."""
+    """Compare totals as ({k: fixed-k totals}, optimized totals), per drop or per run."""
     fixed = {int(k): t for (_s, param, k), t in totals.items() if param == "fixed_k"}
     return fixed, totals[SystemKind.SEMANTIC, "optimized_k", 0.0]
 
@@ -241,24 +259,28 @@ class TestBlocks:
     def test_totals_past_the_pair_budget_equal_single_drop_solves(self):
         cfg = self.big_cfg()
         cons, surface, tables = cfg.constraints, surface_for(cfg), tables_for(cfg)
-        seen = []
-        for d, totals in iter_drop_totals(cfg, None):
-            seen.append(d)
+        totals = drop_totals(cfg, None)
+        assert all(t.shape == (cfg.n_drops,) for t in totals.values())
+        for d in range(cfg.n_drops):
             drop = sample_drop(cfg.n_users, cfg.n_channels, cfg.radio, cfg.base_seed + d)
-            expect = {SystemKind.SEMANTIC: allocate_semantic(drop.snr_db, surface, cons)}
+            semantic = build_pair_plans(drop.snr_db, surface, cons).weight
+            expect = {SystemKind.SEMANTIC: hungarian_max(semantic)}
             for system in ALL_SYSTEMS[1:]:
                 expect[system] = hungarian_max(conventional_weights(
                     drop.snr_db, drop.snr_linear, system, tables, cfg.tf, cons
                 ))
-            assert totals == {(s, "none", 0.0): a.total_weight for s, a in expect.items()}
-        assert seen == list(range(cfg.n_drops))
+            assert {row: t[d] for row, t in totals.items()} == {
+                (s, "none", 0.0): a.total_weight for s, a in expect.items()
+            }
 
     def test_comparison_past_the_pair_budget_equals_per_pair_scoring(self):
         cfg = self.big_cfg()
         cons, surface = cfg.constraints, surface_for(cfg)
         scored = 0
-        for d, totals in iter_drop_totals(cfg, [3, 5, 8]):
-            fixed, optimized = split_comparison(totals)
+        totals = drop_totals(cfg, [3, 5, 8])
+        assert all(t.shape == (cfg.n_drops,) for t in totals.values())
+        for d in range(cfg.n_drops):
+            fixed, optimized = split_comparison({row: t[d] for row, t in totals.items()})
             drop = sample_drop(cfg.n_users, cfg.n_channels, cfg.radio, cfg.base_seed + d)
             ideal = hungarian_max(conventional_weights(
                 drop.snr_db, drop.snr_linear, SystemKind.IDEAL, {}, cfg.tf, cons
@@ -271,7 +293,8 @@ class TestBlocks:
                         expect += xi / k
                         scored += 1
                 assert total == expect
-            assert optimized == allocate_semantic(drop.snr_db, surface, cons).total_weight
+            semantic = build_pair_plans(drop.snr_db, surface, cons).weight
+            assert optimized == hungarian_max(semantic).total_weight
         assert scored > 0
 
     @pytest.mark.parametrize("sweep_param, values, samples", [
@@ -287,18 +310,16 @@ class TestBlocks:
             harness, "sample_drops", lambda *args: seeds.append(args[3]) or real(*args)
         )
         cfg = quick_cfg(sweep_param=sweep_param, sweep_values=values)
-        rows = [(d, row) for d, totals in iter_drop_totals(cfg, None) for row in totals]
-        assert len(set(rows)) == len(rows) == cfg.n_drops * len(values) * len(cfg.systems)
+        totals = drop_totals(cfg, None)
+        assert len(totals) == len(values) * len(cfg.systems)
+        assert all(t.shape == (cfg.n_drops,) for t in totals.values())
         assert seeds == [list(range(9, 29))] * samples
 
     @pytest.mark.parametrize("fixed_k", [None, [1, 3, 5]], ids=["run", "compare"])
     def test_view_totals_average_to_the_csv_row_means(self, fixed_k):
         cfg = quick_cfg(src=SourceStats(2.5), sweep_param="tx_power_dbm",
                         sweep_values=(0.0, 10.0))
-        by_row: dict = {}
-        for _d, totals in iter_drop_totals(cfg, fixed_k):
-            for row, total in totals.items():
-                by_row.setdefault(row, []).append(total)
+        by_row = drop_totals(cfg, fixed_k)
         records = run_scenario(cfg) if fixed_k is None else run_model_comparison(cfg, fixed_k)
         assert len(by_row) == (8 if fixed_k is None else 4)
         assert {(r.system, r.sweep_param, r.sweep_value): r.mean_total_sse for r in records} == {
@@ -341,13 +362,12 @@ class TestComparison:
 
     def test_fixed_k_out_of_range(self):
         with pytest.raises(ScenarioError, match="fixed k"):
-            list(iter_drop_totals(quick_cfg(), [25]))
+            drop_totals(quick_cfg(), [25])
 
     def test_optimized_dominates_fixed_per_drop(self):
-        for _d, totals in iter_drop_totals(quick_cfg(), [1, 3, 5]):
-            fixed, optimized = split_comparison(totals)
-            for total in fixed.values():
-                assert optimized >= total
+        fixed, optimized = split_comparison(drop_totals(quick_cfg(), [1, 3, 5]))
+        for total in fixed.values():
+            assert np.all(optimized >= total)
 
     def test_records_shape(self):
         records = run_model_comparison(quick_cfg(), [2, 4])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semse.cli import main
 from semse.link_adaptation import (
     BUILTIN_TABLE_SHA256,
     CqiTable,
@@ -171,6 +172,38 @@ def test_cqi_table_invariants():
     bad_thr[3] = bad_thr[2]
     with pytest.raises(CqiTableError):
         CqiTable(eff, bad_thr)
+
+
+@pytest.mark.parametrize("key, column, index, value", [
+    ("cqi_4g", "threshold_db", 8, "nan"),
+    ("cqi_4g", "efficiency", 8, "nan"),
+    ("cqi_4g", "efficiency", 1, "-0.5"),
+    ("cqi_4g", "efficiency", 15, "inf"),
+    ("cqi_5g", "threshold_db", 3, "-inf"),
+])
+def test_run_rejects_non_finite_or_non_positive_cqi_entry(
+    tmp_path, capsys, key, column, index, value
+):
+    # loaded, a NaN threshold shifts the 4g mean with exit 0, and +inf fails
+    # later in the matcher with an error that names no key
+    system = SystemKind.FOUR_G if key == "cqi_4g" else SystemKind.FIVE_G
+    table = builtin_table(system)
+    lines = ["index,efficiency,threshold_db"]
+    for i, (e, t) in enumerate(zip(table.efficiencies, table.thresholds_db), start=1):
+        cells = {"efficiency": repr(float(e)), "threshold_db": repr(float(t))}
+        if i == index:
+            cells[column] = value
+        lines.append(f"{i},{cells['efficiency']},{cells['threshold_db']}")
+    (tmp_path / "table.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text(
+        f"n_drops = 3\nsystems = {system.value}\n{key} = {tmp_path / 'table.csv'}\n",
+        encoding="utf-8",
+    )
+    assert main(["run", str(scenario)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: ")
+    assert f"CQI index {index} {column} must be finite" in err
 
 
 def test_system_kind_parse():

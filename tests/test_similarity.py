@@ -265,6 +265,21 @@ class TestLoad:
         with pytest.raises(SurfaceError):
             load_surface(p)
 
+    @pytest.mark.parametrize("label, line", [("1.5", 2), ("2.9", 3), ("inf", 2), ("nan", 3)])
+    def test_rejects_non_integral_k_label(self, tmp_path, label, line):
+        # a truncated label would silently load 1.5 as k = 1
+        rows = ["1", "2"]
+        rows[line - 2] = label
+        p = self.write(tmp_path, f"k\\snr,0,10\n{rows[0]},0.2,0.9\n{rows[1]},0.3,0.95\n")
+        with pytest.raises(SurfaceError, match=rf"line {line}: k must be an integer, got '{label}'"):
+            load_surface(p)
+
+    def test_integral_float_k_label_loads(self, tmp_path):
+        p = self.write(tmp_path, "k\\snr,0,10\n1,0.2,0.9\n2.0,0.3,0.95\n")
+        s = load_surface(p)
+        assert s.k_values.tolist() == [1, 2]
+        assert s.query(2, 5.0) == pytest.approx(0.625)
+
 
 class TestSurrogate:
     def test_pinned_value(self):
