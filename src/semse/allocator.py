@@ -23,14 +23,17 @@ totals are bit-identical whichever runs.
 
 Conventional bit-pipe baselines go through the same matching with weights
 equal to their transformed semantic SE, ``metrics.equivalent_semantic_se``
-of their bit SE. All weights and totals here are normalized, i.e. expressed
-per unit of ``SourceStats.info_per_word``; the reporting layer applies that
-scale. The exhaustive joint oracle the tests compare against lives in
+of their bit SE: ``bit_se`` computes a system's bit SE, and
+``bit_pipe_weights`` transforms and floors it at one bits_per_word. All
+weights and totals here are normalized, i.e. expressed per unit of
+``SourceStats.info_per_word``; the reporting layer applies that scale.
+The exhaustive joint oracle the tests compare against lives in
 ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -51,6 +54,10 @@ class Constraints:
 
     def __post_init__(self) -> None:
         require_finite_fields(self)
+        try:
+            operator.index(self.k_max)
+        except TypeError:
+            raise ValueError(f"k_max must be an integer, got {self.k_max!r}") from None
         if self.k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
         if not 0.0 <= self.similarity_threshold <= 1.0:
@@ -79,14 +86,19 @@ def _require_k_coverage(surface: SimilaritySurface, k_max: int) -> None:
         raise ValueError(f"surface does not tabulate every k in 1..{k_max}")
 
 
+def _sse(xi, k, cons: Constraints):
+    """(normalized S-SE similarity/k, both floors met) of similarities xi at k."""
+    w = xi / k
+    return w, (xi >= cons.similarity_threshold) & (w >= cons.sse_threshold)
+
+
 def sse_at_k(surface: SimilaritySurface, k: int, located: tuple, cons: Constraints):
     """(similarity, normalized S-SE similarity/k, both floors met) of links at one k.
 
     ``located`` is ``surface.locate`` of the links' SNR.
     """
     xi = surface.interpolate(k, located)
-    w = xi / k
-    return xi, w, (xi >= cons.similarity_threshold) & (w >= cons.sse_threshold)
+    return (xi, *_sse(xi, k, cons))
 
 
 class PlanArrays(NamedTuple):
@@ -102,16 +114,49 @@ class PlanArrays(NamedTuple):
     feasible: np.ndarray
 
 
+def _k_candidates(surface: SimilaritySurface, cons: Constraints) -> tuple:
+    """(k, piece, live) of the k values that can be chosen on each SNR grid column.
+
+    Each is (slots, columns): slot s of column j holds the column's s-th
+    candidate k in ascending order and that k's linear piece there. ``live``
+    is False on padding, which holds some other k of 1..k_max, never 0, so
+    nothing is divided by 0. A k leaves a column's candidates only if, over
+    the column's SNRs,
+    - it meets the floors nowhere, or
+    - another k meets them everywhere, with a least weight above this k's
+      greatest weight.
+    Both are judged on ``piece_range``'s bounds: the scan's own similarity
+    at the column's two ends, then the scan's ``/ k`` and floor tests of
+    those. The division and the tests are monotone in the similarity too,
+    so the bounds hold for every value the scan computes there, rounding
+    included, and a k that leaves is never the first feasible k of the
+    largest weight.
+    """
+    ks = range(1, cons.k_max + 1)
+    pieces = surface.pieces(ks)
+    k = np.array(ks)[:, None]
+    lo, hi = surface.piece_range(pieces)
+    lo_w, everywhere = _sse(lo, k, cons)
+    hi_w, somewhere = _sse(hi, k, cons)
+    floor = np.where(everywhere, lo_w, -np.inf).max(axis=0)
+    candidate = somewhere & ~(floor > hi_w)
+    # stable: each column's candidates first, in ascending k
+    order = np.argsort(~candidate, axis=0, kind="stable")[:candidate.sum(axis=0).max()]
+    return order + 1, np.take_along_axis(pieces, order, 0), np.take_along_axis(candidate, order, 0)
+
+
 def build_pair_plans(
     snr_db: np.ndarray, surface: SimilaritySurface, cons: Constraints
 ) -> PlanArrays:
     """Per-pair optimal plans for SNR of shape (..., users, channels).
 
-    Locates the SNR on the surface grid once, then scans k = 1..k_max with
-    one surface-row evaluation per k over the whole array, keeping the
+    Locates the SNR on the surface grid once, then scans each pair's
+    candidate k values (``_k_candidates`` of its grid column) in ascending
+    order, one candidate slot at a time over the whole array, keeping the
     first k of the largest feasible weight, so ties break toward smaller k
-    (same SE, less latency). With both floors at 0 a pair of similarity 0
-    is feasible at k = 1 with weight 0.
+    (same SE, less latency). That is the choice a scan of every k in
+    1..k_max makes. With both floors at 0 a pair of similarity 0 is
+    feasible at k = 1 with weight 0.
     """
     _require_k_coverage(surface, cons.k_max)
     snr = np.atleast_2d(np.asarray(snr_db, dtype=float))
@@ -119,10 +164,12 @@ def build_pair_plans(
     best_xi = np.zeros(snr.shape)
     best_w = np.zeros(snr.shape)
     feasible = np.zeros(snr.shape, dtype=bool)
-    located = surface.locate(snr)
-    for k in range(1, cons.k_max + 1):
-        xi, w, take = sse_at_k(surface, k, located, cons)
-        take &= (w > best_w) | ~feasible
+    j, dx = surface.locate(snr)
+    for k_slot, piece_slot, live_slot in zip(*_k_candidates(surface, cons)):
+        k = k_slot.take(j)
+        xi = surface.evaluate(piece_slot.take(j), dx)
+        w, take = _sse(xi, k, cons)
+        take &= live_slot.take(j) & ((w > best_w) | ~feasible)
         np.copyto(best_k, k, where=take)
         np.copyto(best_xi, xi, where=take)
         np.copyto(best_w, w, where=take)
@@ -213,6 +260,11 @@ def _max_weight_stack(weights: np.ndarray) -> np.ndarray:
 
     State is held drop-minor and flat, ``x[row_or_col * drops + drop]``, so
     each step gathers with one flat index and reduces over a leading axis.
+    A search's first step is the same for every drop: all drops search, from
+    row ``cur``, with every column unscanned and ``min_val`` 0. It reads row
+    ``cur`` and the column state as contiguous (cols, drops) slices, with
+    the scan order reversed, so the tie rule reads: the lowest free tied
+    column, else the highest tied one.
     """
     n_drops, n, m = weights.shape
     drops = np.arange(n_drops)
@@ -227,35 +279,53 @@ def _max_weight_stack(weights: np.ndarray) -> np.ndarray:
     cols_seen = np.empty(m * n_drops, dtype=bool)
     scan = np.arange(m - 1, -1, -1)
     pos = np.arange(m)[:, None]
+    # (cols, drops) views for the first step, and its tie keys: tied free
+    # columns key above m, lower ones higher; other tied columns key 1..m,
+    # higher ones higher
+    w_rows = w.reshape(n, m, n_drops)
+    v_cols, dist_cols, path_cols, row_of_cols = (
+        x.reshape(m, n_drops) for x in (v, dist, path, row_of_col))
+    key_tied, key_free = pos + 1, 2 * (m - pos) - 1
     for cur in range(n):
-        dist.fill(np.inf)
         rows_seen.fill(False)
         cols_seen.fill(False)
         remaining = np.repeat(scan, n_drops)  # [p * drops + d]: d's p-th column to scan
         min_val = np.zeros(n_drops)
         sink = np.empty(n_drops, dtype=int)  # the free column each search ends at
         active = drops
-        i = np.full(n_drops, cur)
         for size in range(m, 0, -1):
-            p = pos[:size]
-            cols = remaining[p * n_drops + active]  # (size, active drops)
-            at = cols * n_drops + active
-            base = min_val[active] - u[i * n_drops + active]
-            r = base - w[at + i * (m * n_drops)] - v[at]
-            d = dist[at]
-            better = r < d
-            path[at] = np.where(better, i, path[at])
-            d = np.where(better, r, d)
-            dist[at] = d
-            # tied free columns key above size, later ones higher; other tied
-            # columns key 1..size, earlier ones higher; untied ones key 0
-            tied = d == d.min(axis=0)
-            key = tied * (size - p + (row_of_col[at] < 0) * (2 * p + 1))
-            top = key.max(axis=0)
-            index = np.where(top > size, top - size - 1, size - top)
-            pick = index * active.size + np.arange(active.size)
-            min_val[active] = d.reshape(-1)[pick]
-            j = cols.reshape(-1)[pick]
+            if size == m:  # first step: every column of every drop, dist all inf
+                base = min_val - u[cur * n_drops:(cur + 1) * n_drops]
+                r = base - w_rows[cur] - v_cols
+                better = r < np.inf
+                np.copyto(path_cols, cur, where=better)
+                d = np.where(better, r, np.inf)
+                dist_cols[...] = d
+                tied = d == d.min(axis=0)
+                top = (tied * (key_tied + (row_of_cols < 0) * key_free)).max(axis=0)
+                j = np.where(top > m, 2 * m - top, top - 1)
+                index = m - 1 - j
+                min_val = d.reshape(-1)[j * n_drops + drops]
+            else:
+                p = pos[:size]
+                cols = remaining[p * n_drops + active]  # (size, active drops)
+                at = cols * n_drops + active
+                base = min_val[active] - u[i * n_drops + active]
+                r = base - w[at + i * (m * n_drops)] - v[at]
+                d = dist[at]
+                better = r < d
+                path[at] = np.where(better, i, path[at])
+                d = np.where(better, r, d)
+                dist[at] = d
+                # tied free columns key above size, later ones higher; other
+                # tied columns key 1..size, earlier ones higher; untied ones 0
+                tied = d == d.min(axis=0)
+                key = tied * (size - p + (row_of_col[at] < 0) * (2 * p + 1))
+                top = key.max(axis=0)
+                index = np.where(top > size, top - size - 1, size - top)
+                pick = index * active.size + np.arange(active.size)
+                min_val[active] = d.reshape(-1)[pick]
+                j = cols.reshape(-1)[pick]
             j_at = j * n_drops + active
             cols_seen[j_at] = True
             remaining[index * n_drops + active] = remaining[(size - 1) * n_drops + active]
@@ -403,6 +473,21 @@ def semantic_weights(
     return weight_matrix(build_pair_plans(snr_db, surface, cons))
 
 
+def bit_se(snr_db: np.ndarray, snr_linear: np.ndarray, system: SystemKind, tables: dict):
+    """Bit-domain SE of every link of a bit-pipe system, in bits/s/Hz."""
+    if system is SystemKind.IDEAL:
+        return shannon_se(snr_linear)
+    if system in (SystemKind.FOUR_G, SystemKind.FIVE_G):
+        return table_se(tables[system], snr_db)
+    raise ValueError(f"no bit-domain baseline for {system}")
+
+
+def bit_pipe_weights(se_bits: np.ndarray, tf: TransformFactor, cons: Constraints) -> np.ndarray:
+    """Normalized semantic-SE weights of bit SE ``se_bits`` at ``tf``, floors applied."""
+    w = equivalent_semantic_se(se_bits, tf, SourceStats())
+    return np.where(w >= cons.sse_threshold, w, 0.0)
+
+
 def conventional_weights(
     snr_db: np.ndarray,
     snr_linear: np.ndarray,
@@ -411,12 +496,9 @@ def conventional_weights(
     tf: TransformFactor,
     cons: Constraints,
 ) -> np.ndarray:
-    """Normalized semantic-SE weights of a bit-pipe system, floors applied."""
-    if system is SystemKind.IDEAL:
-        se_bits = shannon_se(snr_linear)
-    elif system in (SystemKind.FOUR_G, SystemKind.FIVE_G):
-        se_bits = table_se(tables[system], snr_db)
-    else:
-        raise ValueError(f"no bit-domain baseline for {system}")
-    w = equivalent_semantic_se(se_bits, tf, SourceStats())
-    return np.where(w >= cons.sse_threshold, w, 0.0)
+    """Normalized semantic-SE weights of a bit-pipe system, floors applied.
+
+    ``bit_pipe_weights(bit_se(...), tf, cons)``; a caller weighing the same
+    links at several ``tf`` calls the two steps itself, ``bit_se`` once.
+    """
+    return bit_pipe_weights(bit_se(snr_db, snr_linear, system, tables), tf, cons)

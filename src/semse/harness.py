@@ -22,11 +22,13 @@ One block loop serves ``semse run`` and ``semse compare``. It evaluates
 blocks of whole drops, so memory does not grow with ``n_drops``; one
 ``_BLOCK_PAIRS`` budget bounds the weights one ``match_drops`` call matches.
 A block is sampled once per distinct radio and channel count among the
-sweep values, its per-pair k scan runs once over the whole block, and every
-weight stack of the sample (the semantic one, shared by every
-``bits_per_word`` value, and each bit-pipe system at each of those values)
-is matched in one call that returns per-drop totals as arrays. ``compare``
-runs the loop with the ideal and semantic systems and no sweep.
+sweep values, its per-pair k scan runs once over the whole block, each
+bit-pipe system's bit SE is computed once per block and sample and only
+transformed and floored per ``bits_per_word`` value, and every weight stack
+of the sample (the semantic one, shared by every ``bits_per_word`` value,
+and each bit-pipe system at each of those values) is matched in one call
+that returns per-drop totals as arrays. ``compare`` runs the loop with the
+ideal and semantic systems and no sweep.
 
 Each per-drop total is keyed by the (system, sweep_param, sweep_value) of
 the CSV row it averages into. ``drop_totals`` joins a row's blocks into one
@@ -269,7 +271,7 @@ def _matched_blocks(cfg: ScenarioConfig, surface: SimilaritySurface | None):
     A sample is a distinct (radio, n_channels) among the sweep values. One
     ``match_drops`` call matches all its stacks: the semantic one if
     ``surface`` is given, shared by its ``bits_per_word`` values, and each
-    bit-pipe system's at each of those values.
+    bit-pipe system's at each of those values, from one bit SE per system.
     """
     need_tables = any(s in cfg.systems for s in (SystemKind.FOUR_G, SystemKind.FIVE_G))
     tables = tables_for(cfg) if need_tables else {}
@@ -293,11 +295,11 @@ def _matched_blocks(cfg: ScenarioConfig, surface: SimilaritySurface | None):
             if surface is not None:
                 weights[0] = allocator.semantic_weights(drops.snr_db, surface, cons)
                 rows.append([_row(SystemKind.SEMANTIC, cfg.sweep_param, v) for v, _tf in group])
+            se_bits = [allocator.bit_se(drops.snr_db, drops.snr_linear, system, tables)
+                       for system in pipes]
             for value, tf in group:
-                for system in pipes:
-                    weights[len(rows)] = allocator.conventional_weights(
-                        drops.snr_db, drops.snr_linear, system, tables, tf, cons
-                    )
+                for system, se in zip(pipes, se_bits):
+                    weights[len(rows)] = allocator.bit_pipe_weights(se, tf, cons)
                     rows.append([_row(system, cfg.sweep_param, value)])
             matched = allocator.match_drops(weights.reshape(-1, cfg.n_users, n_channels))
             stacks = zip(rows, matched.total.reshape(len(rows), len(block)),

@@ -9,10 +9,14 @@ values outside the grid.
 
 The interpolation is ``np.interp``'s formula, ``slope[j] * (x - grid[j]) +
 xi[j]``, with the slopes tabulated once per surface. ``locate`` finds an
-SNR array's grid cells once, and ``interpolate`` evaluates any k-row there,
-so a scan over every k makes one bin search. The values equal
-``np.interp``'s bit for bit, at the grid ends and at +-inf too; a NaN SNR
-gives NaN (``np.interp`` returns the column's value on a one-column grid).
+SNR array's grid columns once, and ``interpolate`` evaluates any k-row
+there. Row k's stretch over one column is a linear piece: ``pieces`` names
+them, ``evaluate`` evaluates each SNR on its own piece, so a scan can read
+a different k at every SNR, and ``piece_range`` bounds what a piece can
+return, so a scan can tell which k are worth reading on a column. The
+values equal ``np.interp``'s bit for bit, at the grid ends and at +-inf
+too; a NaN SNR gives NaN (``np.interp`` returns the column's value on a
+one-column grid).
 
 A measured table can be loaded from CSV; ``default_surrogate`` builds a
 deterministic stand-in with the right qualitative shape so the rest of the
@@ -39,7 +43,13 @@ class SimilaritySurface:
     _slope: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        k = np.asarray(self.k_values, dtype=int)
+        k = np.asarray(self.k_values)
+        if k.dtype.kind not in "iuf":
+            raise SurfaceError(f"k values must be integers, got {self.k_values!r}")
+        fractional = np.flatnonzero(k != np.round(k))  # NaN and +-inf fail too
+        if fractional.size:
+            raise SurfaceError(f"k values must be integers, got {k[fractional[0]]}")
+        k = k.astype(int)
         s = np.asarray(self.snr_grid_db, dtype=float)
         # + 0.0 turns -0.0 entries into 0.0, so 0 * slope + xi at a grid point
         # is the stored entry, sign bit included
@@ -103,16 +113,45 @@ class SimilaritySurface:
         j = grid.searchsorted(x, side="right") - 1
         return j, x - grid.take(j)
 
-    def interpolate(self, k: int, located: tuple):
-        """Similarity of row k at SNRs ``locate`` returned, as np.interp computes it."""
+    def _row(self, k: int) -> int:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         try:
-            row = self._k_index[int(k)]
+            return self._k_index[int(k)]
         except KeyError:
             raise ValueError(f"k={k} is not tabulated in this surface") from None
+
+    def pieces(self, k_values) -> np.ndarray:
+        """Linear pieces of the rows k_values, shape (len(k_values), grid columns).
+
+        Piece [r, j] is row k_values[r] on the SNRs ``locate`` puts in column
+        j: from grid[j] up to grid[j + 1], or the last grid point alone.
+        ``evaluate`` and ``piece_range`` take these indices.
+        """
+        rows = np.array([self._row(k) for k in k_values])
+        columns = self.snr_grid_db.size
+        return rows[:, None] * columns + np.arange(columns)
+
+    def evaluate(self, piece, dx):
+        """``slope * dx + xi`` of each linear piece at offset dx past its grid column."""
+        return self._slope.take(piece) * dx + self.xi.take(piece)
+
+    def piece_range(self, piece) -> tuple:
+        """(least, greatest) value ``evaluate`` returns on each piece's SNRs.
+
+        ``locate`` puts column j's SNRs at offsets dx from 0 up to the float
+        grid[j + 1] - grid[j] (0 alone on the last column). The slope is >= 0
+        and a rounded product or sum is non-decreasing in each operand, so
+        ``evaluate`` is non-decreasing in dx, and its own values at those two
+        offsets bound every value it returns there, rounding included.
+        """
+        widths = np.append(np.diff(self.snr_grid_db), 0.0)
+        return self.evaluate(piece, 0.0), self.evaluate(piece, widths.take(piece % widths.size))
+
+    def interpolate(self, k: int, located: tuple):
+        """Similarity of row k at SNRs ``locate`` returned, as np.interp computes it."""
         j, dx = located
-        return self._slope[row].take(j) * dx + self.xi[row].take(j)
+        return self.evaluate(self._row(k) * self.snr_grid_db.size + j, dx)
 
     def query(self, k: int, snr_db):
         """Similarity of row k at snr_db; k must be tabulated exactly.

@@ -1,8 +1,9 @@
 """Reference implementations the tests compare the allocator against.
 
 ``best_pair_plan`` is the scalar k scan that ``allocator.build_pair_plans``
-vectorizes; ``brute_force_links`` enumerates every injective
-user-to-channel map jointly with every per-user k, and
+vectorizes, and ``full_k_scan`` the array scan of every k in 1..k_max that
+its candidate-k scan must equal; ``brute_force_links`` enumerates every
+injective user-to-channel map jointly with every per-user k, and
 ``brute_force_allocation`` reports its optimum as an ``Assignment``.
 """
 
@@ -10,7 +11,7 @@ import itertools
 
 import numpy as np
 
-from semse.allocator import Assignment, Constraints, PlanArrays, _require_k_coverage
+from semse.allocator import Assignment, Constraints, PlanArrays, _require_k_coverage, sse_at_k
 from semse.similarity import SimilaritySurface
 
 # largest joint k-combination tensor the oracle materializes at once;
@@ -38,6 +39,29 @@ def best_pair_plan(surface: SimilaritySurface, snr_db: float, cons: Constraints)
     if best_k is None:
         return PlanArrays(0, 0.0, 0.0, False)
     return PlanArrays(best_k, best_xi, best_w, True)
+
+
+def full_k_scan(snr_db, surface: SimilaritySurface, cons: Constraints) -> PlanArrays:
+    """``build_pair_plans`` by evaluating every k = 1..k_max at every pair.
+
+    One ``sse_at_k`` pass over the whole array per k, in ascending order,
+    keeping the first k of the largest feasible weight.
+    """
+    _require_k_coverage(surface, cons.k_max)
+    snr = np.atleast_2d(np.asarray(snr_db, dtype=float))
+    best_k = np.zeros(snr.shape, dtype=int)
+    best_xi = np.zeros(snr.shape)
+    best_w = np.zeros(snr.shape)
+    feasible = np.zeros(snr.shape, dtype=bool)
+    located = surface.locate(snr)
+    for k in range(1, cons.k_max + 1):
+        xi, w, take = sse_at_k(surface, k, located, cons)
+        take &= (w > best_w) | ~feasible
+        np.copyto(best_k, k, where=take)
+        np.copyto(best_xi, xi, where=take)
+        np.copyto(best_w, w, where=take)
+        feasible |= take
+    return PlanArrays(best_k, best_xi, best_w, feasible)
 
 
 def brute_force_links(

@@ -3,13 +3,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from semse import allocator, harness
 from semse.allocator import (
     Assignment,
     Constraints,
+    _k_candidates,
     _matches_stacked,
     build_pair_plans,
     conventional_weights,
@@ -20,7 +21,7 @@ from semse.allocator import (
 from semse.channel import RadioParams, sample_drop, sample_drops
 from semse.link_adaptation import SystemKind, builtin_table
 from semse.metrics import TransformFactor
-from semse.similarity import SimilaritySurface, default_surrogate
+from semse.similarity import SimilaritySurface, SurfaceError, default_surrogate
 
 import oracles
 from oracles import best_pair_plan, brute_force_allocation, brute_force_links
@@ -172,6 +173,100 @@ class TestBuildPairPlans:
         assert np.all(plans.similarity[~ok] == 0.0)
 
 
+@st.composite
+def k_scan_cases(draw):
+    """(surface, constraints, SNRs) at the edges of the candidate-k table.
+
+    Rows are non-decreasing in SNR and cross each other, or are also
+    non-decreasing in k; entries come from a few values whose weights tie
+    across k, or anywhere in [0, 1]. Grids are uneven, some spacings tiny
+    enough for steep rows, and the surface may tabulate k beyond k_max.
+    Floors include 0, 1 and table values and weights, each possibly 1 ulp
+    off; SNRs sit on grid points, 1 ulp either side of them, off the grid at
+    both ends, at +-inf and NaN.
+    """
+    k_max = draw(st.integers(1, 6))
+    ks = list(range(1, k_max + 1 + draw(st.integers(0, 2))))
+    grid = sorted(draw(st.lists(
+        st.one_of(st.floats(-60.0, 60.0), st.floats(-1e-300, 1e-300), st.floats(-1e306, 1e306)),
+        min_size=1, max_size=6, unique=True,
+    )))
+    entry = st.one_of(st.sampled_from([0.0, 0.3, 0.45, 0.6, 0.9, 1.0]), st.floats(0.0, 1.0))
+    row = st.lists(entry, min_size=len(grid), max_size=len(grid)).map(sorted)
+    xi = np.array([draw(row) for _ in ks])
+    if draw(st.booleans()):
+        xi = np.sort(xi, axis=0)
+    try:
+        surface = SimilaritySurface(ks, grid, xi)
+    except SurfaceError as exc:
+        assert "slope" in str(exc)
+        assume(False)
+    g = np.asarray(grid)
+    snr = np.concatenate([
+        g, np.nextafter(g, -np.inf), np.nextafter(g, np.inf),
+        [g[0] - 1.0, g[-1] + 1.0, -1e308, 1e308, -np.inf, np.inf, np.nan],
+        draw(st.lists(st.floats(-100.0, 100.0), max_size=4)),
+    ])
+    # similarities and weights the scan computes at those SNRs but NaN
+    values = np.stack([surface.query(k, snr[~np.isnan(snr)]) for k in range(1, k_max + 1)])
+    weights = values / np.arange(1, k_max + 1)[:, None]
+    near = st.sampled_from([0, 0, -1, 1]).map(lambda step: lambda x: (
+        x if step == 0 else float(np.nextafter(x, step * np.inf))))
+    sim = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0),
+                         st.sampled_from(values.ravel().tolist()).map(draw(near))))
+    sse = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0),
+                         st.sampled_from(weights.ravel().tolist()).map(draw(near))))
+    cons = Constraints(k_max, min(max(sim, 0.0), 1.0), max(sse, 0.0))
+    return surface, cons, snr
+
+
+# One grid column over which the float interpolation ends 1 ulp above the
+# next grid value: at 1 ulp below 0.10879241866929235 dB, k = 1 reads
+# 0.9820047109996625 where the table holds 0.9820047109996624
+STEEP_GRID = [-28.210547596904338, 0.10879241866929235]
+STEEP_ROW = [0.0027001174570217, 0.9820047109996624]
+STEEP_SNR = np.array([np.nextafter(STEEP_GRID[1], -np.inf)])
+# the same 1 ulp on a second column, read against a flat k = 2 row that ties it
+TIE_GRID = [-13.732821800622304, 0.16461453027374873]
+TIE_ROWS = [[0.02385863771416319, 0.49003477547050817], [0.9800695509410164] * 2]
+TIE_SNR = np.array([np.nextafter(TIE_GRID[1], -np.inf)])
+
+
+class TestCandidateKScan:
+    """The candidate-k scan chooses what a scan of every k chooses, to the bit."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(k_scan_cases())
+    @example((SimilaritySurface([1], STEEP_GRID, [STEEP_ROW]),
+              Constraints(1, 0.9820047109996625, 0.0), STEEP_SNR))
+    @example((SimilaritySurface([1], STEEP_GRID, [STEEP_ROW]),
+              Constraints(1, 0.0, 0.9820047109996625), STEEP_SNR))
+    @example((SimilaritySurface([1, 2], TIE_GRID, TIE_ROWS), Constraints(2, 0.0, 0.0), TIE_SNR))
+    @example((flat_surface([0.5, 1.0, 0.9]), Constraints(3, 0.0, 0.0), np.array([0.0])))
+    @example((default_surrogate(5), Constraints(5, 1.0, 0.0), np.array([20.0, np.nan])))
+    def test_equals_full_scan_bit_for_bit(self, case):
+        surface, cons, snr = case
+        got = build_pair_plans(snr, surface, cons)
+        want = oracles.full_k_scan(snr, surface, cons)
+        assert got.k.dtype == want.k.dtype and np.array_equal(got.k, want.k)
+        assert np.array_equal(got.feasible, want.feasible)
+        for a, b in ((got.similarity, want.similarity), (got.weight, want.weight)):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    def test_surrogate_columns_hold_at_most_two_candidates(self):
+        for floors in ((0.9, 0.025), (0.9, 0.0)):
+            k, _piece, live = _k_candidates(default_surrogate(20), Constraints(20, *floors))
+            assert len(k) == 2 and live.any()
+
+
+class TestConstraints:
+    @pytest.mark.parametrize("k_max", [2.5, 2.0])
+    def test_non_integer_k_max_rejected(self, k_max):
+        # 2.5 used to fail inside build_pair_plans with a TypeError from range()
+        with pytest.raises(ValueError, match=f"k_max must be an integer, got {k_max!r}"):
+            Constraints(k_max=k_max)
+
+
 class TestHungarian:
     def test_identity_weights(self):
         w = np.eye(4)
@@ -315,6 +410,36 @@ class TestStackedMatcher:
             totals, channels = per_drop_matches(stack)
             assert got.total.tolist() == totals
             assert np.array_equal(got.channel, channels)
+
+    @staticmethod
+    def assert_stacked_equals_per_drop(w):
+        for stack in (w, w.transpose(0, 2, 1)):
+            got = _matches_stacked(stack)
+            totals, channels = per_drop_matches(stack)
+            assert got.total.tolist() == totals
+            assert np.array_equal(got.channel, channels)
+
+    def test_every_search_ends_at_its_first_step(self):
+        # each row's heaviest column is its own and still free when it searches
+        rng = np.random.default_rng(31)
+        w = rng.uniform(0.0, 0.4, size=(70, 5, 7))
+        for d in range(len(w)):
+            w[d, np.arange(5), rng.permutation(7)[:5]] = rng.uniform(0.5, 1.0, 5)
+        self.assert_stacked_equals_per_drop(w)
+
+    def test_every_search_collides_on_one_column(self):
+        rng = np.random.default_rng(32)
+        w = rng.uniform(0.0, 0.4, size=(70, 5, 6))
+        w[:, :, 2] = 1.0
+        self.assert_stacked_equals_per_drop(w)
+
+    def test_all_zero_stack(self):
+        self.assert_stacked_equals_per_drop(np.zeros((70, 4, 6)))
+
+    @pytest.mark.parametrize("shape", [(70, 1, 1), (70, 1, 5), (70, 5, 1)])
+    def test_single_row_or_column(self, shape):
+        w = np.random.default_rng(33).uniform(0.0, 1.0, size=shape).round(1)
+        self.assert_stacked_equals_per_drop(w)
 
     @pytest.mark.parametrize("shape", [(2, 120, 80), (64, 20, 20), (500, 5, 5)])
     def test_match_drops_equals_per_drop_hungarian(self, shape):

@@ -104,6 +104,16 @@ class TestValidation:
                 np.array([2, 2]), np.array([0.0]), np.array([[0.5], [0.5]])
             )
 
+    @pytest.mark.parametrize("k, bad", [([1.5, 2.9], "1.5"), ([1.0, np.nan], "nan")])
+    def test_non_integer_k_rejected(self, k, bad):
+        # [1.5, 2.9] used to become k [1, 2] silently, so query(1, 5.0) read 0.55
+        with pytest.raises(SurfaceError, match=f"k values must be integers, got {bad}"):
+            SimilaritySurface(k, [0.0, 10.0], [[0.5, 0.6], [0.7, 0.8]])
+
+    def test_integral_float_k_accepted(self):
+        s = SimilaritySurface([1.0, 2.0], [0.0, 10.0], [[0.5, 0.6], [0.7, 0.8]])
+        assert s.k_values.tolist() == [1, 2] and s.query(2, 0.0) == 0.7
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(SurfaceError):
             SimilaritySurface(np.array([1, 2]), np.array([0.0]), np.array([[0.5]]))
