@@ -181,9 +181,9 @@ def k_scan_cases(draw):
     non-decreasing in k; entries come from a few values whose weights tie
     across k, or anywhere in [0, 1]. Grids are uneven, some spacings tiny
     enough for steep rows, and the surface may tabulate k beyond k_max.
-    Floors include 0, 1 and table values and weights, each possibly 1 ulp
-    off; SNRs sit on grid points, 1 ulp either side of them, off the grid at
-    both ends, at +-inf and NaN.
+    SNRs sit on grid points, 1 ulp either side of them, off the grid at both
+    ends, at +-inf and NaN; floors include 0, 1 and the similarities and
+    weights the scan computes at those SNRs, each possibly 1 ulp off.
     """
     k_max = draw(st.integers(1, 6))
     ks = list(range(1, k_max + 1 + draw(st.integers(0, 2))))
