@@ -219,11 +219,11 @@ def sample_drops(
         rng.random(out=uniform[d])
         rng.standard_normal(out=normal[d])
         rng.standard_exponential(out=fading[d])
-    shadow_db = 0.0 + params.shadow_sigma_db * normal
     fading = np.ascontiguousarray(fading.transpose(0, 2, 1))
     distances = np.maximum(params.cell_radius_km * np.sqrt(uniform), MIN_DISTANCE_KM)
 
     with np.errstate(over="ignore", invalid="ignore"):
+        shadow_db = 0.0 + params.shadow_sigma_db * normal
         loss_db = pathloss_db(distances, params) + shadow_db
         gain = db_to_linear(-loss_db)
     # a loss above about 3233 dB underflows the gain to 0, one below -3083 dB overflows it

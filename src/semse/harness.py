@@ -18,28 +18,32 @@ swept parameter, never to sampling noise. Sweeping ``n_channels`` extends
 drops without re-randomizing existing links (see ``channel.sample_drops``),
 so per-drop totals are exactly monotone in the channel count.
 
-One block loop serves ``semse run`` and ``semse compare``. It evaluates
-blocks of whole drops, so memory does not grow with ``n_drops``; one
-``_BLOCK_PAIRS`` budget bounds the weights one ``match_drops`` call matches.
-A block is sampled once per distinct radio and channel count among the
-sweep values, its per-pair k scan runs once over the whole block, each
-bit-pipe system's bit SE is computed once per block and sample and only
-transformed and floored per ``bits_per_word`` value, and every weight stack
-of the sample (the semantic one, shared by every ``bits_per_word`` value,
-and each bit-pipe system at each of those values) is matched in one call
-that returns per-drop totals as arrays. ``compare`` runs the loop with the
-ideal and semantic systems and no sweep.
+One block loop serves ``semse run`` and ``semse compare``. It runs over
+the samples, each a distinct radio and channel count among the sweep
+values, and evaluates each sample in blocks of whole drops, so memory does
+not grow with ``n_drops``. A sample's blocks are sized from its own weights
+per drop, so that one ``match_drops`` call matches at most ``_BLOCK_PAIRS``
+weights. A block's per-pair k scan runs once over the whole block, each
+bit-pipe system's bit SE is computed once per block and only transformed
+and floored per ``bits_per_word`` value, and every weight stack of the
+sample (the semantic one, shared by every ``bits_per_word`` value, and each
+bit-pipe system at each of those values) is matched in one call that
+returns per-drop totals as arrays. ``compare`` runs the loop with the ideal
+and semantic systems and no sweep.
 
 Each per-drop total is keyed by the (system, sweep_param, sweep_value) of
 the CSV row it averages into. ``drop_totals`` joins a row's blocks into one
 (n_drops,) array, and the CSV row is that array's mean and standard error,
-scaled by the source's ``info_per_word``. Totals stay arrays until then.
+scaled by the source's ``info_per_word``. Totals stay arrays until then, and
+the rows are those keys, in the block loop's order.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -223,7 +227,11 @@ def load_scenario(path) -> ScenarioConfig:
 def surface_for(cfg: ScenarioConfig) -> SimilaritySurface:
     if cfg.surface_source == "surrogate":
         return default_surrogate(cfg.constraints.k_max)
-    return load_surface(cfg.surface_source)
+    surface = load_surface(cfg.surface_source)
+    if not surface.covers_k_range(cfg.constraints.k_max):
+        raise ScenarioError(f"surface {cfg.surface_source} does not tabulate every k in "
+                            f"1..k_max = {cfg.constraints.k_max}")
+    return surface
 
 
 def tables_for(cfg: ScenarioConfig) -> dict[SystemKind, CqiTable]:
@@ -256,56 +264,49 @@ def _blocks(n_drops: int, weights_per_drop: int):
         yield range(start, min(start + size, n_drops))
 
 
-def _sweep_values(cfg: ScenarioConfig) -> tuple:
-    return cfg.sweep_values if cfg.sweep_param else (None,)
-
-
 def _row(system: SystemKind, sweep_param: str | None, value) -> tuple:
     """Key (system, sweep_param, sweep_value) of the CSV row a total averages into."""
     return system, sweep_param or "none", 0.0 if value is None else float(value)
 
 
 def _matched_blocks(cfg: ScenarioConfig, surface: SimilaritySurface | None):
-    """Yield (drops, {row key: DropMatches}) per block and sample, blocks in order.
+    """Yield (drops, {row key: DropMatches}) per sample and block, blocks in order.
 
     A sample is a distinct (radio, n_channels) among the sweep values. One
-    ``match_drops`` call matches all its stacks: the semantic one if
-    ``surface`` is given, shared by its ``bits_per_word`` values, and each
+    ``match_drops`` call per block matches all its stacks: the semantic one
+    if ``surface`` is given, shared by its ``bits_per_word`` values, and each
     bit-pipe system's at each of those values, from one bit SE per system.
+    The sample's blocks are sized from its own weights per drop.
     """
     need_tables = any(s in cfg.systems for s in (SystemKind.FOUR_G, SystemKind.FIVE_G))
     tables = tables_for(cfg) if need_tables else {}
     cons = cfg.constraints
     pipes = [s for s in cfg.systems if s is not SystemKind.SEMANTIC]
+    first_pipe = int(surface is not None)  # stack index of the first bit-pipe stack
     samples: dict = {}  # (radio, n_channels) -> [(sweep_value, tf), ...]
-    for value in _sweep_values(cfg):
+    for value in cfg.sweep_values if cfg.sweep_param else (None,):
         radio, n_channels, tf = _apply_sweep(cfg, value)
         samples.setdefault((radio, n_channels), []).append((value, tf))
-    n_stacks = {key: (surface is not None) + len(pipes) * len(group)
-                for key, group in samples.items()}
-    weights_per_drop = max(cfg.n_users * n_channels * n_stacks[radio, n_channels]
-                           for radio, n_channels in samples)
-    for block in _blocks(cfg.n_drops, weights_per_drop):
-        seeds = [cfg.base_seed + d for d in block]
-        for (radio, n_channels), group in samples.items():
+    for (radio, n_channels), group in samples.items():
+        # stack s holds the weights of every row in rows[s]
+        rows = [[_row(system, cfg.sweep_param, value)] for value, _tf in group for system in pipes]
+        if surface is not None:
+            rows.insert(0, [_row(SystemKind.SEMANTIC, cfg.sweep_param, v) for v, _tf in group])
+        for block in _blocks(cfg.n_drops, cfg.n_users * n_channels * len(rows)):
+            seeds = [cfg.base_seed + d for d in block]
             drops = sample_drops(cfg.n_users, n_channels, radio, seeds)
-            # stack s holds the weights of every row in rows[s]
-            weights = np.empty((n_stacks[radio, n_channels], *drops.snr_db.shape))
-            rows = []
+            weights = np.empty((len(rows), *drops.snr_db.shape))
             if surface is not None:
                 weights[0] = allocator.semantic_weights(drops.snr_db, surface, cons)
-                rows.append([_row(SystemKind.SEMANTIC, cfg.sweep_param, v) for v, _tf in group])
             se_bits = [allocator.bit_se(drops.snr_db, drops.snr_linear, system, tables)
                        for system in pipes]
-            for value, tf in group:
-                for system, se in zip(pipes, se_bits):
-                    weights[len(rows)] = allocator.bit_pipe_weights(se, tf, cons)
-                    rows.append([_row(system, cfg.sweep_param, value)])
+            for s, ((_value, tf), se) in enumerate(itertools.product(group, se_bits), first_pipe):
+                weights[s] = allocator.bit_pipe_weights(se, tf, cons)
             matched = allocator.match_drops(weights.reshape(-1, cfg.n_users, n_channels))
-            stacks = zip(rows, matched.total.reshape(len(rows), len(block)),
-                         matched.channel.reshape(len(rows), len(block), cfg.n_users))
+            per_stack = zip(rows, matched.total.reshape(len(rows), len(block)),
+                            matched.channel.reshape(len(rows), len(block), cfg.n_users))
             yield drops, {row: DropMatches(total, channel)
-                          for names, total, channel in stacks for row in names}
+                          for names, total, channel in per_stack for row in names}
 
 
 def drop_totals(cfg: ScenarioConfig, fixed_k_values: list[int] | None) -> dict:
@@ -355,28 +356,27 @@ def drop_totals(cfg: ScenarioConfig, fixed_k_values: list[int] | None) -> dict:
     return {row: np.concatenate(p) for row, p in parts.items()}
 
 
-def _records(cfg: ScenarioConfig, rows: list, fixed_k_values: list[int] | None):
-    """A record per row key, in order: its totals' mean and std error times info_per_word."""
-    by_row = drop_totals(cfg, fixed_k_values)
-    assert by_row.keys() == set(rows), f"block rows {list(by_row)} are not the records' {rows}"
+def _records(cfg: ScenarioConfig, fixed_k_values: list[int] | None):
+    """A record per ``drop_totals`` row, in order: its mean and std error times info_per_word."""
     n, scale = cfg.n_drops, cfg.src.info_per_word
     records = []
-    for row in rows:
-        totals = by_row[row]
+    for row, totals in drop_totals(cfg, fixed_k_values).items():
         mean = float(totals.mean()) * scale
         stderr = 0.0 if n == 1 else float(totals.std(ddof=1)) / math.sqrt(n) * scale
         if not (math.isfinite(mean) and math.isfinite(stderr)):
             raise ValueError(f"the {row[0].value} mean S-SE or its std error "
                              f"overflows at info_per_word = {scale}")
+        # a subnormal float has lost digits, so it would print a wrong value
+        if any(0.0 < abs(x) < sys.float_info.min for x in (mean, stderr)):
+            raise ValueError(f"the {row[0].value} mean S-SE or its std error "
+                             f"underflows at info_per_word = {scale}")
         records.append(SweepRecord(*row, mean, stderr, n))
     return records
 
 
 def run_scenario(cfg: ScenarioConfig) -> list[SweepRecord]:
     """Run the configured sweep and return one record per (system, value)."""
-    rows = [_row(system, cfg.sweep_param, value)
-            for value in _sweep_values(cfg) for system in cfg.systems]
-    return _records(cfg, rows, None)
+    return _records(cfg, None)
 
 
 def crossover_bits_per_word(records: list[SweepRecord]) -> dict[SystemKind, float]:
@@ -413,9 +413,7 @@ def run_model_comparison(
     One record per fixed k (sweep_param ``fixed_k``) plus one for the joint
     optimization (sweep_param ``optimized_k``, sweep_value 0).
     """
-    rows = [(SystemKind.SEMANTIC, "fixed_k", float(k)) for k in fixed_k_values]
-    rows.append((SystemKind.SEMANTIC, "optimized_k", 0.0))
-    return _records(cfg, rows, fixed_k_values)
+    return _records(cfg, fixed_k_values)
 
 
 def format_csv(records: list[SweepRecord]) -> str:

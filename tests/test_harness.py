@@ -182,11 +182,17 @@ class TestRunScenario:
         assert semantic_only == full_semantic
 
     def test_record_per_system_and_value(self):
-        cfg = quick_cfg(sweep_param="tx_power_dbm", sweep_values=(0.0, 10.0))
-        records = run_scenario(cfg)
-        assert len(records) == len(ALL_SYSTEMS) * 2
-        assert all(r.n_drops == 20 for r in records)
-        assert all(r.mean_total_sse >= 0 and r.std_error >= 0 for r in records)
+        systems = (SystemKind.FIVE_G, SystemKind.SEMANTIC, SystemKind.IDEAL)
+        sweeps = {"tx_power_dbm": (0.0, 10.0), "n_channels": (4.0, 1.0, 2.0)}
+        for sweep_param, values in sweeps.items():
+            cfg = quick_cfg(systems=systems, sweep_param=sweep_param, sweep_values=values)
+            records = run_scenario(cfg)
+            assert len(records) == len(systems) * len(values)
+            assert {(r.system, r.sweep_param, r.sweep_value) for r in records} == {
+                (system, sweep_param, value) for system in systems for value in values
+            }
+            assert all(r.n_drops == 20 for r in records)
+            assert all(r.mean_total_sse >= 0 and r.std_error >= 0 for r in records)
 
     def test_bits_per_word_sweep_scales_conventional_exactly(self):
         cfg = quick_cfg(
@@ -247,6 +253,9 @@ class TestBlocks:
         for seeds, shape in zip(blocks, shapes):
             assert shape[0] == stacks * len(seeds)
             assert len(seeds) == 1 or np.prod(shape) <= _BLOCK_PAIRS
+            # a sample's blocks but its last are as large as its own weights allow
+            if seeds[-1] != cfg.base_seed + cfg.n_drops - 1:
+                assert len(seeds) == max(1, _BLOCK_PAIRS // (stacks * shape[1] * shape[2]))
         seeds = [s for block in blocks for s in block]
         every_seed = range(cfg.base_seed, cfg.base_seed + cfg.n_drops)
         assert sorted(seeds) == sorted([*every_seed] * samples)
@@ -527,6 +536,16 @@ class TestCli:
             captured = capsys.readouterr()
             assert f"{key} = {float(value)}" in captured.err
             assert captured.out == ""
+
+    @pytest.mark.parametrize("command, flags", [("run", []), ("compare", ["--k", "1,2"])])
+    def test_surface_missing_a_k_is_rejected_by_key(self, tmp_path, capsys, command, flags):
+        # used to exit 1 with build_pair_plans' message, which names neither key
+        surface = write_scenario(tmp_path, "k\\snr,0,10\n1,0.2,0.9\n2,0.3,0.95\n", "surf.csv")
+        scenario = write_scenario(tmp_path, f"n_drops = 3\nsurface = {surface}\n")
+        assert main([command, str(scenario), *flags]) == 1
+        captured = capsys.readouterr()
+        assert f"surface {surface} does not tabulate every k in 1..k_max = 20" in captured.err
+        assert captured.out == ""
 
     def test_crossover_emitted_on_bits_per_word_sweep(self, tmp_path, capsys):
         scenario = write_scenario(

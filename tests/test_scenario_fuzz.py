@@ -6,6 +6,7 @@ channels at most 6, n_drops at most 3, k_max at most 26) so each run is
 quick.
 """
 
+import sys
 import tempfile
 from pathlib import Path
 
@@ -112,3 +113,26 @@ def test_run_exits_0_1_or_2(text):
         assert code in (0, 1, 2)
         if code == 0:
             assert out.read_text(encoding="utf-8").startswith(CSV_HEADER)
+
+
+# No silent wrong answer: an extreme float either exits 1 naming its key, or
+# runs and prints only means and std errors that are 0 or normal floats (a
+# subnormal has lost digits). No RuntimeWarning filter here, so any numpy
+# warning fails the test.
+@pytest.mark.parametrize("value", ["1e308", "-1e308", "1e-310", "5e-324"])
+@pytest.mark.parametrize("key", sorted(_FLOAT_KEYS))
+def test_extreme_float_is_rejected_by_key_or_printed_exactly(tmp_path, capsys, key, value):
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text(f"n_drops = 3\n{key} = {value}\n", encoding="utf-8")
+    code = main(["run", str(scenario)])
+    captured = capsys.readouterr()
+    assert code in (0, 1)
+    if code == 1:
+        assert key in captured.err
+        return
+    lines = captured.out.splitlines()
+    assert lines[0] == CSV_HEADER and len(lines) > 1
+    for line in lines[1:]:
+        for printed in line.split(",")[3:5]:
+            x = abs(float(printed))
+            assert x == 0.0 or sys.float_info.min <= x < float("inf"), line
