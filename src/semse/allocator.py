@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .link_adaptation import SystemKind, shannon_se, table_se
-from .metrics import SourceStats, TransformFactor, equivalent_semantic_se, require_finite_fields
+from .metrics import SourceStats, TransformFactor, require_finite_fields, semantic_se_of_bits
 from .similarity import SimilaritySurface
 
 
@@ -259,83 +259,86 @@ def _max_weight_stack(weights: np.ndarray) -> np.ndarray:
     (drops, rows).
 
     State is held drop-minor and flat, ``x[row_or_col * drops + drop]``, so
-    each step gathers with one flat index and reduces over a leading axis.
-    A search's first step is the same for every drop: all drops search, from
-    row ``cur``, with every column unscanned and ``min_val`` 0. It reads row
-    ``cur`` and the column state as contiguous (cols, drops) slices, with
-    the scan order reversed, so the tie rule reads: the lowest free tied
-    column, else the highest tied one.
+    each step gathers with one flat index and reduces over a leading axis. A
+    drop-minor stack, one whose ``transpose(1, 2, 0)`` is C-contiguous, is
+    read without a copy. Rows are stored in the narrowest integer type that
+    holds them. A step picks its column by the largest of small integer tie
+    keys (``_tie_keys``). A search's first step is the same for every drop:
+    all drops search, from row ``cur``, with every column unscanned and
+    ``min_val`` 0. It computes the reduced costs in place in the column
+    state's contiguous (cols, drops) slices, in reversed scan order.
     """
     n_drops, n, m = weights.shape
     drops = np.arange(n_drops)
-    w = np.ascontiguousarray(weights.transpose(1, 2, 0)).reshape(-1)
+    w = np.ascontiguousarray(weights.transpose(1, 2, 0)).reshape(n, m * n_drops)
     u = np.zeros(n * n_drops)
     v = np.zeros(m * n_drops)
     col_of_row = np.full(n * n_drops, -1)
-    row_of_col = np.full(m * n_drops, -1)
-    path = np.full(m * n_drops, -1)
+    row_type = np.min_scalar_type(-n)  # holds -1 and every row
+    row_of_col = np.full(m * n_drops, -1, dtype=row_type)
+    path = np.full(m * n_drops, -1, dtype=row_type)
     dist = np.empty(m * n_drops)
+    # [p * drops + d]: the flat offset, column * drops + d, of drop d's p-th column to scan
+    remaining = np.empty(m * n_drops, dtype=int)
     rows_seen = np.empty(n * n_drops, dtype=bool)  # rows other than ``cur``
     cols_seen = np.empty(m * n_drops, dtype=bool)
-    scan = np.arange(m - 1, -1, -1)
-    pos = np.arange(m)[:, None]
-    # (cols, drops) views for the first step, and its tie keys: tied free
-    # columns key above m, lower ones higher; other tied columns key 1..m,
-    # higher ones higher
-    w_rows = w.reshape(n, m, n_drops)
+    key_free, key_other, position = _tie_keys(m)
+    at_pos = np.arange(m)[:, None] * n_drops  # [p]: offset of scan position p
+    # (cols, drops) views for the first step; column c is scan position m-1-c
     v_cols, dist_cols, path_cols, row_of_cols = (
         x.reshape(m, n_drops) for x in (v, dist, path, row_of_col))
-    key_tied, key_free = pos + 1, 2 * (m - pos) - 1
+    free_first, other_first = key_free[::-1], key_other[::-1]
     for cur in range(n):
         rows_seen.fill(False)
         cols_seen.fill(False)
-        remaining = np.repeat(scan, n_drops)  # [p * drops + d]: d's p-th column to scan
+        np.add(at_pos[::-1], drops, out=remaining.reshape(m, n_drops))
         min_val = np.zeros(n_drops)
         sink = np.empty(n_drops, dtype=int)  # the free column each search ends at
         active = drops
         for size in range(m, 0, -1):
             if size == m:  # first step: every column of every drop, dist all inf
                 base = min_val - u[cur * n_drops:(cur + 1) * n_drops]
-                r = base - w_rows[cur] - v_cols
+                r = np.subtract(base, w[cur].reshape(m, n_drops), out=dist_cols)
+                np.subtract(r, v_cols, out=r)
                 better = r < np.inf
                 np.copyto(path_cols, cur, where=better)
-                d = np.where(better, r, np.inf)
-                dist_cols[...] = d
-                tied = d == d.min(axis=0)
-                top = (tied * (key_tied + (row_of_cols < 0) * key_free)).max(axis=0)
-                j = np.where(top > m, 2 * m - top, top - 1)
-                index = m - 1 - j
-                min_val = d.reshape(-1)[j * n_drops + drops]
+                np.copyto(dist_cols, np.inf, where=~better)
+                key = np.where(row_of_cols < 0, free_first, other_first)
+                key *= dist_cols == dist_cols.min(axis=0)
+                index = position[key.max(axis=0)]
+                j = m - 1 - index
+                j_at = j * n_drops + drops
+                min_val = dist[j_at]
             else:
-                p = pos[:size]
-                cols = remaining[p * n_drops + active]  # (size, active drops)
-                at = cols * n_drops + active
-                base = min_val[active] - u[i * n_drops + active]
-                r = base - w[at + i * (m * n_drops)] - v[at]
+                at = remaining[at_pos[:size] + active]  # (size, active drops)
+                r = w[i, at]
+                np.subtract(min_val[active] - u[i_at], r, out=r)
+                r -= v[at]
                 d = dist[at]
                 better = r < d
-                path[at] = np.where(better, i, path[at])
-                d = np.where(better, r, d)
+                path_at = path[at]
+                np.copyto(path_at, i, where=better)
+                path[at] = path_at
+                np.copyto(d, r, where=better)
+                del r  # frees a (size, active) float array for the tie keys
                 dist[at] = d
-                # tied free columns key above size, later ones higher; other
-                # tied columns key 1..size, earlier ones higher; untied ones 0
-                tied = d == d.min(axis=0)
-                key = tied * (size - p + (row_of_col[at] < 0) * (2 * p + 1))
-                top = key.max(axis=0)
-                index = np.where(top > size, top - size - 1, size - top)
+                key = np.where(row_of_col[at] < 0, key_free[:size], key_other[:size])
+                key *= d == d.min(axis=0)
+                index = position[key.max(axis=0)]
                 pick = index * active.size + np.arange(active.size)
                 min_val[active] = d.reshape(-1)[pick]
-                j = cols.reshape(-1)[pick]
-            j_at = j * n_drops + active
+                j_at = at.reshape(-1)[pick]
+                j = j_at // n_drops
             cols_seen[j_at] = True
-            remaining[index * n_drops + active] = remaining[(size - 1) * n_drops + active]
+            remaining[index * n_drops + active] = remaining[at_pos[size - 1] + active]
             i = row_of_col[j_at]
             done = i < 0
             sink[active[done]] = j[done]
             active, i = active[~done], i[~done]
             if not active.size:
                 break
-            rows_seen[i * n_drops + active] = True
+            i_at = np.multiply(i, n_drops, dtype=np.intp) + active
+            rows_seen[i_at] = True
         u[cur * n_drops:(cur + 1) * n_drops] += min_val
         seen = np.flatnonzero(rows_seen)
         d_of = seen % n_drops
@@ -347,11 +350,27 @@ def _max_weight_stack(weights: np.ndarray) -> np.ndarray:
             j_at = j * n_drops + active
             i = path[j_at]
             row_of_col[j_at] = i
-            i_at = i * n_drops + active
+            i_at = np.multiply(i, n_drops, dtype=np.intp) + active
             col_of_row[i_at], j = j, col_of_row[i_at]
             keep = i != cur
             active, j = active[keep], j[keep]
     return col_of_row.reshape(n, n_drops).T
+
+
+def _tie_keys(size: int) -> tuple:
+    """(free, other, position) tie keys of a scan of ``size`` columns.
+
+    A step keys each tied column by its scan position p: ``free[p]``
+    (size+1..2*size, later ones higher) if the column is free, else
+    ``other[p]`` (1..size, earlier ones higher), and every untied column 0,
+    all in the narrowest unsigned type. The largest key is then the scalar
+    tie rule's pick, and ``position[key]`` is its p. A scan over the first
+    s < size positions keeps that order with ``free[:s]`` and ``other[:s]``.
+    """
+    p = np.arange(size)[:, None]
+    key_type = np.min_scalar_type(2 * size)
+    position = np.concatenate((np.arange(size, -1, -1), np.arange(size)))
+    return (size + 1 + p).astype(key_type), (size - p).astype(key_type), position
 
 
 def _checked_weights(weights, ndim: int) -> np.ndarray:
@@ -483,8 +502,12 @@ def bit_se(snr_db: np.ndarray, snr_linear: np.ndarray, system: SystemKind, table
 
 
 def bit_pipe_weights(se_bits: np.ndarray, tf: TransformFactor, cons: Constraints) -> np.ndarray:
-    """Normalized semantic-SE weights of bit SE ``se_bits`` at ``tf``, floors applied."""
-    w = equivalent_semantic_se(se_bits, tf, SourceStats())
+    """Normalized semantic-SE weights of ``bit_se`` output ``se_bits`` at ``tf``, floors applied.
+
+    ``bit_se`` is never negative, so this applies the bit-to-S-SE formula
+    without ``equivalent_semantic_se``'s scan for negative entries.
+    """
+    w = semantic_se_of_bits(se_bits, tf, SourceStats())
     return np.where(w >= cons.sse_threshold, w, 0.0)
 
 

@@ -21,15 +21,18 @@ so per-drop totals are exactly monotone in the channel count.
 One block loop serves ``semse run`` and ``semse compare``. It runs over
 the samples, each a distinct radio and channel count among the sweep
 values, and evaluates each sample in blocks of whole drops, so memory does
-not grow with ``n_drops``. A sample's blocks are sized from its own weights
-per drop, so that one ``match_drops`` call matches at most ``_BLOCK_PAIRS``
-weights. A block's per-pair k scan runs once over the whole block, each
-bit-pipe system's bit SE is computed once per block and only transformed
-and floored per ``bits_per_word`` value, and every weight stack of the
-sample (the semantic one, shared by every ``bits_per_word`` value, and each
-bit-pipe system at each of those values) is matched in one call that
-returns per-drop totals as arrays. ``compare`` runs the loop with the ideal
-and semantic systems and no sweep.
+not grow with ``n_drops``. A sample's blocks are sized from its own pairs
+and stacks per drop under two budgets: a block holds at most
+``_BLOCK_PAIRS`` pairs (users x channels x drops), which bounds sampling
+and the k scan, and at most ``_CALL_WEIGHTS`` weights (pairs x stacks),
+which bounds the matcher; it always holds at least one drop. A block's
+per-pair k scan runs once over the whole block, each bit-pipe system's bit
+SE is computed once per block and only transformed and floored per
+``bits_per_word`` value, and every weight stack of the sample (the
+semantic one, shared by every ``bits_per_word`` value, and each bit-pipe
+system at each of those values) is written into one drop-minor buffer and
+matched in one call that returns per-drop totals as arrays. ``compare``
+runs the loop with the ideal and semantic systems and no sweep.
 
 Each per-drop total is keyed by the (system, sweep_param, sweep_value) of
 the CSV row it averages into. ``drop_totals`` joins a row's blocks into one
@@ -62,12 +65,19 @@ _csv_number = "{:.6g}".format  # how the results CSV prints every number
 
 _SYSTEM_ORDER = {kind: i for i, kind in enumerate(SystemKind)}
 
-# Most weights (users x channels x stacks) matched in one call; a block holds
-# at least one drop. The stacked matcher's temporaries take about 37 bytes a
-# weight: 1 << 16 raised the CLI's peak RSS on a bits_per_word sweep by 6%,
-# 1 << 15 by under 3%, and 1 << 14 left a 500-drop 5x5 scenario no faster
-# than one call per system.
-_BLOCK_PAIRS = 1 << 15
+# Most pairs (users x channels) a drop may have: numpy cannot size a float
+# array of more
+_MAX_DROP_PAIRS = np.iinfo(np.intp).max // np.dtype(float).itemsize
+
+# A block holds at least one drop, and otherwise as many as both budgets
+# allow. Most pairs (users x channels x drops) in one block: this bounds
+# sampling and the k scan, and keeps a 120 x 80 sample at one drop per block.
+_BLOCK_PAIRS = 1 << 14
+# Most weights (pairs x stacks) in one match_drops call: this bounds the
+# weight buffer (8 bytes a weight) and the stacked matcher's working set
+# (about 15 bytes a weight on a 5 x 5 stack), and lets the shipped 500-drop
+# scenario and 200-drop bits_per_word sweep match in one call each.
+_CALL_WEIGHTS = 1 << 17
 
 
 class ScenarioError(ValueError):
@@ -99,6 +109,12 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.n_users < 1 or self.n_channels < 1:
             raise ScenarioError("n_users and n_channels must be >= 1")
+        if self.n_users > _MAX_DROP_PAIRS:
+            raise ScenarioError(f"n_users must be at most {_MAX_DROP_PAIRS}, got {self.n_users}")
+        max_channels = _MAX_DROP_PAIRS // self.n_users
+        if self.n_channels > max_channels:
+            raise ScenarioError(f"n_channels must be at most {max_channels} with n_users = "
+                                f"{self.n_users}, got {self.n_channels}")
         if self.n_drops < 1:
             raise ScenarioError("n_drops must be >= 1")
         if self.base_seed < 0:
@@ -129,6 +145,9 @@ class ScenarioConfig:
             if self.sweep_param == "n_channels":
                 if any(v != int(v) or v < 1 for v in self.sweep_values):
                     raise ScenarioError("n_channels sweep values must be integers >= 1")
+                if any(v > max_channels for v in self.sweep_values):
+                    raise ScenarioError(f"n_channels sweep_values must be at most {max_channels} "
+                                        f"with n_users = {self.n_users}, got {self.sweep_values}")
             if self.sweep_param == "bits_per_word" and any(
                 v <= 0 for v in self.sweep_values
             ):
@@ -257,9 +276,10 @@ def _apply_sweep(cfg: ScenarioConfig, value):
     return radio, n_channels, tf
 
 
-def _blocks(n_drops: int, weights_per_drop: int):
+def _blocks(n_drops: int, pairs_per_drop: int, stacks: int):
     """Drop-index ranges of the evaluation blocks, in order."""
-    size = max(1, _BLOCK_PAIRS // weights_per_drop)
+    weights_per_drop = pairs_per_drop * stacks
+    size = max(1, min(_BLOCK_PAIRS // pairs_per_drop, _CALL_WEIGHTS // weights_per_drop))
     for start in range(0, n_drops, size):
         yield range(start, min(start + size, n_drops))
 
@@ -276,7 +296,7 @@ def _matched_blocks(cfg: ScenarioConfig, surface: SimilaritySurface | None):
     ``match_drops`` call per block matches all its stacks: the semantic one
     if ``surface`` is given, shared by its ``bits_per_word`` values, and each
     bit-pipe system's at each of those values, from one bit SE per system.
-    The sample's blocks are sized from its own weights per drop.
+    The sample's blocks are sized from its own pairs and stacks per drop.
     """
     need_tables = any(s in cfg.systems for s in (SystemKind.FOUR_G, SystemKind.FIVE_G))
     tables = tables_for(cfg) if need_tables else {}
@@ -292,10 +312,13 @@ def _matched_blocks(cfg: ScenarioConfig, surface: SimilaritySurface | None):
         rows = [[_row(system, cfg.sweep_param, value)] for value, _tf in group for system in pipes]
         if surface is not None:
             rows.insert(0, [_row(SystemKind.SEMANTIC, cfg.sweep_param, v) for v, _tf in group])
-        for block in _blocks(cfg.n_drops, cfg.n_users * n_channels * len(rows)):
+        for block in _blocks(cfg.n_drops, cfg.n_users * n_channels, len(rows)):
             seeds = [cfg.base_seed + d for d in block]
             drops = sample_drops(cfg.n_users, n_channels, radio, seeds)
-            weights = np.empty((len(rows), *drops.snr_db.shape))
+            # a (stacks, drops, users, channels) view of a drop-minor buffer,
+            # which match_drops reads without a copy
+            shape = (cfg.n_users, n_channels, len(rows), len(block))
+            weights = np.empty(shape).transpose(2, 3, 0, 1)
             if surface is not None:
                 weights[0] = allocator.semantic_weights(drops.snr_db, surface, cons)
             se_bits = [allocator.bit_se(drops.snr_db, drops.snr_linear, system, tables)
@@ -356,13 +379,25 @@ def drop_totals(cfg: ScenarioConfig, fixed_k_values: list[int] | None) -> dict:
     return {row: np.concatenate(p) for row, p in parts.items()}
 
 
+def _std(totals: np.ndarray) -> float:
+    """Sample standard deviation of ``totals``, computed on them scaled by a power of two.
+
+    The scale brings the largest magnitude into [0.5, 1), so the squared
+    deviations of tiny totals do not underflow, nor those of huge ones
+    overflow. It is exact in the normal range, where the result equals
+    ``totals.std(ddof=1)`` bit for bit.
+    """
+    _, e = np.frexp(np.abs(totals).max())
+    return float(np.ldexp(np.ldexp(totals, -e).std(ddof=1), e))
+
+
 def _records(cfg: ScenarioConfig, fixed_k_values: list[int] | None):
     """A record per ``drop_totals`` row, in order: its mean and std error times info_per_word."""
     n, scale = cfg.n_drops, cfg.src.info_per_word
     records = []
     for row, totals in drop_totals(cfg, fixed_k_values).items():
         mean = float(totals.mean()) * scale
-        stderr = 0.0 if n == 1 else float(totals.std(ddof=1)) / math.sqrt(n) * scale
+        stderr = 0.0 if n == 1 else _std(totals) / math.sqrt(n) * scale
         if not (math.isfinite(mean) and math.isfinite(stderr)):
             raise ValueError(f"the {row[0].value} mean S-SE or its std error "
                              f"overflows at info_per_word = {scale}")

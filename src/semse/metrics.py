@@ -55,6 +55,21 @@ class TransformFactor:
             raise ValueError(f"bits_per_word must be > 0, got {self.bits_per_word}")
 
 
+def semantic_se_of_bits(se: np.ndarray, tf: TransformFactor, src: SourceStats) -> np.ndarray:
+    """se / mu * (I/L) of a float array ``se`` of bit SE, every entry >= 0.
+
+    The formula of ``equivalent_semantic_se``, without its input check, for
+    callers whose bit SE is non-negative by construction. Raises ValueError
+    if the result overflows.
+    """
+    try:
+        with np.errstate(over="raise"):
+            return se / tf.bits_per_word * src.info_per_word
+    except FloatingPointError:
+        raise ValueError(f"S-SE overflows at bits_per_word = {tf.bits_per_word}, "
+                         f"info_per_word = {src.info_per_word}") from None
+
+
 def equivalent_semantic_se(se_bits, tf: TransformFactor, src: SourceStats):
     """Semantic SE equivalent of a bit-domain SE: se_bits / mu * (I/L).
 
@@ -63,10 +78,5 @@ def equivalent_semantic_se(se_bits, tf: TransformFactor, src: SourceStats):
     se = np.asarray(se_bits, dtype=float)
     if np.any(se < 0):
         raise ValueError("bit-domain spectral efficiency must be >= 0")
-    try:
-        with np.errstate(over="raise"):
-            out = se / tf.bits_per_word * src.info_per_word
-    except FloatingPointError:
-        raise ValueError(f"S-SE overflows at bits_per_word = {tf.bits_per_word}, "
-                         f"info_per_word = {src.info_per_word}") from None
+    out = semantic_se_of_bits(se, tf, src)
     return float(out) if out.ndim == 0 else out

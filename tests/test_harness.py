@@ -1,5 +1,7 @@
 import dataclasses
 import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,6 @@ import pytest
 from semse import allocator, harness
 from semse.cli import main
 from semse.harness import (
-    _BLOCK_PAIRS,
     _FLOAT_KEYS,
     CSV_HEADER,
     ScenarioConfig,
@@ -39,6 +40,9 @@ ALL_SYSTEMS = (
     SystemKind.FOUR_G,
     SystemKind.FIVE_G,
 )
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def write_scenario(tmp_path, text, name="scenario.txt"):
@@ -221,16 +225,31 @@ class TestRunScenario:
 
 
 class TestBlocks:
-    """Drops evaluated in blocks give the totals of one drop solved at a time."""
+    """Drops evaluated in blocks give the totals of one drop solved at a time.
+
+    Both budgets are set small here, so that every case spans several blocks
+    whatever values the harness ships.
+    """
+
+    PAIRS, WEIGHTS = 1 << 10, 1 << 12
+
+    @pytest.fixture(autouse=True)
+    def small_budgets(self, monkeypatch):
+        monkeypatch.setattr(harness, "_BLOCK_PAIRS", self.PAIRS)
+        monkeypatch.setattr(harness, "_CALL_WEIGHTS", self.WEIGHTS)
 
     @pytest.mark.parametrize("kw, fixed_k, stacks, samples", [
+        # the weight budget binds: 10 stacks of 36 pairs
         (dict(n_users=6, n_channels=6, n_drops=100, sweep_param="bits_per_word",
               sweep_values=(10.0, 20.0, 40.0)), None, 10, 1),
         (dict(n_users=6, n_channels=6, n_drops=300, sweep_param="tx_power_dbm",
               sweep_values=(0.0, 10.0)), None, 4, 2),
         (dict(n_users=6, n_drops=300, sweep_param="n_channels", sweep_values=(2.0, 5.0)),
          None, 4, 2),
-        (dict(n_users=100, n_channels=100, n_drops=2), None, 4, 1),  # one drop per block
+        # the pair budget binds: one stack
+        (dict(n_users=6, n_channels=6, n_drops=300, systems=(SystemKind.SEMANTIC,)),
+         None, 1, 1),
+        (dict(n_users=40, n_channels=40, n_drops=2), None, 4, 1),  # one drop per block
         (dict(n_users=6, n_channels=6, n_drops=1000), [1, 2], 2, 1),
     ])
     def test_one_match_drops_call_per_block_and_sample(
@@ -252,17 +271,21 @@ class TestBlocks:
         assert len(shapes) == len(blocks) > samples
         for seeds, shape in zip(blocks, shapes):
             assert shape[0] == stacks * len(seeds)
-            assert len(seeds) == 1 or np.prod(shape) <= _BLOCK_PAIRS
-            # a sample's blocks but its last are as large as its own weights allow
+            pairs = shape[1] * shape[2]
+            assert len(seeds) == 1 or (
+                pairs * len(seeds) <= self.PAIRS and np.prod(shape) <= self.WEIGHTS
+            )
+            # a sample's blocks but its last are as large as both budgets allow
             if seeds[-1] != cfg.base_seed + cfg.n_drops - 1:
-                assert len(seeds) == max(1, _BLOCK_PAIRS // (stacks * shape[1] * shape[2]))
+                most = min(self.PAIRS // pairs, self.WEIGHTS // (stacks * pairs))
+                assert len(seeds) == max(1, most)
         seeds = [s for block in blocks for s in block]
         every_seed = range(cfg.base_seed, cfg.base_seed + cfg.n_drops)
         assert sorted(seeds) == sorted([*every_seed] * samples)
 
     def big_cfg(self, **kw):
         cfg = quick_cfg(n_users=60, n_channels=60, n_drops=20, base_seed=3, **kw)
-        assert cfg.n_users * cfg.n_channels * cfg.n_drops > _BLOCK_PAIRS
+        assert cfg.n_users * cfg.n_channels * cfg.n_drops > harness._BLOCK_PAIRS
         return cfg
 
     def test_totals_past_the_pair_budget_equal_single_drop_solves(self):
@@ -335,6 +358,51 @@ class TestBlocks:
             row: float(np.mean(totals)) * cfg.src.info_per_word for row, totals in by_row.items()
         }
         assert all(len(totals) == cfg.n_drops for totals in by_row.values())
+
+
+class TestBlockBudgets:
+    """The shipped budgets: one call per shipped scenario, one drop of a large cell per block."""
+
+    @pytest.mark.parametrize("stacks", [1, 4, 16])
+    def test_a_sample_of_9600_pairs_per_drop_keeps_one_drop_per_block(self, stacks):
+        assert list(harness._blocks(3, 120 * 80, stacks)) == [range(d, d + 1) for d in range(3)]
+
+    @pytest.mark.parametrize("name, fixed_k, stacks", [
+        ("default.txt", None, 4),
+        ("bits_per_word_sweep.txt", None, 16),
+        ("default.txt", [1, 2, 3, 4, 5], 2),
+    ])
+    def test_shipped_scenarios_match_in_one_call(self, monkeypatch, name, fixed_k, stacks):
+        cfg = load_scenario(SCENARIOS / name)
+        shapes = []
+        real = allocator.match_drops
+        monkeypatch.setattr(allocator, "match_drops", lambda w: shapes.append(w.shape) or real(w))
+        if fixed_k:
+            run_model_comparison(cfg, fixed_k)
+        else:
+            run_scenario(cfg)
+        assert shapes == [(stacks * cfg.n_drops, cfg.n_users, cfg.n_channels)]
+
+    def test_sweep_stack_reaches_the_matcher_uncopied_in_16_bytes_a_weight(self, monkeypatch):
+        stacks, seen = [], []
+        real_match, real_stack = allocator.match_drops, allocator._max_weight_stack
+        monkeypatch.setattr(allocator, "match_drops", lambda w: stacks.append(w) or real_match(w))
+        monkeypatch.setattr(
+            allocator, "_max_weight_stack", lambda w: seen.append(w) or real_stack(w)
+        )
+        run_scenario(load_scenario(SCENARIOS / "bits_per_word_sweep.txt"))
+        (stack,), (matched,) = stacks, seen
+        assert stack.shape == (3200, 5, 5)
+        # the matcher's drop-minor copy, ascontiguousarray(w.transpose(1, 2, 0)), is the stack
+        assert np.shares_memory(np.ascontiguousarray(matched.transpose(1, 2, 0)), stack)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            real_match(stack)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * stack.size
 
 
 class TestCrossover:

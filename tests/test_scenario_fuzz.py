@@ -14,8 +14,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semse.allocator import Constraints
 from semse.cli import main
-from semse.harness import _FLOAT_KEYS, _INT_KEYS, _LIST_KEYS, _STR_KEYS, CSV_HEADER, SWEEPABLE
+from semse.harness import (
+    _FLOAT_KEYS,
+    _INT_KEYS,
+    _LIST_KEYS,
+    _STR_KEYS,
+    CSV_HEADER,
+    SWEEPABLE,
+    ScenarioConfig,
+    run_scenario,
+)
+from semse.link_adaptation import SystemKind
+from semse.metrics import TransformFactor
 
 
 def floats(lo, hi):
@@ -136,3 +148,29 @@ def test_extreme_float_is_rejected_by_key_or_printed_exactly(tmp_path, capsys, k
         for printed in line.split(",")[3:5]:
             x = abs(float(printed))
             assert x == 0.0 or sys.float_info.min <= x < float("inf"), line
+
+
+def test_std_error_of_tiny_totals_keeps_its_digits():
+    # at bits_per_word = 1e300 the ideal totals are about 1e-299: their
+    # squared deviations underflow unless the totals are scaled first
+    std = {}
+    for mu in (10.0, 1e300):
+        cfg = ScenarioConfig(n_drops=3, constraints=Constraints(sse_threshold=0.0),
+                             tf=TransformFactor(mu))
+        std[mu] = next(r.std_error for r in run_scenario(cfg) if r.system is SystemKind.IDEAL)
+    assert std[10.0] == pytest.approx(0.297795, rel=1e-6)
+    assert std[1e300] * 1e299 == pytest.approx(std[10.0], rel=1e-6)
+
+
+# Each size is rejected before any array is built.
+@pytest.mark.parametrize("text, key", [
+    ("n_users = 100000000000000000000", "n_users"),
+    ("n_channels = 100000000000000000000", "n_channels"),
+    ("n_users = 3000000000\nn_channels = 3000000000", "n_channels"),
+    ("sweep_param = n_channels\nsweep_values = 10, 1e308", "sweep_values"),
+])
+def test_size_numpy_cannot_index_is_rejected_by_key(tmp_path, capsys, text, key):
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text(f"n_drops = 3\n{text}\n", encoding="utf-8")
+    assert main(["run", str(scenario)]) == 1
+    assert key in capsys.readouterr().err
