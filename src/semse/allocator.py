@@ -261,11 +261,11 @@ def _max_weight_stack(weights: np.ndarray) -> np.ndarray:
     State is held drop-minor and flat, ``x[row_or_col * drops + drop]``, so
     each step gathers with one flat index and reduces over a leading axis. A
     drop-minor stack, one whose ``transpose(1, 2, 0)`` is C-contiguous, is
-    read without a copy. Rows are stored in the narrowest integer type that
-    holds them. A step picks its column by the largest of small integer tie
-    keys (``_tie_keys``). A search's first step is the same for every drop:
-    all drops search, from row ``cur``, with every column unscanned and
-    ``min_val`` 0. It computes the reduced costs in place in the column
+    read without a copy. Rows and columns are stored in the narrowest integer
+    types that hold them, and a step picks its column by the largest of
+    small integer tie keys. A search's first step is the same for every
+    drop: all drops search, from row ``cur``, with every column unscanned
+    and ``min_val`` 0. It computes the reduced costs in place in the column
     state's contiguous (cols, drops) slices, in reversed scan order.
     """
     n_drops, n, m = weights.shape
@@ -273,8 +273,9 @@ def _max_weight_stack(weights: np.ndarray) -> np.ndarray:
     w = np.ascontiguousarray(weights.transpose(1, 2, 0)).reshape(n, m * n_drops)
     u = np.zeros(n * n_drops)
     v = np.zeros(m * n_drops)
-    col_of_row = np.full(n * n_drops, -1)
-    row_type = np.min_scalar_type(-n)  # holds -1 and every row
+    # columns and rows in the narrowest signed types that hold them and -1
+    col_of_row = np.full(n * n_drops, -1, dtype=np.min_scalar_type(-m))
+    row_type = np.min_scalar_type(-n)
     row_of_col = np.full(m * n_drops, -1, dtype=row_type)
     path = np.full(m * n_drops, -1, dtype=row_type)
     dist = np.empty(m * n_drops)
@@ -282,8 +283,16 @@ def _max_weight_stack(weights: np.ndarray) -> np.ndarray:
     remaining = np.empty(m * n_drops, dtype=int)
     rows_seen = np.empty(n * n_drops, dtype=bool)  # rows other than ``cur``
     cols_seen = np.empty(m * n_drops, dtype=bool)
-    key_free, key_other, position = _tie_keys(m)
-    at_pos = np.arange(m)[:, None] * n_drops  # [p]: offset of scan position p
+    # Tie keys by scan position p, in the narrowest unsigned type: a tied
+    # free column keys m+1+p (later ones higher), another tied column m-p
+    # (earlier ones higher), an untied one 0. The largest key is then the
+    # scalar tie rule's pick and position[key] its p; a scan of the first s
+    # positions keeps that order with key_free[:s] and key_other[:s].
+    p = np.arange(m)[:, None]
+    key_type = np.min_scalar_type(2 * m)
+    key_free, key_other = (m + 1 + p).astype(key_type), (m - p).astype(key_type)
+    position = np.concatenate((np.arange(m, -1, -1), np.arange(m)))
+    at_pos = p * n_drops  # [p]: offset of scan position p
     # (cols, drops) views for the first step; column c is scan position m-1-c
     v_cols, dist_cols, path_cols, row_of_cols = (
         x.reshape(m, n_drops) for x in (v, dist, path, row_of_col))
@@ -299,6 +308,7 @@ def _max_weight_stack(weights: np.ndarray) -> np.ndarray:
             if size == m:  # first step: every column of every drop, dist all inf
                 base = min_val - u[cur * n_drops:(cur + 1) * n_drops]
                 r = np.subtract(base, w[cur].reshape(m, n_drops), out=dist_cols)
+                del base
                 np.subtract(r, v_cols, out=r)
                 better = r < np.inf
                 np.copyto(path_cols, cur, where=better)
@@ -306,8 +316,7 @@ def _max_weight_stack(weights: np.ndarray) -> np.ndarray:
                 key = np.where(row_of_cols < 0, free_first, other_first)
                 key *= dist_cols == dist_cols.min(axis=0)
                 index = position[key.max(axis=0)]
-                j = m - 1 - index
-                j_at = j * n_drops + drops
+                j_at = (m - 1 - index) * n_drops + drops
                 min_val = dist[j_at]
             else:
                 at = remaining[at_pos[:size] + active]  # (size, active drops)
@@ -328,12 +337,11 @@ def _max_weight_stack(weights: np.ndarray) -> np.ndarray:
                 pick = index * active.size + np.arange(active.size)
                 min_val[active] = d.reshape(-1)[pick]
                 j_at = at.reshape(-1)[pick]
-                j = j_at // n_drops
             cols_seen[j_at] = True
             remaining[index * n_drops + active] = remaining[at_pos[size - 1] + active]
             i = row_of_col[j_at]
             done = i < 0
-            sink[active[done]] = j[done]
+            sink[active[done]] = j_at[done] // n_drops
             active, i = active[~done], i[~done]
             if not active.size:
                 break
@@ -342,35 +350,20 @@ def _max_weight_stack(weights: np.ndarray) -> np.ndarray:
         u[cur * n_drops:(cur + 1) * n_drops] += min_val
         seen = np.flatnonzero(rows_seen)
         d_of = seen % n_drops
-        u[seen] += min_val[d_of] - dist[col_of_row[seen] * n_drops + d_of]
+        u[seen] += min_val[d_of] - dist[
+            np.multiply(col_of_row[seen], n_drops, dtype=np.intp) + d_of]
         seen = np.flatnonzero(cols_seen)
         v[seen] -= min_val[seen % n_drops] - dist[seen]
         active, j = drops, sink
         while active.size:  # augment along each path back to row ``cur``
-            j_at = j * n_drops + active
+            j_at = np.multiply(j, n_drops, dtype=np.intp) + active
             i = path[j_at]
             row_of_col[j_at] = i
             i_at = np.multiply(i, n_drops, dtype=np.intp) + active
             col_of_row[i_at], j = j, col_of_row[i_at]
             keep = i != cur
             active, j = active[keep], j[keep]
-    return col_of_row.reshape(n, n_drops).T
-
-
-def _tie_keys(size: int) -> tuple:
-    """(free, other, position) tie keys of a scan of ``size`` columns.
-
-    A step keys each tied column by its scan position p: ``free[p]``
-    (size+1..2*size, later ones higher) if the column is free, else
-    ``other[p]`` (1..size, earlier ones higher), and every untied column 0,
-    all in the narrowest unsigned type. The largest key is then the scalar
-    tie rule's pick, and ``position[key]`` is its p. A scan over the first
-    s < size positions keeps that order with ``free[:s]`` and ``other[:s]``.
-    """
-    p = np.arange(size)[:, None]
-    key_type = np.min_scalar_type(2 * size)
-    position = np.concatenate((np.arange(size, -1, -1), np.arange(size)))
-    return (size + 1 + p).astype(key_type), (size - p).astype(key_type), position
+    return col_of_row.reshape(n, n_drops).T.astype(int)
 
 
 def _checked_weights(weights, ndim: int) -> np.ndarray:
