@@ -249,7 +249,7 @@ class TestBlocks:
         # the pair budget binds: one stack
         (dict(n_users=6, n_channels=6, n_drops=300, systems=(SystemKind.SEMANTIC,)),
          None, 1, 1),
-        (dict(n_users=40, n_channels=40, n_drops=2), None, 4, 1),  # one drop per block
+        (dict(n_users=100, n_channels=100, n_drops=2), None, 4, 1),  # one drop per block
         (dict(n_users=6, n_channels=6, n_drops=1000), [1, 2], 2, 1),
     ])
     def test_one_match_drops_call_per_block_and_sample(
