@@ -316,17 +316,21 @@ def _matched_blocks(cfg: ScenarioConfig, surface: SimilaritySurface | None):
         for block in _blocks(cfg.n_drops, cfg.n_users * n_channels, len(rows)):
             seeds = [cfg.base_seed + d for d in block]
             drops = sample_drops(cfg.n_users, n_channels, radio, seeds)
+            # the k scan runs before the weight buffer exists, so that their
+            # peaks do not add
+            semantic = (allocator.semantic_weights(drops.snr_db, surface, cons)
+                        if surface is not None else None)
             # a (stacks, drops, users, channels) view of a drop-minor buffer,
             # which match_drops reads without a copy
             shape = (cfg.n_users, n_channels, len(rows), len(block))
             weights = np.empty(shape).transpose(2, 3, 0, 1)
-            if surface is not None:
-                weights[0] = allocator.semantic_weights(drops.snr_db, surface, cons)
+            if semantic is not None:
+                weights[0] = semantic
             se_bits = [allocator.bit_se(drops.snr_db, drops.snr_linear, system, tables)
                        for system in pipes]
             for s, ((_value, tf), se) in enumerate(itertools.product(group, se_bits), first_pipe):
                 weights[s] = allocator.bit_pipe_weights(se, tf, cons)
-            del se_bits  # before matching: 0.13 MiB less peak RSS on the bits_per_word sweep
+            del se_bits, semantic  # freed before the matcher allocates its working set
             matched = allocator.match_drops(weights.reshape(-1, cfg.n_users, n_channels))
             per_stack = zip(rows, matched.total.reshape(len(rows), len(block)),
                             matched.channel.reshape(len(rows), len(block), cfg.n_users))
