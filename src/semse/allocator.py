@@ -302,7 +302,7 @@ def _max_weight_stack(weights: np.ndarray) -> np.ndarray:
         cols_seen.fill(False)
         np.add(at_pos[::-1], drops, out=remaining.reshape(m, n_drops))
         min_val = np.zeros(n_drops)
-        sink = np.empty(n_drops, dtype=int)  # the free column each search ends at
+        sink = np.empty(n_drops, dtype=int)  # flat offset of the free column each search ends at
         active = drops
         for size in range(m, 0, -1):
             if size == m:  # first step: every column of every drop, dist all inf
@@ -334,15 +334,16 @@ def _max_weight_stack(weights: np.ndarray) -> np.ndarray:
                 key = np.where(row_of_col[at] < 0, key_free[:size], key_other[:size])
                 key *= d == d.min(axis=0)
                 index = position[key.max(axis=0)]
-                pick = index * active.size + np.arange(active.size)
+                pick = index * active.size + drops[:active.size]
                 min_val[active] = d.reshape(-1)[pick]
                 j_at = at.reshape(-1)[pick]
             cols_seen[j_at] = True
             remaining[index * n_drops + active] = remaining[at_pos[size - 1] + active]
             i = row_of_col[j_at]
             done = i < 0
-            sink[active[done]] = j_at[done] // n_drops
-            active, i = active[~done], i[~done]
+            sink[active[done]] = j_at[done]
+            searching = ~done
+            active, i = active[searching], i[searching]
             if not active.size:
                 break
             i_at = np.multiply(i, n_drops, dtype=np.intp) + active
@@ -354,7 +355,7 @@ def _max_weight_stack(weights: np.ndarray) -> np.ndarray:
             np.multiply(col_of_row[seen], n_drops, dtype=np.intp) + d_of]
         seen = np.flatnonzero(cols_seen)
         v[seen] -= min_val[seen % n_drops] - dist[seen]
-        active, j = drops, sink
+        active, j = drops, sink // n_drops
         while active.size:  # augment along each path back to row ``cur``
             j_at = np.multiply(j, n_drops, dtype=np.intp) + active
             i = path[j_at]
