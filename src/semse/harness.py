@@ -332,6 +332,7 @@ def _matched_blocks(cfg: ScenarioConfig, surface: SimilaritySurface | None):
                 weights[s] = allocator.bit_pipe_weights(se, tf, cons)
             del se_bits, semantic  # freed before the matcher allocates its working set
             matched = allocator.match_drops(weights.reshape(-1, cfg.n_users, n_channels))
+            del weights  # freed before the next block samples
             per_stack = zip(rows, matched.total.reshape(len(rows), len(block)),
                             matched.channel.reshape(len(rows), len(block), cfg.n_users))
             yield drops, {row: DropMatches(total, channel)
