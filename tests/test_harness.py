@@ -246,11 +246,11 @@ class TestBlocks:
               sweep_values=(0.0, 10.0)), None, 4, 2),
         (dict(n_users=6, n_drops=300, sweep_param="n_channels", sweep_values=(2.0, 5.0)),
          None, 4, 2),
+        (dict(n_users=100, n_channels=100, n_drops=2), None, 4, 1),  # one drop per block
+        (dict(n_users=6, n_channels=6, n_drops=1000), [1, 2], 2, 1),
         # the pair budget binds: one stack
         (dict(n_users=6, n_channels=6, n_drops=300, systems=(SystemKind.SEMANTIC,)),
          None, 1, 1),
-        (dict(n_users=100, n_channels=100, n_drops=2), None, 4, 1),  # one drop per block
-        (dict(n_users=6, n_channels=6, n_drops=1000), [1, 2], 2, 1),
     ])
     def test_one_match_drops_call_per_block_and_sample(
         self, monkeypatch, kw, fixed_k, stacks, samples
