@@ -19,7 +19,12 @@ a matched pair (i, j) has k ``plans.k[i, j]`` and similarity
 drops: from ``_STACK_MIN_DROPS`` drops up it runs every drop's search at
 once, with numpy over the drop axis, and below that it calls
 ``hungarian_max`` per drop. Both find each drop the same matching, so the
-totals are bit-identical whichever runs.
+totals are bit-identical whichever runs. ``hungarian_max``'s search scans
+only the matched columns a search has not picked, and finds the free ones
+from each row's columns sorted by descending weight: a free column's dual is
+still exactly 0, so a row's best free columns are its heaviest free ones.
+That skips only comparisons whose outcome is known, so it keeps the full
+scan's every step and matching (see ``_max_weight_rect``).
 
 Conventional bit-pipe baselines go through the same matching with weights
 equal to their transformed semantic SE, ``metrics.equivalent_semantic_se``
@@ -181,17 +186,36 @@ def weight_matrix(plans: PlanArrays) -> np.ndarray:
     return plans.weight
 
 
-def _max_weight_rect(weights: list[list[float]]) -> list[int]:
+def _max_weight_rect(weights: list[list[float]], order: list[list[int]]) -> list[int]:
     """Maximum-weight assignment of every row of a rectangular weight matrix.
 
-    ``weights`` is a list of rows with no more rows than columns. Returns
-    ``col_of_row``. Shortest augmenting path on the costs ``-weights``
-    (Crouse, "On implementing 2D rectangular assignment algorithms", IEEE
-    TAES 2016): each row grows one Dijkstra search over the columns not yet
-    reached, preferring a free column on ties so the search ends early, and
-    the duals are updated once per augmentation. O(rows^2 * cols) in the
-    worst case. The reduced cost ``base - row[j] - v[j]`` is bit-identical
-    to ``base + (-row[j]) - v[j]``, so no negated copy is made.
+    ``weights`` is a list of rows with no more rows than columns, and
+    ``order[i]`` lists row i's columns by descending weight, ties in any
+    order. Returns ``col_of_row``. Shortest augmenting path on the costs
+    ``-weights`` (Crouse, "On implementing 2D rectangular assignment
+    algorithms", IEEE TAES 2016): each row grows one Dijkstra search over
+    the columns not yet reached, preferring a free column on ties so the
+    search ends early, and the duals are updated once per augmentation.
+    O(rows^2 * cols) in the worst case. The reduced cost ``base - row[j] -
+    v[j]`` is bit-identical to ``base + (-row[j]) - v[j]``, so no negated
+    copy is made.
+
+    Each step scans only the matched columns the search has not picked; the
+    free columns are found from ``order``. This is exact, step for step:
+    - a free column has never been picked, so its dual ``v`` is still
+      exactly 0.0, and a matched column never becomes free again;
+    - so row i reaches a free column j at ``base - row[j]``, which rounding
+      keeps non-increasing in ``row[j]``: row i's best free columns are a
+      prefix of ``order[i]`` past its matched columns, and a pointer per
+      row only moves forward;
+    - a free column's distance is the least of those values over the rows
+      the search has seen, reached first by the first row to attain it.
+    A step compares the least matched distance with the least free one over
+    the rows seen and applies the plain scan's tie rule; the float
+    expressions and dual updates are the plain scan's, so every matrix gets
+    its matching bit for bit (``tests/oracles.py`` keeps that scan). The
+    argument needs each step's least distance to be below +inf, which only
+    duals made NaN by sums of weights that overflow could break.
     """
     inf = float("inf")
     n, m = len(weights), len(weights[0])
@@ -200,42 +224,84 @@ def _max_weight_rect(weights: list[list[float]]) -> list[int]:
     col_of_row = [-1] * n
     row_of_col = [-1] * m
     path = [-1] * m
+    heaviest = [0] * n  # [i]: index into order[i] of row i's heaviest free column
     for cur in range(n):
         dist = [inf] * m
         # Scan high to low, as Crouse's reference code does. A tying free
         # column replaces the current pick, so the lower-numbered one wins;
         # an appended channel then seldom displaces a tied optimum, and the
         # per-drop totals of a channel sweep stay non-decreasing to the bit.
+        # remaining[p] is the column at scan position p, and position[j]
+        # column j's position, both kept through the swap-remove of a pick.
         remaining = list(range(m - 1, -1, -1))
-        rows_seen = []
+        position = remaining[:]
+        scan = sorted(col_of_row[:cur], reverse=True)  # the matched columns in remaining
+        seen = []  # (row, its base) of each row the search has seen
         cols_seen = []
         i = cur
         min_val = 0.0
+        free_lowest = inf  # least free distance over the rows seen
         while True:
-            rows_seen.append(i)
             row = weights[i]
             base = min_val - u[i]
+            seen.append((i, base))
+            cols = order[i]
+            k = heaviest[i]
+            while row_of_col[cols[k]] >= 0:
+                k += 1
+            heaviest[i] = k
+            r = base - row[cols[k]]
+            if r < free_lowest:
+                free_lowest = r
             lowest = inf
             index = -1
-            for it, j in enumerate(remaining):
+            for it, j in enumerate(scan):
                 r = base - row[j] - v[j]
                 d = dist[j]
                 if r < d:
                     path[j] = i
                     dist[j] = d = r
-                if d <= lowest and (d < lowest or row_of_col[j] < 0):
+                if d < lowest:
                     lowest = d
                     index = it
+            if free_lowest <= lowest:
+                break  # a free column ties or wins: the search ends there
             min_val = lowest
-            j = remaining[index]
+            j = scan[index]
             cols_seen.append(j)
-            remaining[index] = remaining[-1]
-            remaining.pop()
+            last = remaining.pop()
+            if last == j:
+                scan.pop()
+            else:
+                p = position[j]
+                remaining[p] = last
+                position[last] = p
+                if row_of_col[last] >= 0:  # then scan's last entry too
+                    scan[index] = scan.pop()
+                else:
+                    del scan[index]
             i = row_of_col[j]
-            if i < 0:
-                break
+        # The free column the plain scan picks: of those at free_lowest, the
+        # last in scan order. Its distance is free_lowest, first reached by
+        # the first row whose tied run holds it, so that row is its path.
+        min_val = free_lowest
+        last_position = -1
+        for i, base in seen:
+            row = weights[i]
+            for j in order[i][heaviest[i]:]:
+                if row_of_col[j] >= 0:
+                    continue
+                if base - row[j] != min_val:
+                    break
+                if position[j] > last_position:
+                    last_position = position[j]
+                    sink = j
+                    path[j] = i
+        dist[sink] = min_val
+        cols_seen.append(sink)
+        j = sink
         u[cur] += min_val
-        for i in rows_seen[1:]:
+        for i, _base in seen[1:]:
             u[i] += min_val - dist[col_of_row[i]]
         for c in cols_seen:
             v[c] -= min_val - dist[c]
@@ -388,8 +454,10 @@ def hungarian_max(weights) -> Assignment:
     w = _checked_weights(weights, 2)
     n, m = w.shape
     flip = n > m
-    rows = (w.T if flip else w).tolist()
-    col_of_row = _max_weight_rect(rows)
+    w_rows = w.T if flip else w
+    rows = w_rows.tolist()
+    # heaviest first; ties need no stable order, since each tied run is walked whole
+    col_of_row = _max_weight_rect(rows, np.argsort(-w_rows, axis=1).tolist())
     pairs = []
     total = 0.0
     for i, j in sorted(zip(col_of_row, range(m))) if flip else enumerate(col_of_row):
@@ -418,11 +486,12 @@ class DropMatches(NamedTuple):
 # scalar one Python work per drop. Timed on sampled semantic and 4G weights
 # (2-core host), the stacked one breaks even at about 50-90 drops from 5x5
 # to 20x20 and is 2-3.5x faster at 256; on larger matrices it breaks even
-# sooner (32-64 drops at 50x50, 2-8 at 120x80) but takes 2.5-2.8x as long
-# as the scalar one on 2 drops of 120x80. A stack may mix systems. On ideal
-# (Shannon) weights, which seldom tie or fall to 0 so every search runs
-# longer, it breaks even at 50-90 drops up to 50x50 and at 16-24 drops of
-# 120x80, and takes 4.2-4.5x as long on 2 drops of 120x80.
+# sooner (8-16 drops at 50x50, about 8 at 120x80) but takes 1.7-2.1x as
+# long as the scalar one on 2 drops of 120x80. A stack may mix systems. On
+# ideal (Shannon) weights, which seldom tie or fall to 0 so every search
+# runs longer, it breaks even at 50-90 drops up to 20x20 and 32-64 at
+# 50x50, is still no faster at 64 drops of 120x80 (0.85-0.98 as fast as the
+# scalar one), and takes 5-7x as long on 2 drops of 120x80.
 _STACK_MIN_DROPS = 64
 
 

@@ -315,15 +315,27 @@ def _matched_blocks(cfg: ScenarioConfig, surface: SimilaritySurface | None):
             rows.insert(0, [_row(SystemKind.SEMANTIC, cfg.sweep_param, v) for v, _tf in group])
         for block in _blocks(cfg.n_drops, cfg.n_users * n_channels, len(rows)):
             seeds = [cfg.base_seed + d for d in block]
-            drops = sample_drops(cfg.n_users, n_channels, radio, seeds)
+            try:
+                drops = sample_drops(cfg.n_users, n_channels, radio, seeds)
+            except MemoryError:
+                channels = (f"the n_channels sweep value {n_channels}"
+                            if cfg.sweep_param == "n_channels" else f"n_channels = {n_channels}")
+                raise ScenarioError(f"a drop of n_users = {cfg.n_users} by {channels} "
+                                    f"is too large to allocate") from None
             # the k scan runs before the weight buffer exists, so that their
             # peaks do not add
             semantic = (allocator.semantic_weights(drops.snr_db, surface, cons)
                         if surface is not None else None)
             # a (stacks, drops, users, channels) view of a drop-minor buffer,
-            # which match_drops reads without a copy
-            shape = (cfg.n_users, n_channels, len(rows), len(block))
-            weights = np.empty(shape).transpose(2, 3, 0, 1)
+            # which match_drops reads without a copy: the matcher's rows are
+            # the shorter side, so the buffer is channel-major when there
+            # are more users than channels
+            if cfg.n_users <= n_channels:
+                weights = np.empty((cfg.n_users, n_channels, len(rows), len(block)))
+                weights = weights.transpose(2, 3, 0, 1)
+            else:
+                weights = np.empty((n_channels, cfg.n_users, len(rows), len(block)))
+                weights = weights.transpose(2, 3, 1, 0)
             if semantic is not None:
                 weights[0] = semantic
             se_bits = [allocator.bit_se(drops.snr_db, drops.snr_linear, system, tables)

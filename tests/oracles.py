@@ -134,3 +134,70 @@ def brute_force_allocation(
     for *_link, w in links:
         total += w
     return Assignment(tuple((i, j) for i, j, *_plan in links), total)
+
+
+def plain_max_weight_rect(weights: list[list[float]]) -> list[int]:
+    """Maximum-weight assignment of every row of a rectangular weight matrix.
+
+    ``weights`` is a list of rows with no more rows than columns. Returns
+    ``col_of_row``. Shortest augmenting path on the costs ``-weights``
+    (Crouse, "On implementing 2D rectangular assignment algorithms", IEEE
+    TAES 2016): each row grows one Dijkstra search over the columns not yet
+    reached, preferring a free column on ties so the search ends early, and
+    the duals are updated once per augmentation. O(rows^2 * cols) in the
+    worst case. The reduced cost ``base - row[j] - v[j]`` is bit-identical
+    to ``base + (-row[j]) - v[j]``, so no negated copy is made.
+    """
+    inf = float("inf")
+    n, m = len(weights), len(weights[0])
+    u = [0.0] * n
+    v = [0.0] * m
+    col_of_row = [-1] * n
+    row_of_col = [-1] * m
+    path = [-1] * m
+    for cur in range(n):
+        dist = [inf] * m
+        # Scan high to low, as Crouse's reference code does. A tying free
+        # column replaces the current pick, so the lower-numbered one wins;
+        # an appended channel then seldom displaces a tied optimum, and the
+        # per-drop totals of a channel sweep stay non-decreasing to the bit.
+        remaining = list(range(m - 1, -1, -1))
+        rows_seen = []
+        cols_seen = []
+        i = cur
+        min_val = 0.0
+        while True:
+            rows_seen.append(i)
+            row = weights[i]
+            base = min_val - u[i]
+            lowest = inf
+            index = -1
+            for it, j in enumerate(remaining):
+                r = base - row[j] - v[j]
+                d = dist[j]
+                if r < d:
+                    path[j] = i
+                    dist[j] = d = r
+                if d <= lowest and (d < lowest or row_of_col[j] < 0):
+                    lowest = d
+                    index = it
+            min_val = lowest
+            j = remaining[index]
+            cols_seen.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+            i = row_of_col[j]
+            if i < 0:
+                break
+        u[cur] += min_val
+        for i in rows_seen[1:]:
+            u[i] += min_val - dist[col_of_row[i]]
+        for c in cols_seen:
+            v[c] -= min_val - dist[c]
+        while True:  # augment along the path back to row ``cur``
+            i = path[j]
+            row_of_col[j] = i
+            col_of_row[i], j = j, col_of_row[i]
+            if i == cur:
+                break
+    return col_of_row

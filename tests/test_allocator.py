@@ -372,6 +372,70 @@ class TestHungarianProperties:
             assert a.total_weight == total
 
 
+# Entry values of ``rect_weights``: integer ties; 0.1 + 0.2, which rounds
+# apart from 0.3; and values near 1e16 / 3, whose reduced costs round together
+# once the duals grow to 1e16, where the float spacing is 2.
+PALETTES = [
+    [0.0, 1.0, 2.0, 3.0],
+    [0.0, 0.1, 0.2, 0.3, 0.1 + 0.2],
+    [0.0, 1e16 / 3, 1e16 / 3 + 0.5, 1e16 / 3 + 1.0, 2e16 / 3, 1e16],
+]
+
+
+@st.composite
+def rect_weights(draw):
+    """(weights, column permutation): rows <= columns, square or far wider.
+
+    Entries come from a palette of tied values, or are any floats in [0, 1];
+    some rows are all zero. The permutation sets the order of tied columns in
+    each row's descending order.
+    """
+    n = draw(st.integers(1, 8))
+    m = draw(st.one_of(st.just(n), st.integers(n, 4 * n + 8)))
+    palette = draw(st.sampled_from(PALETTES + [None]))
+    if palette is None:
+        entries = st.floats(0.0, 1.0)
+    else:
+        entries = st.sampled_from(palette)
+    w = np.array(draw(st.lists(entries, min_size=n * m, max_size=n * m))).reshape(n, m)
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        w[i] = 0.0
+    return w, np.array(draw(st.permutations(range(m))))
+
+
+def descending_order(w, perm):
+    """Each row's columns by descending weight, tied columns in ``perm`` order."""
+    return perm[np.argsort(-w[:, perm], axis=1, kind="stable")].tolist()
+
+
+class TestPrunedSearch:
+    """``_max_weight_rect`` finds the plain scan's matching, whatever the tie order."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(rect_weights())
+    @example((np.zeros((3, 7)), np.arange(7)))
+    @example((np.array([[0.3, 0.1 + 0.2, 0.3], [0.1 + 0.2, 0.3, 0.3]]), np.array([2, 0, 1])))
+    def test_equals_plain_scan(self, case):
+        w, perm = case
+        rows = w.tolist()
+        expect = oracles.plain_max_weight_rect(rows)
+        assert allocator._max_weight_rect(rows, descending_order(w, perm)) == expect
+        assert allocator._max_weight_rect(rows, descending_order(w, perm[::-1])) == expect
+
+    @pytest.mark.parametrize("system", list(SystemKind))
+    def test_sampled_overloaded_drop_equals_plain_scan(self, system):
+        # a 120-user, 80-channel drop, transposed as hungarian_max does
+        cons = Constraints()
+        drop = sample_drops(120, 80, RadioParams(), [7])
+        if system is SystemKind.SEMANTIC:
+            w = build_pair_plans(drop.snr_db, default_surrogate(20), cons).weight[0]
+        else:
+            w = conventional_weights(drop.snr_db, drop.snr_linear, system, TABLES, MU40, cons)[0]
+        rows = w.T.tolist()
+        got = allocator._max_weight_rect(rows, np.argsort(-w.T, axis=1).tolist())
+        assert got == oracles.plain_max_weight_rect(rows)
+
+
 @st.composite
 def tied_stacks(draw):
     """Stacks of 1-4 drops on a 0.1 grid, with zeroed rows and columns in some drops."""

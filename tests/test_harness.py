@@ -404,6 +404,24 @@ class TestBlockBudgets:
             tracemalloc.stop()
         assert peak <= 16 * stack.size
 
+    @pytest.mark.parametrize("n_users, n_channels", [(20, 10), (10, 20), (10, 10)])
+    def test_stack_reaches_the_stacked_matcher_uncopied_either_way_round(
+        self, monkeypatch, n_users, n_channels
+    ):
+        # 81 drops of 4 stacks: one block, matched stacked; with more users
+        # than channels the matcher's rows are the channels
+        stacks, seen = [], []
+        real_match, real_stack = allocator.match_drops, allocator._max_weight_stack
+        monkeypatch.setattr(allocator, "match_drops", lambda w: stacks.append(w) or real_match(w))
+        monkeypatch.setattr(
+            allocator, "_max_weight_stack", lambda w: seen.append(w) or real_stack(w)
+        )
+        run_scenario(ScenarioConfig(n_users=n_users, n_channels=n_channels, n_drops=81))
+        (stack,), (matched,) = stacks, seen
+        assert stack.shape == (324, n_users, n_channels)
+        assert matched.shape == (324, min(n_users, n_channels), max(n_users, n_channels))
+        assert np.shares_memory(np.ascontiguousarray(matched.transpose(1, 2, 0)), stack)
+
 
 class TestCrossover:
     def test_bits_per_word_sweep_crossovers(self):

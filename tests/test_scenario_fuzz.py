@@ -174,3 +174,20 @@ def test_size_numpy_cannot_index_is_rejected_by_key(tmp_path, capsys, text, key)
     scenario.write_text(f"n_drops = 3\n{text}\n", encoding="utf-8")
     assert main(["run", str(scenario)]) == 1
     assert key in capsys.readouterr().err
+
+
+# 10**17 channels pass the size check, but a drop's fading array would take
+# 4 EiB: numpy refuses it at allocation, before touching any memory
+@pytest.mark.parametrize("command, text, named", [
+    (["run"], "n_channels = 100000000000000000", "n_channels = 100000000000000000"),
+    (["compare", "--k", "1,2"], "n_channels = 100000000000000000",
+     "n_channels = 100000000000000000"),
+    (["run"], "sweep_param = n_channels\nsweep_values = 2, 100000000000000000",
+     "n_channels sweep value 100000000000000000"),
+])
+def test_drop_too_large_to_allocate_is_rejected_by_key(tmp_path, capsys, command, text, named):
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text(f"n_drops = 3\nn_users = 5\n{text}\n", encoding="utf-8")
+    assert main([command[0], str(scenario), *command[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "n_users = 5" in err and named in err
