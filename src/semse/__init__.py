@@ -3,13 +3,13 @@
 from .allocator import (
     Constraints,
     DropMatches,
+    bit_pipe_weights,
+    bit_se,
     build_pair_plans,
-    conventional_weights,
-    hungarian_max,
     match_drops,
     semantic_weights,
 )
-from .channel import NetworkDrop, RadioParams, sample_drop, sample_drops
+from .channel import NetworkDrop, RadioParams, sample_drops
 from .link_adaptation import SystemKind, builtin_table
 from .metrics import TransformFactor
 from .similarity import default_surrogate

@@ -9,22 +9,25 @@ optima, solved by shortest augmenting path. Pairs that cannot meet the
 floors carry weight 0; the matching may then leave such users unserved,
 which is reported as an SE contribution of exactly 0.
 
-Both steps run on arrays. A drop's semantic allocation is ``plans =
-build_pair_plans(snr_db, surface, cons)``, then ``hungarian_max(plans.weight)``;
-a matched pair (i, j) has k ``plans.k[i, j]`` and similarity
-``plans.similarity[i, j]``. A stack of drops goes through
-``semantic_weights`` and ``match_drops``.
+Both steps run on arrays, over a (drops, users, channels) stack. The
+semantic allocation is ``plans = build_pair_plans(snr_db, surface, cons)``,
+then ``match_drops(plans.weight)``; a user i matched to channel j =
+``channel[d, i]`` in drop d has k ``plans.k[d, i, j]`` and similarity
+``plans.similarity[d, i, j]``.
 
-``hungarian_max`` matches one drop. ``match_drops`` matches a stack of
-drops: from ``_STACK_MIN_DROPS`` drops up it runs every drop's search at
-once, with numpy over the drop axis, and below that it calls
-``hungarian_max`` per drop. Both find each drop the same matching, so the
-totals are bit-identical whichever runs. ``hungarian_max``'s search scans
-only the matched columns a search has not picked, and finds the free ones
-from each row's columns sorted by descending weight: a free column's dual is
-still exactly 0, so a row's best free columns are its heaviest free ones.
-That skips only comparisons whose outcome is known, so it keeps the full
-scan's every step and matching (see ``_max_weight_rect``).
+``match_drops`` is the one matcher entry point. It checks the weights once,
+takes the shorter side of each matrix as the matcher's rows, finds each
+row's column, and assembles every drop's ``DropMatches`` in user order. From
+``_STACK_MIN_DROPS`` drops up it runs every drop's search at once, with
+numpy over the drop axis (``_max_weight_stack``); below that it calls
+``hungarian_max`` per drop, the scalar search ``_max_weight_rect`` on one
+matrix. Both find each drop the same matching, so the totals are
+bit-identical whichever runs. The scalar search scans only the matched
+columns a search has not picked, and finds the free ones from each row's
+columns sorted by descending weight: a free column's dual is still exactly
+0, so a row's best free columns are its heaviest free ones. That skips only
+comparisons whose outcome is known, so it keeps the full scan's every step
+and matching (see ``_max_weight_rect``).
 
 Conventional bit-pipe baselines go through the same matching with weights
 equal to their transformed semantic SE, ``metrics.equivalent_semantic_se``
@@ -75,10 +78,10 @@ class Constraints:
 
 @dataclass(frozen=True)
 class Assignment:
-    """A partial user-to-channel matching and its objective value.
+    """A partial row-to-column matching of one matrix and its objective value.
 
-    ``pairs`` holds (user, channel) tuples sorted by user, each user and
-    each channel appearing at most once. ``total_weight`` is the plain
+    ``pairs`` holds (row, column) tuples sorted by row, each row and each
+    column appearing at most once. ``total_weight`` is the plain
     left-to-right sum of the matched weights in that order.
     """
 
@@ -433,35 +436,20 @@ def _max_weight_stack(weights: np.ndarray) -> np.ndarray:
     return col_of_row.reshape(n, n_drops).T.astype(int)
 
 
-def _checked_weights(weights, ndim: int) -> np.ndarray:
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != ndim or w.size == 0:
-        raise ValueError(f"weights must be a non-empty {ndim}-D array")
-    lo, hi = w.min(), w.max()
-    if not (0.0 <= lo and hi < np.inf):  # NaN fails both comparisons
-        raise ValueError("weights must be finite and non-negative")
-    return w
+def hungarian_max(rows: np.ndarray) -> Assignment:
+    """Maximum-weight matching of one checked matrix with no more rows than columns.
 
-
-def hungarian_max(weights) -> Assignment:
-    """Maximum-weight matching of a non-negative weight matrix.
-
-    Solved on the rectangular matrix, transposed so that rows are the
-    shorter side. Matched pairs of zero weight are reported as unmatched.
-    Only the optimal total is contractual; which optimal matching is
-    returned is not.
+    ``match_drops``'s per-drop engine: ``rows`` is finite, non-negative and
+    already oriented. Returns the (row, column) pairs of positive weight in
+    row order and their total summed in that order.
     """
-    w = _checked_weights(weights, 2)
-    n, m = w.shape
-    flip = n > m
-    w_rows = w.T if flip else w
-    rows = w_rows.tolist()
+    weights = rows.tolist()
     # heaviest first; ties need no stable order, since each tied run is walked whole
-    col_of_row = _max_weight_rect(rows, np.argsort(-w_rows, axis=1).tolist())
+    col_of_row = _max_weight_rect(weights, np.argsort(-rows, axis=1).tolist())
     pairs = []
     total = 0.0
-    for i, j in sorted(zip(col_of_row, range(m))) if flip else enumerate(col_of_row):
-        x = rows[j][i] if flip else rows[i][j]
+    for i, j in enumerate(col_of_row):
+        x = weights[i][j]
         if x > 0.0:
             pairs.append((i, j))
             total += x
@@ -469,12 +457,11 @@ def hungarian_max(weights) -> Assignment:
 
 
 class DropMatches(NamedTuple):
-    """Maximum-weight matchings of a (drops, users, channels) weight stack.
+    """``match_drops`` of a (drops, users, channels) weight stack.
 
-    ``total`` (drops,) is each drop's matched weight summed left to right in
-    user order, as ``hungarian_max`` sums it; ``channel`` (drops, users) is
-    each user's matched channel, -1 where the user is unmatched or matched at
-    zero weight.
+    ``total`` (drops,) is each drop's maximum matched weight, summed left to
+    right in user order; ``channel`` (drops, users) is each user's matched
+    channel, -1 where the user is unmatched or matched at zero weight.
     """
 
     total: np.ndarray
@@ -483,23 +470,23 @@ class DropMatches(NamedTuple):
 
 # Fewest drops in a stack for which ``match_drops`` uses the stacked
 # matcher. The stacked matcher pays numpy dispatch per search step, the
-# scalar one Python work per drop. Timed on sampled semantic and 4G weights
-# (2-core host), the stacked one breaks even at about 50-90 drops from 5x5
-# to 20x20 and is 2-3.5x faster at 256; on larger matrices it breaks even
-# sooner (8-16 drops at 50x50, about 8 at 120x80) but takes 1.7-2.1x as
-# long as the scalar one on 2 drops of 120x80. A stack may mix systems. On
-# ideal (Shannon) weights, which seldom tie or fall to 0 so every search
-# runs longer, it breaks even at 50-90 drops up to 20x20 and 32-64 at
-# 50x50, is still no faster at 64 drops of 120x80 (0.85-0.98 as fast as the
-# scalar one), and takes 5-7x as long on 2 drops of 120x80.
+# per-drop one Python work per drop. Timed on sampled semantic and 4G
+# weights (2-core host; README crossover table), the stacked one breaks
+# even at about 32 drops from 5x5 to 20x20 and is 3-6x faster at 256; on
+# larger matrices it breaks even sooner (8-32 drops at 50x50, 2-8 at
+# 120x80) but takes 1.7-2x as long as the per-drop one on 2 drops of
+# 120x80. A stack may mix systems. On ideal (Shannon) weights, which seldom
+# tie or fall to 0 so every search runs longer, it breaks even at 32-64
+# drops up to 50x50 and at about 64 drops of 120x80 (0.99-1.04 as fast),
+# and takes 4-6x as long on 2 drops of 120x80.
 _STACK_MIN_DROPS = 64
 
 
 def sum_by_user(x: np.ndarray) -> np.ndarray:
     """Per-drop sums of a (drops, users) array, left to right in user order.
 
-    ``hungarian_max`` sums a drop's matched weights in that order, so a total
-    summed here has the same rounding.
+    ``DropMatches.total`` is summed here, so a total of other per-user
+    values summed here has the same rounding.
     """
     total = np.zeros(len(x))
     for column in x.T:
@@ -507,41 +494,38 @@ def sum_by_user(x: np.ndarray) -> np.ndarray:
     return total
 
 
-def _matches_by_drop(w: np.ndarray) -> DropMatches:
-    """``match_drops`` with one ``hungarian_max`` call per drop."""
-    total = np.zeros(w.shape[0])
-    channel = np.full(w.shape[:2], -1)
-    for d, drop in enumerate(w):
-        match = hungarian_max(drop)
-        total[d] = match.total_weight
-        for i, j in match.pairs:
-            channel[d, i] = j
-    return DropMatches(total, channel)
-
-
-def _matches_stacked(w: np.ndarray) -> DropMatches:
-    """``match_drops`` with every drop matched at once by ``_max_weight_stack``."""
-    n_drops, n, m = w.shape
-    if n > m:  # rows are channels: invert to each user's channel
-        channel = np.full((n_drops, n), -1)
-        users = _max_weight_stack(w.transpose(0, 2, 1))
-        channel[np.arange(n_drops)[:, None], users] = np.arange(m)
-    else:
-        channel = _max_weight_stack(w)
-    matched = np.take_along_axis(w, np.maximum(channel, 0)[..., None], axis=2)[..., 0]
-    served = (channel >= 0) & (matched > 0.0)
-    return DropMatches(sum_by_user(np.where(served, matched, 0.0)), np.where(served, channel, -1))
-
-
 def match_drops(weights) -> DropMatches:
     """Maximum-weight matching of every drop of a (drops, users, channels) stack.
 
-    A stack of at least ``_STACK_MIN_DROPS`` drops is matched at once,
-    fewer drops one ``hungarian_max`` call at a time; each drop gets the
-    same matching and total either way.
+    The matcher's rows are the shorter side, the channels when there are
+    more users than channels. A stack of at least ``_STACK_MIN_DROPS`` drops
+    is matched at once, fewer drops one ``hungarian_max`` call at a time;
+    each drop gets the same matching and total either way. Only the optimal
+    total is contractual; which optimal matching is returned is not.
     """
-    w = _checked_weights(weights, 3)
-    return _matches_stacked(w) if len(w) >= _STACK_MIN_DROPS else _matches_by_drop(w)
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 3 or w.size == 0:
+        raise ValueError("weights must be a non-empty 3-D array")
+    if not (0.0 <= w.min() and w.max() < np.inf):  # NaN fails both comparisons
+        raise ValueError("weights must be finite and non-negative")
+    n_drops, n, m = w.shape
+    rows = w.transpose(0, 2, 1) if n > m else w
+    if n_drops >= _STACK_MIN_DROPS:
+        col_of_row = _max_weight_stack(rows)
+    else:
+        col_of_row = np.full(rows.shape[:2], -1)
+        for d, drop in enumerate(rows):
+            for i, j in hungarian_max(drop).pairs:
+                col_of_row[d, i] = j
+    if n > m:  # rows are channels: invert to each user's channel
+        channel = np.full((n_drops, n), -1)
+        d, j = np.nonzero(col_of_row >= 0)
+        channel[d, col_of_row[d, j]] = j
+    else:
+        channel = col_of_row
+    matched = np.take_along_axis(w, np.maximum(channel, 0)[..., None], axis=2)[..., 0]
+    served = (channel >= 0) & (matched > 0.0)
+    return DropMatches(sum_by_user(np.where(served, matched, 0.0)), np.where(served, channel, -1))
 
 
 def semantic_weights(

@@ -246,7 +246,11 @@ def load_scenario(path) -> ScenarioConfig:
 
 def surface_for(cfg: ScenarioConfig) -> SimilaritySurface:
     if cfg.surface_source == "surrogate":
-        return default_surrogate(cfg.constraints.k_max)
+        try:
+            return default_surrogate(cfg.constraints.k_max)
+        except MemoryError:
+            raise ScenarioError(f"a surrogate surface of k_max = {cfg.constraints.k_max} "
+                                f"rows is too large to allocate") from None
     surface = load_surface(cfg.surface_source)
     if not surface.covers_k_range(cfg.constraints.k_max):
         raise ScenarioError(f"surface {cfg.surface_source} does not tabulate every k in "

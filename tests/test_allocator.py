@@ -11,10 +11,8 @@ from semse.allocator import (
     Assignment,
     Constraints,
     _k_candidates,
-    _matches_stacked,
     build_pair_plans,
     conventional_weights,
-    hungarian_max,
     match_drops,
     weight_matrix,
 )
@@ -24,7 +22,7 @@ from semse.metrics import TransformFactor
 from semse.similarity import SimilaritySurface, SurfaceError, default_surrogate
 
 import oracles
-from oracles import best_pair_plan, brute_force_allocation, brute_force_links
+from oracles import best_pair_plan, brute_force_allocation, brute_force_links, match_one
 
 MU40 = TransformFactor(40.0)
 TABLES = {
@@ -81,7 +79,7 @@ def assert_valid_matching(assignment: Assignment, n, m, weight=None):
 def semantic_allocation(snr, surface, cons):
     """(plans, matching) of one drop: the k scan, then the channel matching."""
     plans = build_pair_plans(snr, surface, cons)
-    return plans, hungarian_max(plans.weight)
+    return plans, match_one(plans.weight)
 
 
 class TestBestPairPlan:
@@ -270,30 +268,30 @@ class TestConstraints:
 class TestHungarian:
     def test_identity_weights(self):
         w = np.eye(4)
-        a = hungarian_max(w)
+        a = match_one(w)
         assert a.pairs == ((0, 0), (1, 1), (2, 2), (3, 3))
         assert a.total_weight == 4.0
-        rect = hungarian_max(np.eye(3, 5))
+        rect = match_one(np.eye(3, 5))
         assert rect.pairs == ((0, 0), (1, 1), (2, 2))
         assert rect.total_weight == 3.0
 
     def test_two_by_two(self):
-        a = hungarian_max([[3.0, 1.0], [1.0, 3.0]])
+        a = match_one([[3.0, 1.0], [1.0, 3.0]])
         assert a.total_weight == 6.0
         assert a.pairs == ((0, 0), (1, 1))
 
     def test_zero_weight_pairs_unmatched(self):
-        a = hungarian_max([[1.0, 0.0], [0.0, 0.0]])
+        a = match_one([[1.0, 0.0], [0.0, 0.0]])
         assert a.pairs == ((0, 0),)
         assert a.total_weight == 1.0
-        assert hungarian_max(np.zeros((3, 3))).pairs == ()
+        assert match_one(np.zeros((3, 3))).pairs == ()
 
     def test_random_square_matches_brute_force(self):
         rng = np.random.default_rng(23)
         for _ in range(200):
             w = rng.uniform(0, 10, size=(5, 5))
             expect, _ = brute_max_matching(w)
-            assert hungarian_max(w).total_weight == expect
+            assert match_one(w).total_weight == expect
 
     @pytest.mark.parametrize("shape", [(3, 6), (6, 3), (1, 4), (4, 1), (2, 5)])
     def test_rectangular_matches_brute_force(self, shape):
@@ -301,40 +299,40 @@ class TestHungarian:
         for _ in range(60):
             w = rng.uniform(0, 5, size=shape)
             expect, _ = brute_max_matching(w)
-            a = hungarian_max(w)
+            a = match_one(w)
             assert a.total_weight == expect
             assert_valid_matching(a, *shape)
 
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):
-            hungarian_max([[1.0, -0.1], [0.0, 1.0]])
+            match_one([[1.0, -0.1], [0.0, 1.0]])
         with pytest.raises(ValueError):
-            hungarian_max([[1.0, np.nan], [0.0, 1.0]])
+            match_one([[1.0, np.nan], [0.0, 1.0]])
         with pytest.raises(ValueError):
-            hungarian_max([[1.0, np.inf], [0.0, 1.0]])
+            match_one([[1.0, np.inf], [0.0, 1.0]])
         with pytest.raises(ValueError):
-            hungarian_max(np.zeros((0, 3)))
+            match_one(np.zeros((0, 3)))
 
     def test_scaling_by_powers_of_two_is_exact(self):
         rng = np.random.default_rng(24)
         w = rng.uniform(0, 3, size=(5, 5))
-        base = hungarian_max(w).total_weight
+        base = match_one(w).total_weight
         for c in (0.25, 0.5, 2.0, 8.0):
-            assert hungarian_max(c * w).total_weight == c * base
+            assert match_one(c * w).total_weight == c * base
 
     def test_scale_invariance_generic(self):
         rng = np.random.default_rng(25)
         for _ in range(50):
             w = rng.uniform(0, 3, size=(4, 6))
             c = rng.uniform(0.1, 10)
-            base = hungarian_max(w).total_weight
-            assert hungarian_max(c * w).total_weight == pytest.approx(c * base, rel=1e-12)
+            base = match_one(w).total_weight
+            assert match_one(c * w).total_weight == pytest.approx(c * base, rel=1e-12)
 
     def test_adding_a_channel_never_hurts(self):
         rng = np.random.default_rng(26)
         for _ in range(50):
             w = rng.uniform(0, 4, size=(5, 8))
-            totals = [hungarian_max(w[:, :m]).total_weight for m in range(1, 9)]
+            totals = [match_one(w[:, :m]).total_weight for m in range(1, 9)]
             assert all(b >= a for a, b in zip(totals, totals[1:]))
 
 
@@ -361,7 +359,7 @@ class TestHungarianProperties:
         n, m = w.shape
         expect, _ = brute_max_matching(w)
         for weights, shape in ((w, (n, m)), (w.T, (m, n))):
-            a = hungarian_max(weights)
+            a = match_one(weights)
             assert_valid_matching(a, *shape)
             assert a.total_weight == pytest.approx(expect, abs=1e-9)
             assert all(weights[i, j] > 0.0 for i, j in a.pairs)
@@ -424,7 +422,7 @@ class TestPrunedSearch:
 
     @pytest.mark.parametrize("system", list(SystemKind))
     def test_sampled_overloaded_drop_equals_plain_scan(self, system):
-        # a 120-user, 80-channel drop, transposed as hungarian_max does
+        # a 120-user, 80-channel drop, transposed as match_drops does
         cons = Constraints()
         drop = sample_drops(120, 80, RadioParams(), [7])
         if system is SystemKind.SEMANTIC:
@@ -452,33 +450,42 @@ def tied_stacks(draw):
 
 
 def per_drop_matches(w):
-    """(totals, channel of each user or -1) of ``hungarian_max`` on each drop."""
+    """(totals, channel of each user or -1) of ``match_one`` on each drop."""
     totals, channels = [], np.full(w.shape[:2], -1)
     for d, drop in enumerate(w):
-        match = hungarian_max(drop)
+        match = match_one(drop)
         totals.append(match.total_weight)
         for i, j in match.pairs:
             channels[d, i] = j
     return totals, channels
 
 
+def match_on_fork(w, stacked):
+    """``match_drops(w)`` forced onto its stacked fork, or its per-drop one."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(allocator, "_STACK_MIN_DROPS", 1 if stacked else len(w) + 1)
+        return match_drops(w)
+
+
 class TestStackedMatcher:
-    """The stacked matcher gives every drop the matching ``hungarian_max`` gives it."""
+    """The stacked fork gives every drop the matching the per-drop fork gives it."""
 
     @settings(max_examples=300, deadline=None)
     @given(tied_stacks())
     @example(np.array([[[0.2, 0.2, 0.0], [0.2, 0.2, 0.1]]]))
     def test_equals_per_drop_hungarian_bit_for_bit(self, w):
         for stack in (w, w.transpose(0, 2, 1)):
-            got = _matches_stacked(stack)
+            got = match_on_fork(stack, stacked=True)
+            per_drop = match_on_fork(stack, stacked=False)
             totals, channels = per_drop_matches(stack)
-            assert got.total.tolist() == totals
+            assert got.total.tolist() == per_drop.total.tolist() == totals
+            assert np.array_equal(got.channel, per_drop.channel)
             assert np.array_equal(got.channel, channels)
 
     @staticmethod
     def assert_stacked_equals_per_drop(w):
         for stack in (w, w.transpose(0, 2, 1)):
-            got = _matches_stacked(stack)
+            got = match_on_fork(stack, stacked=True)
             totals, channels = per_drop_matches(stack)
             assert got.total.tolist() == totals
             assert np.array_equal(got.channel, channels)
@@ -524,6 +531,30 @@ class TestStackedMatcher:
         with pytest.raises(ValueError):
             match_drops(np.full((100, 2, 2), np.nan))
 
+    @pytest.mark.parametrize("stacked", [True, False])
+    @pytest.mark.parametrize("bad", [np.nan, -0.1])
+    @pytest.mark.parametrize("shape", [(3, 4, 6), (3, 6, 4)])
+    def test_rejects_a_bad_entry_on_either_fork(self, stacked, bad, shape):
+        w = np.random.default_rng(34).uniform(0.0, 1.0, size=shape)
+        w[2, 3, 1] = bad
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            match_on_fork(w, stacked)
+
+    @pytest.mark.parametrize("shape", [(3, 4, 6), (3, 6, 4), (2, 5, 5)])
+    def test_per_drop_fork_calls_hungarian_max_once_per_drop(self, monkeypatch, shape):
+        # the traced bench wraps allocator.hungarian_max and checks each call's
+        # weights against scipy, so each drop must reach it as one oriented matrix
+        calls = []
+        real = allocator.hungarian_max
+        monkeypatch.setattr(allocator, "hungarian_max", lambda w: calls.append(w) or real(w))
+        w = np.random.default_rng(35).uniform(0.0, 1.0, size=shape)
+        got = match_on_fork(w, stacked=False)
+        assert len(calls) == shape[0]
+        for drop, rows in zip(w, calls):
+            assert rows.ndim == 2 and rows.shape[0] <= rows.shape[1]
+            assert np.array_equal(rows, drop if shape[1] <= shape[2] else drop.T)
+        assert got.total.tolist() == per_drop_matches(w)[0]
+
     @pytest.mark.parametrize("workload, fixed_k, stacked", [
         ("default.txt", None, True),
         ("bits_per_word_sweep.txt", None, True),
@@ -539,7 +570,7 @@ class TestStackedMatcher:
             root = Path(__file__).resolve().parent.parent
             cfg = harness.load_scenario(root / "scenarios" / workload)
         paths = []
-        for name in ("_matches_stacked", "_matches_by_drop"):
+        for name in ("_max_weight_stack", "hungarian_max"):
             real = getattr(allocator, name)
             monkeypatch.setattr(
                 allocator, name,
@@ -549,7 +580,7 @@ class TestStackedMatcher:
             harness.run_model_comparison(cfg, fixed_k)
         else:
             harness.run_scenario(cfg)
-        assert set(paths) == {"_matches_stacked" if stacked else "_matches_by_drop"}
+        assert set(paths) == {"_max_weight_stack" if stacked else "hungarian_max"}
 
 
 class TestAgainstScipy:
@@ -567,13 +598,14 @@ class TestAgainstScipy:
             w = conventional_weights(drop.snr_db, drop.snr_linear, system, TABLES, MU40, cons)
             assert len(np.unique(w)) < w.size // 10  # CQI steps: many tied weights
         rows, cols = lsa(w, maximize=True)
-        assert hungarian_max(w).total_weight == pytest.approx(
+        assert match_one(w).total_weight == pytest.approx(
             float(w[rows, cols].sum()), rel=1e-12
         )
 
+    @pytest.mark.parametrize("stacked", [True, False])
     @pytest.mark.parametrize("shape", [(64, 8, 6), (64, 6, 8), (200, 5, 5)])
     @pytest.mark.parametrize("system", [SystemKind.SEMANTIC, SystemKind.FOUR_G])
-    def test_stacked_totals_match_linear_sum_assignment(self, shape, system):
+    def test_stacked_totals_match_linear_sum_assignment(self, shape, system, stacked):
         lsa = pytest.importorskip("scipy.optimize").linear_sum_assignment
         cons = Constraints()
         drops = sample_drops(shape[1], shape[2], RadioParams(), range(100, 100 + shape[0]))
@@ -583,7 +615,7 @@ class TestAgainstScipy:
             w = conventional_weights(
                 drops.snr_db, drops.snr_linear, system, TABLES, MU40, cons
             )
-        got = _matches_stacked(w)
+        got = match_on_fork(w, stacked)
         for d, drop in enumerate(w):
             rows, cols = lsa(drop, maximize=True)
             assert got.total[d] == pytest.approx(float(drop[rows, cols].sum()), rel=1e-12)
@@ -641,7 +673,7 @@ class TestConventionalWeights:
     def test_all_links_in_outage(self):
         snr_db = np.full((3, 3), -40.0)
         snr_lin = 10 ** (snr_db / 10)
-        a = hungarian_max(conventional_weights(
+        a = match_one(conventional_weights(
             snr_db, snr_lin, SystemKind.FOUR_G, TABLES, MU40, Constraints()
         ))
         assert a.pairs == () and a.total_weight == 0.0
@@ -649,7 +681,7 @@ class TestConventionalWeights:
     def test_single_ideal_link_value(self):
         snr_db = np.array([[14.666]])
         snr_lin = 10 ** (snr_db / 10)
-        a = hungarian_max(conventional_weights(
+        a = match_one(conventional_weights(
             snr_db, snr_lin, SystemKind.IDEAL, {}, MU40, Constraints()
         ))
         assert a.total_weight == pytest.approx(0.1229, abs=1e-3)
@@ -661,7 +693,7 @@ class TestConventionalWeights:
             snr_db = rng.uniform(-10, 30, size=(5, 5))
             snr_lin = 10 ** (snr_db / 10)
             totals = {
-                s: hungarian_max(
+                s: match_one(
                     conventional_weights(snr_db, snr_lin, s, TABLES, MU40, cons)
                 ).total_weight
                 for s in (SystemKind.IDEAL, SystemKind.FOUR_G, SystemKind.FIVE_G)
@@ -674,7 +706,7 @@ class TestConventionalWeights:
         cons = Constraints(sse_threshold=0.2)
         snr_db = np.array([[0.0]])  # shannon 1 bit/s/Hz -> 0.025 < 0.2
         w = conventional_weights(snr_db, np.array([[1.0]]), SystemKind.IDEAL, {}, MU40, cons)
-        a = hungarian_max(w)
+        a = match_one(w)
         assert a.total_weight == 0.0 and a.pairs == ()
 
     def test_semantic_system_is_rejected(self):

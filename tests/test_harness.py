@@ -28,11 +28,12 @@ from semse.allocator import (
     Constraints,
     build_pair_plans,
     conventional_weights,
-    hungarian_max,
 )
 from semse.channel import RadioParams, sample_drop
 from semse.link_adaptation import SystemKind
 from semse.metrics import SourceStats, TransformFactor
+
+from oracles import match_one
 
 ALL_SYSTEMS = (
     SystemKind.SEMANTIC,
@@ -296,9 +297,9 @@ class TestBlocks:
         for d in range(cfg.n_drops):
             drop = sample_drop(cfg.n_users, cfg.n_channels, cfg.radio, cfg.base_seed + d)
             semantic = build_pair_plans(drop.snr_db, surface, cons).weight
-            expect = {SystemKind.SEMANTIC: hungarian_max(semantic)}
+            expect = {SystemKind.SEMANTIC: match_one(semantic)}
             for system in ALL_SYSTEMS[1:]:
-                expect[system] = hungarian_max(conventional_weights(
+                expect[system] = match_one(conventional_weights(
                     drop.snr_db, drop.snr_linear, system, tables, cfg.tf, cons
                 ))
             assert {row: t[d] for row, t in totals.items()} == {
@@ -314,7 +315,7 @@ class TestBlocks:
         for d in range(cfg.n_drops):
             fixed, optimized = split_comparison({row: t[d] for row, t in totals.items()})
             drop = sample_drop(cfg.n_users, cfg.n_channels, cfg.radio, cfg.base_seed + d)
-            ideal = hungarian_max(conventional_weights(
+            ideal = match_one(conventional_weights(
                 drop.snr_db, drop.snr_linear, SystemKind.IDEAL, {}, cfg.tf, cons
             ))
             for k, total in fixed.items():
@@ -326,7 +327,7 @@ class TestBlocks:
                         scored += 1
                 assert total == expect
             semantic = build_pair_plans(drop.snr_db, surface, cons).weight
-            assert optimized == hungarian_max(semantic).total_weight
+            assert optimized == match_one(semantic).total_weight
         assert scored > 0
 
     @pytest.mark.parametrize("sweep_param, values, samples", [

@@ -191,3 +191,14 @@ def test_drop_too_large_to_allocate_is_rejected_by_key(tmp_path, capsys, command
     assert main([command[0], str(scenario), *command[1:]]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "n_users = 5" in err and named in err
+
+
+# A surrogate surface of 10**12 k rows would take 8 TB: numpy refuses its
+# first array at allocation, before touching any memory
+@pytest.mark.parametrize("command", [["run"], ["compare", "--k", "1,2"]])
+def test_surrogate_too_large_to_allocate_is_rejected_by_key(tmp_path, capsys, command):
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text("n_drops = 3\nk_max = 1000000000000\n", encoding="utf-8")
+    assert main([command[0], str(scenario), *command[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "k_max = 1000000000000" in err
