@@ -29,10 +29,13 @@ columns sorted by descending weight: a free column's dual is still exactly
 comparisons whose outcome is known, so it keeps the full scan's every step
 and matching (see ``_max_weight_rect``).
 
-Conventional bit-pipe baselines go through the same matching with weights
-equal to their transformed semantic SE, ``metrics.equivalent_semantic_se``
-of their bit SE: ``bit_se`` computes a system's bit SE, and
-``bit_pipe_weights`` transforms and floors it at one bits_per_word. All
+This module owns how a weight is computed and stored. Conventional
+bit-pipe baselines go through the same matching, with weights equal to
+their bit SE transformed to S-SE: ``bit_se`` computes a system's bit SE,
+and ``bit_pipe_weights`` applies the one bit-to-S-SE transform, se /
+bits_per_word, and the S-SE floor. ``weight_stacks`` lays out the buffer a
+caller writes a block's weight stacks into, drop-minor with the matcher's
+rows outermost, so that ``match_drops`` reads it without a copy. All
 weights and totals here are normalized, i.e. expressed per unit of
 ``SourceStats.info_per_word``; the reporting layer applies that scale.
 The exhaustive joint oracle the tests compare against lives in
@@ -48,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .link_adaptation import SystemKind, shannon_se, table_se
-from .metrics import SourceStats, TransformFactor, require_finite_fields, semantic_se_of_bits
+from .metrics import TransformFactor, require_finite_fields
 from .similarity import SimilaritySurface
 
 
@@ -494,14 +497,26 @@ def sum_by_user(x: np.ndarray) -> np.ndarray:
     return total
 
 
+def weight_stacks(n_stacks: int, n_drops: int, n_users: int, n_channels: int) -> np.ndarray:
+    """A writable (stacks, drops, users, channels) view of an uninitialized weight buffer.
+
+    The buffer is drop-minor, with the matcher's rows (the shorter side)
+    outermost: its ``reshape(-1, n_users, n_channels)`` is a view, and
+    ``match_drops`` of that reads it without a copy.
+    """
+    buffer = np.empty((*sorted((n_users, n_channels)), n_stacks, n_drops))
+    return buffer.transpose(2, 3, 0, 1) if n_users <= n_channels else buffer.transpose(2, 3, 1, 0)
+
+
 def match_drops(weights) -> DropMatches:
     """Maximum-weight matching of every drop of a (drops, users, channels) stack.
 
     The matcher's rows are the shorter side, the channels when there are
     more users than channels. A stack of at least ``_STACK_MIN_DROPS`` drops
     is matched at once, fewer drops one ``hungarian_max`` call at a time;
-    each drop gets the same matching and total either way. Only the optimal
-    total is contractual; which optimal matching is returned is not.
+    each drop gets the same matching and total either way. A stack laid out
+    by ``weight_stacks`` is read without a copy. Only the optimal total is
+    contractual; which optimal matching is returned is not.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 3 or w.size == 0:
@@ -548,13 +563,20 @@ def bit_se(snr_db: np.ndarray, snr_linear: np.ndarray, system: SystemKind, table
     raise ValueError(f"no bit-domain baseline for {system}")
 
 
-def bit_pipe_weights(se_bits: np.ndarray, tf: TransformFactor, cons: Constraints) -> np.ndarray:
-    """Normalized semantic-SE weights of ``bit_se`` output ``se_bits`` at ``tf``, floors applied.
+def bit_pipe_weights(se_bits, tf: TransformFactor, cons: Constraints) -> np.ndarray:
+    """Normalized semantic-SE weights se_bits / bits_per_word of bit SE ``se_bits``, floors applied.
 
-    ``bit_se`` is never negative, so this applies the bit-to-S-SE formula
-    without ``equivalent_semantic_se``'s scan for negative entries.
+    The one bit-to-S-SE transform. Raises ValueError if an entry of
+    ``se_bits`` is NaN or negative, or if the transform overflows.
     """
-    w = semantic_se_of_bits(se_bits, tf, SourceStats())
+    se = np.asarray(se_bits, dtype=float)
+    if se.size and not se.min() >= 0.0:  # NaN fails the comparison
+        raise ValueError(f"bit SE must be >= 0 and not NaN, got {se.min()}")
+    try:
+        with np.errstate(over="raise"):
+            w = se / tf.bits_per_word
+    except FloatingPointError:
+        raise ValueError(f"S-SE overflows at bits_per_word = {tf.bits_per_word}") from None
     return np.where(w >= cons.sse_threshold, w, 0.0)
 
 

@@ -26,19 +26,21 @@ and stacks per drop under two budgets: a block holds at most
 ``_BLOCK_PAIRS`` pairs (users x channels x drops), which bounds sampling
 and the k scan, and at most ``_CALL_WEIGHTS`` weights (pairs x stacks),
 which bounds the matcher; it always holds at least one drop. A block's
-per-pair k scan runs once over the whole block, each bit-pipe system's bit
-SE is computed once per block and only transformed and floored per
-``bits_per_word`` value, and every weight stack of the sample (the
+per-pair k scan runs once over the whole block, and each bit-pipe system's
+bit SE is computed once per block and weighed per ``bits_per_word`` value
+by ``allocator.bit_pipe_weights``. Every weight stack of the sample (the
 semantic one, shared by every ``bits_per_word`` value, and each bit-pipe
-system at each of those values) is written into one drop-minor buffer and
+system at each of those values) is written into one
+``allocator.weight_stacks`` buffer, whose layout the allocator chooses, and
 matched in one call that returns per-drop totals as arrays. ``compare``
 runs the loop with the ideal and semantic systems and no sweep.
 
 Each per-drop total is keyed by the (system, sweep_param, sweep_value) of
 the CSV row it averages into. ``drop_totals`` joins a row's blocks into one
-(n_drops,) array, and the CSV row is that array's mean and standard error,
-scaled by the source's ``info_per_word``. Totals stay arrays until then, and
-the rows are those keys, in the block loop's order.
+(n_drops,) array, and the CSV row is that array's mean and standard error.
+Every weight and total is normalized; ``_records`` alone scales the mean
+and standard error by the source's ``info_per_word``. Totals stay arrays
+until then, and the rows are those keys, in the block loop's order.
 """
 
 from __future__ import annotations
@@ -330,16 +332,7 @@ def _matched_blocks(cfg: ScenarioConfig, surface: SimilaritySurface | None):
             # peaks do not add
             semantic = (allocator.semantic_weights(drops.snr_db, surface, cons)
                         if surface is not None else None)
-            # a (stacks, drops, users, channels) view of a drop-minor buffer,
-            # which match_drops reads without a copy: the matcher's rows are
-            # the shorter side, so the buffer is channel-major when there
-            # are more users than channels
-            if cfg.n_users <= n_channels:
-                weights = np.empty((cfg.n_users, n_channels, len(rows), len(block)))
-                weights = weights.transpose(2, 3, 0, 1)
-            else:
-                weights = np.empty((n_channels, cfg.n_users, len(rows), len(block)))
-                weights = weights.transpose(2, 3, 1, 0)
+            weights = allocator.weight_stacks(len(rows), len(block), cfg.n_users, n_channels)
             if semantic is not None:
                 weights[0] = semantic
             se_bits = [allocator.bit_se(drops.snr_db, drops.snr_linear, system, tables)

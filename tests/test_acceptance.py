@@ -13,6 +13,7 @@ import pytest
 
 from semse.allocator import (
     Constraints,
+    bit_pipe_weights,
     build_pair_plans,
 )
 from semse.channel import RadioParams, pathloss_db, sample_drop, snr
@@ -28,7 +29,7 @@ from semse.link_adaptation import (
     check_builtin_tables,
     shannon_se,
 )
-from semse.metrics import SourceStats, TransformFactor, equivalent_semantic_se
+from semse.metrics import TransformFactor
 from semse.similarity import default_surrogate
 from oracles import brute_force_allocation, match_one
 
@@ -122,8 +123,8 @@ def test_criterion_3_decomposition_equivalence():
 def test_criterion_4_transform_method_and_tables():
     t0 = time.perf_counter()
     snr_linear = 10 ** (14.666 / 10)
-    sse = equivalent_semantic_se(
-        shannon_se(snr_linear), TransformFactor(40.0), SourceStats()
+    sse = bit_pipe_weights(
+        shannon_se(snr_linear), TransformFactor(40.0), Constraints(sse_threshold=0.0)
     )
     assert sse == pytest.approx(0.1229, abs=0.001)
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +12,12 @@ from semse.allocator import (
     Assignment,
     Constraints,
     _k_candidates,
+    bit_pipe_weights,
     build_pair_plans,
     conventional_weights,
     match_drops,
     weight_matrix,
+    weight_stacks,
 )
 from semse.channel import RadioParams, sample_drop, sample_drops
 from semse.link_adaptation import SystemKind, builtin_table
@@ -25,6 +28,7 @@ import oracles
 from oracles import best_pair_plan, brute_force_allocation, brute_force_links, match_one
 
 MU40 = TransformFactor(40.0)
+FLOORLESS = Constraints(sse_threshold=0.0)
 TABLES = {
     SystemKind.FOUR_G: builtin_table(SystemKind.FOUR_G),
     SystemKind.FIVE_G: builtin_table(SystemKind.FIVE_G),
@@ -583,6 +587,31 @@ class TestStackedMatcher:
         assert set(paths) == {"_max_weight_stack" if stacked else "hungarian_max"}
 
 
+class TestWeightStacks:
+    """The harness's weight buffer reaches the stacked matcher uncopied either way round."""
+
+    @pytest.mark.parametrize("n_users, n_channels", [(20, 10), (10, 20), (10, 10)])
+    def test_stacked_matcher_reads_the_stack_uncopied(self, monkeypatch, n_users, n_channels):
+        stacks = weight_stacks(4, 20, n_users, n_channels)
+        assert stacks.shape == (4, 20, n_users, n_channels) and stacks.flags.writeable
+        rng = np.random.default_rng(36)
+        for s in range(4):
+            stacks[s] = rng.uniform(0.0, 1.0, size=(20, n_users, n_channels)).round(1)
+        flat = stacks.reshape(-1, n_users, n_channels)
+        assert np.shares_memory(flat, stacks)
+        seen = []
+        real = allocator._max_weight_stack
+        monkeypatch.setattr(allocator, "_max_weight_stack", lambda w: seen.append(w) or real(w))
+        got = match_on_fork(flat, stacked=True)
+        (matched,) = seen
+        assert matched.shape == (80, min(n_users, n_channels), max(n_users, n_channels))
+        # the matcher's drop-minor copy, ascontiguousarray(w.transpose(1, 2, 0)), is the stack
+        assert np.shares_memory(np.ascontiguousarray(matched.transpose(1, 2, 0)), stacks)
+        per_drop = match_on_fork(flat, stacked=False)
+        assert got.total.tolist() == per_drop.total.tolist()
+        assert np.array_equal(got.channel, per_drop.channel)
+
+
 class TestAgainstScipy:
     """Totals on sampled drops against scipy's rectangular assignment solver."""
 
@@ -715,6 +744,55 @@ class TestConventionalWeights:
                 np.zeros((2, 2)), np.ones((2, 2)), SystemKind.SEMANTIC,
                 TABLES, MU40, Constraints(),
             )
+
+
+class TestBitPipeWeights:
+    """The bit-to-S-SE transform, se / bits_per_word, with the floor at 0."""
+
+    def test_top_lte_entry(self):
+        assert bit_pipe_weights(5.5547, MU40, FLOORLESS) == pytest.approx(0.13887, abs=1e-5)
+
+    def test_zero(self):
+        assert bit_pipe_weights(0.0, MU40, FLOORLESS) == 0.0
+
+    def test_shannon_link(self):
+        snr_linear = 10 ** (14.666 / 10)
+        se_bits = math.log2(1 + snr_linear)
+        assert se_bits == pytest.approx(4.920, abs=1e-3)
+        assert bit_pipe_weights(se_bits, MU40, FLOORLESS) == pytest.approx(0.1229, abs=1e-3)
+
+    def test_homogeneous_in_mu(self):
+        rng = np.random.default_rng(15)
+        for _ in range(100):
+            se, mu, c = rng.uniform(0, 10), rng.uniform(1, 100), rng.uniform(0.1, 10)
+            base = bit_pipe_weights(se, TransformFactor(mu), FLOORLESS)
+            scaled = bit_pipe_weights(se, TransformFactor(c * mu), FLOORLESS)
+            assert scaled == pytest.approx(base / c, rel=1e-12)
+
+    def test_accepts_arrays(self):
+        out = bit_pipe_weights(np.array([0.0, 4.0, 8.0]), MU40, FLOORLESS)
+        assert np.allclose(out, [0.0, 0.1, 0.2])
+
+    def test_all_zeros_and_empty(self):
+        zeros = bit_pipe_weights(np.zeros((2, 3, 3)), MU40, FLOORLESS)
+        assert zeros.shape == (2, 3, 3) and not zeros.any()
+        empty = bit_pipe_weights(np.zeros((0, 3, 3)), MU40, FLOORLESS)
+        assert empty.shape == (0, 3, 3)
+
+    @pytest.mark.parametrize("bad", [-0.1, np.nan])
+    def test_rejects_a_negative_or_nan_bit_se(self, bad):
+        # the floor would turn either into a weight of 0 that match_drops accepts
+        with pytest.raises(ValueError, match="bit SE"):
+            bit_pipe_weights(bad, MU40, FLOORLESS)
+        se = np.full((3, 4, 4), 2.0)
+        se[1, 2, 3] = bad
+        for cons in (FLOORLESS, Constraints()):
+            with pytest.raises(ValueError, match="bit SE"):
+                bit_pipe_weights(se, MU40, cons)
+
+    def test_overflow_names_bits_per_word(self):
+        with pytest.raises(ValueError, match="bits_per_word = 5e-324"):
+            bit_pipe_weights(np.array([0.0, 1.0]), TransformFactor(5e-324), FLOORLESS)
 
 
 class TestBruteForce:

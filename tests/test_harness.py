@@ -624,6 +624,23 @@ class TestCli:
             assert f"{key} = {float(value)}" in captured.err
             assert captured.out == ""
 
+    @pytest.mark.parametrize("lines, argv", [
+        ("bits_per_word = 1e-310\n", ["compare", "--k", "1"]),
+        ("bits_per_word = 1e-310\n", ["run"]),
+        ("sweep_param = bits_per_word\nsweep_values = 40, 1e-310\n", ["run"]),
+    ], ids=["compare", "run", "run_sweep"])
+    def test_bits_per_word_overflow_names_only_what_the_scenario_set(
+        self, tmp_path, capsys, lines, argv
+    ):
+        # used to name info_per_word = 1.0, a value the scenario did not set
+        scenario = write_scenario(tmp_path, f"n_drops = 3\ninfo_per_word = 2\n{lines}")
+        command, *flags = argv
+        assert main([command, str(scenario), *flags]) == 1
+        captured = capsys.readouterr()
+        assert "bits_per_word = 1e-310" in captured.err
+        assert "info_per_word = 1.0" not in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("command, flags", [("run", []), ("compare", ["--k", "1,2"])])
     def test_surface_missing_a_k_is_rejected_by_key(self, tmp_path, capsys, command, flags):
         # used to exit 1 with build_pair_plans' message, which names neither key
