@@ -489,11 +489,13 @@ def sum_by_user(x: np.ndarray) -> np.ndarray:
     """Per-drop sums of a (drops, users) array, left to right in user order.
 
     ``DropMatches.total`` is summed here, so a total of other per-user
-    values summed here has the same rounding.
+    values summed here has the same rounding. A sum past the float range is
+    inf, without a warning: the caller that reports it names its cause.
     """
     total = np.zeros(len(x))
-    for column in x.T:
-        total += column
+    with np.errstate(over="ignore"):
+        for column in x.T:
+            total += column
     return total
 
 

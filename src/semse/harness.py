@@ -11,6 +11,14 @@ changes. Example::
     sweep_param = bits_per_word
     sweep_values = 10, 19, 27, 40, 60
 
+Each key is set and validated by the dataclass that holds it: ``_OWNER``
+routes the keys of ``RadioParams``, ``Constraints``, ``TransformFactor`` and
+``SourceStats`` to the ``ScenarioConfig`` field of that type, and every
+other key is the ``ScenarioConfig`` field of its name. A sweep value is the
+swept key's value in one unswept scenario, ``_swept(cfg, value)``, built
+through the same table. So a sweep value is checked at load exactly as that
+value set as its key in the file, and the error names ``sweep_values``.
+
 Each drop d of a run uses seed ``base_seed + d``. All systems and all sweep
 values share those seeds, so every system sees the identical network
 realizations and curve differences are attributable to the system or the
@@ -40,7 +48,9 @@ the CSV row it averages into. ``drop_totals`` joins a row's blocks into one
 (n_drops,) array, and the CSV row is that array's mean and standard error.
 Every weight and total is normalized; ``_records`` alone scales the mean
 and standard error by the source's ``info_per_word``. Totals stay arrays
-until then, and the rows are those keys, in the block loop's order.
+until then, and the rows are those keys, in the block loop's order. A mean
+or std error out of the float range names the row's own inputs before the
+scaling, and ``info_per_word`` only after it.
 """
 
 from __future__ import annotations
@@ -66,6 +76,7 @@ CSV_HEADER = "system,sweep_param,sweep_value,mean_total_sse,std_error,n_drops"
 _csv_number = "{:.6g}".format  # how the results CSV prints every number
 
 _SYSTEM_ORDER = {kind: i for i, kind in enumerate(SystemKind)}
+_CQI_KEY = {SystemKind.FOUR_G: "cqi_4g", SystemKind.FIVE_G: "cqi_5g"}  # each table's file key
 
 # Most pairs (users x channels) a drop may have: numpy cannot size a float
 # array of more
@@ -101,7 +112,7 @@ class ScenarioConfig:
         SystemKind.FOUR_G,
         SystemKind.FIVE_G,
     )
-    surface_source: str = "surrogate"
+    surface: str = "surrogate"
     cqi_4g: str = "builtin"
     cqi_5g: str = "builtin"
     n_drops: int = 500
@@ -145,16 +156,10 @@ class ScenarioConfig:
                     raise ScenarioError(f"sweep_values {printed[text]!r} and {v!r} both print "
                                         f"as {text} in the results CSV")
                 printed[text] = v
-            if self.sweep_param == "n_channels":
-                if any(v != int(v) or v < 1 for v in self.sweep_values):
-                    raise ScenarioError("n_channels sweep values must be integers >= 1")
-                if any(v > max_channels for v in self.sweep_values):
-                    raise ScenarioError(f"n_channels sweep_values must be at most {max_channels} "
-                                        f"with n_users = {self.n_users}, got {self.sweep_values}")
-            if self.sweep_param == "bits_per_word" and any(
-                v <= 0 for v in self.sweep_values
-            ):
-                raise ScenarioError("bits_per_word sweep values must be > 0")
+                try:
+                    _swept(self, v)
+                except ValueError as exc:
+                    raise ScenarioError(f"sweep_values {v!r}: {exc}") from None
         elif self.sweep_values:
             raise ScenarioError("sweep_values given without sweep_param")
 
@@ -177,6 +182,12 @@ _FLOAT_KEYS = {
 }
 _STR_KEYS = {"surface", "cqi_4g", "cqi_5g", "sweep_param"}
 _LIST_KEYS = {"systems", "sweep_values"}
+# The ScenarioConfig field that holds each key of a nested dataclass; every
+# other key is the ScenarioConfig field of the same name
+_OWNER = {f.name: owner
+          for owner, cls in (("radio", RadioParams), ("constraints", Constraints),
+                             ("tf", TransformFactor), ("src", SourceStats))
+          for f in dataclasses.fields(cls)}
 
 
 def _finite(key: str, text: str) -> float:
@@ -219,50 +230,32 @@ def load_scenario(path) -> ScenarioConfig:
                 else:
                     raw[key] = value
             except ValueError as exc:
-                raise ScenarioError(f"{path}:{lineno}: {exc}") from None
+                named = str(exc) if str(exc).startswith(key) else f"{key}: {exc}"
+                raise ScenarioError(f"{path}:{lineno}: {named}") from None
 
-    radio_kwargs, cons_kwargs = (
-        {f.name: raw.pop(f.name) for f in dataclasses.fields(cls) if f.name in raw}
-        for cls in (RadioParams, Constraints)
-    )
-    cfg_kwargs = {}
-    if "bits_per_word" in raw:
-        cfg_kwargs["tf"] = TransformFactor(raw.pop("bits_per_word"))
-    if "info_per_word" in raw:
-        cfg_kwargs["src"] = SourceStats(raw.pop("info_per_word"))
-    if "surface" in raw:
-        cfg_kwargs["surface_source"] = raw.pop("surface")
-    for k in ("n_users", "n_channels", "systems", "cqi_4g", "cqi_5g",
-              "n_drops", "base_seed", "sweep_param", "sweep_values"):
-        if k in raw:
-            cfg_kwargs[k] = raw.pop(k)
     try:
-        return ScenarioConfig(
-            radio=RadioParams(**radio_kwargs),
-            constraints=Constraints(**cons_kwargs),
-            **cfg_kwargs,
-        )
+        return _replace(ScenarioConfig(), raw)
     except ValueError as exc:
         raise ScenarioError(f"{path}: {exc}") from None
 
 
 def surface_for(cfg: ScenarioConfig) -> SimilaritySurface:
-    if cfg.surface_source == "surrogate":
+    if cfg.surface == "surrogate":
         try:
             return default_surrogate(cfg.constraints.k_max)
         except MemoryError:
             raise ScenarioError(f"a surrogate surface of k_max = {cfg.constraints.k_max} "
                                 f"rows is too large to allocate") from None
-    surface = load_surface(cfg.surface_source)
+    surface = load_surface(cfg.surface)
     if not surface.covers_k_range(cfg.constraints.k_max):
-        raise ScenarioError(f"surface {cfg.surface_source} does not tabulate every k in "
+        raise ScenarioError(f"surface {cfg.surface} does not tabulate every k in "
                             f"1..k_max = {cfg.constraints.k_max}")
     return surface
 
 
 def tables_for(cfg: ScenarioConfig) -> dict[SystemKind, CqiTable]:
     tables = {}
-    for system, key in ((SystemKind.FOUR_G, "cqi_4g"), (SystemKind.FIVE_G, "cqi_5g")):
+    for system, key in _CQI_KEY.items():
         source = getattr(cfg, key)
         try:
             tables[system] = builtin_table(system) if source == "builtin" else load_cqi_table(source)
@@ -271,16 +264,25 @@ def tables_for(cfg: ScenarioConfig) -> dict[SystemKind, CqiTable]:
     return tables
 
 
-def _apply_sweep(cfg: ScenarioConfig, value):
-    """Resolve (radio, n_channels, tf) for one sweep value."""
-    radio, n_channels, tf = cfg.radio, cfg.n_channels, cfg.tf
-    if cfg.sweep_param == "n_channels":
-        n_channels = int(value)
-    elif cfg.sweep_param == "tx_power_dbm":
-        radio = dataclasses.replace(radio, tx_power_dbm=float(value))
-    elif cfg.sweep_param == "bits_per_word":
-        tf = TransformFactor(float(value))
-    return radio, n_channels, tf
+def _replace(cfg: ScenarioConfig, keys: dict) -> ScenarioConfig:
+    """``cfg`` with each scenario key in ``keys`` set in the dataclass that holds it."""
+    by_owner: dict = {}
+    for key, value in keys.items():
+        by_owner.setdefault(_OWNER.get(key), {})[key] = value
+    fields = by_owner.pop(None, {})
+    for owner, values in by_owner.items():
+        fields[owner] = dataclasses.replace(getattr(cfg, owner), **values)
+    return dataclasses.replace(cfg, **fields)
+
+
+def _swept(cfg: ScenarioConfig, value) -> ScenarioConfig:
+    """The unswept scenario at one sweep value; ``cfg`` itself if it sweeps nothing."""
+    if cfg.sweep_param is None:
+        return cfg
+    if cfg.sweep_param == "n_channels" and not float(value).is_integer():
+        raise ValueError("n_channels must be an integer")
+    value = int(value) if cfg.sweep_param == "n_channels" else float(value)
+    return _replace(cfg, {"sweep_param": None, "sweep_values": (), cfg.sweep_param: value})
 
 
 def _blocks(n_drops: int, pairs_per_drop: int, stacks: int):
@@ -311,9 +313,9 @@ def _matched_blocks(cfg: ScenarioConfig, surface: SimilaritySurface | None):
     pipes = [s for s in cfg.systems if s is not SystemKind.SEMANTIC]
     first_pipe = int(surface is not None)  # stack index of the first bit-pipe stack
     samples: dict = {}  # (radio, n_channels) -> [(sweep_value, tf), ...]
-    for value in cfg.sweep_values if cfg.sweep_param else (None,):
-        radio, n_channels, tf = _apply_sweep(cfg, value)
-        samples.setdefault((radio, n_channels), []).append((value, tf))
+    for value in cfg.sweep_values or (None,):
+        at = _swept(cfg, value)
+        samples.setdefault((at.radio, at.n_channels), []).append((value, at.tf))
     for (radio, n_channels), group in samples.items():
         # stack s holds the weights of every row in rows[s]
         rows = [[_row(system, cfg.sweep_param, value)] for value, _tf in group for system in pipes]
@@ -400,27 +402,49 @@ def _std(totals: np.ndarray) -> float:
 
     The scale brings the largest magnitude into [0.5, 1), so the squared
     deviations of tiny totals do not underflow, nor those of huge ones
-    overflow. It is exact in the normal range, where the result equals
-    ``totals.std(ddof=1)`` bit for bit.
+    overflow. The deviations are taken from the first total, which leaves
+    the variance unchanged and makes that of equal totals exactly 0.
     """
     _, e = np.frexp(np.abs(totals).max())
-    return float(np.ldexp(np.ldexp(totals, -e).std(ddof=1), e))
+    scaled = np.ldexp(totals, -e)
+    return float(np.ldexp((scaled - scaled[0]).std(ddof=1), e))
+
+
+def _require_range(system: SystemKind, mean: float, stderr: float, at: str) -> None:
+    """Raise ValueError naming ``at`` unless the mean and std error print exactly."""
+    if not (math.isfinite(mean) and math.isfinite(stderr)):
+        raise ValueError(f"the {system.value} mean S-SE or its std error overflows at {at}")
+    # a subnormal float has lost digits, so it would print a wrong value
+    if any(0.0 < abs(x) < sys.float_info.min for x in (mean, stderr)):
+        raise ValueError(f"the {system.value} mean S-SE or its std error underflows at {at}")
+
+
+def _inputs(cfg: ScenarioConfig, row: tuple) -> str:
+    """The scenario keys a row's normalized totals come from, as ``key = value`` text."""
+    system, sweep_param, value = row
+    if system is SystemKind.SEMANTIC:
+        return f"surface = {cfg.surface}"
+    mu = value if sweep_param == "bits_per_word" else cfg.tf.bits_per_word
+    table = _CQI_KEY.get(system)
+    return f"bits_per_word = {mu}" + (f" with {table} = {getattr(cfg, table)}" if table else "")
 
 
 def _records(cfg: ScenarioConfig, fixed_k_values: list[int] | None):
-    """A record per ``drop_totals`` row, in order: its mean and std error times info_per_word."""
+    """A record per ``drop_totals`` row, in order: its mean and std error times info_per_word.
+
+    A mean or std error out of the float range names the row's own inputs;
+    ``info_per_word`` only if the scaling by it leaves the range.
+    """
     n, scale = cfg.n_drops, cfg.src.info_per_word
+    by_row = drop_totals(cfg, fixed_k_values)
+    with np.errstate(over="ignore"):  # an overflowing mean is inf, and rejected below
+        means = [float(totals.mean()) for totals in by_row.values()]
     records = []
-    for row, totals in drop_totals(cfg, fixed_k_values).items():
-        mean = float(totals.mean()) * scale
-        stderr = 0.0 if n == 1 else _std(totals) / math.sqrt(n) * scale
-        if not (math.isfinite(mean) and math.isfinite(stderr)):
-            raise ValueError(f"the {row[0].value} mean S-SE or its std error "
-                             f"overflows at info_per_word = {scale}")
-        # a subnormal float has lost digits, so it would print a wrong value
-        if any(0.0 < abs(x) < sys.float_info.min for x in (mean, stderr)):
-            raise ValueError(f"the {row[0].value} mean S-SE or its std error "
-                             f"underflows at info_per_word = {scale}")
+    for (row, totals), mean in zip(by_row.items(), means):
+        stderr = 0.0 if n == 1 or not math.isfinite(mean) else _std(totals) / math.sqrt(n)
+        _require_range(row[0], mean, stderr, _inputs(cfg, row))
+        mean, stderr = mean * scale, stderr * scale
+        _require_range(row[0], mean, stderr, f"info_per_word = {scale}")
         records.append(SweepRecord(*row, mean, stderr, n))
     return records
 

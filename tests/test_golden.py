@@ -14,11 +14,15 @@ regenerates them with
 (deleting an empty stderr file) and says why.
 """
 
+import dataclasses
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from semse.cli import main
+from semse.harness import drop_totals, load_scenario
+from semse.link_adaptation import SystemKind
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -41,3 +45,15 @@ def test_run_output_is_byte_identical(name, capsysbinary):
     assert out.out == (GOLDEN / f"{name}.csv").read_bytes()
     stderr = GOLDEN / f"{name}.stderr"
     assert out.err == (stderr.read_bytes() if stderr.exists() else b"")
+
+
+def test_equal_totals_print_a_zero_std_error():
+    # at one channel all 100 semantic, 4G and 5G totals of the channel-count
+    # sweep are equal: their rows used to pin rounding noise as the std error
+    cfg = load_scenario(ROOT / CASES["n_channels_sweep"][1])
+    totals = drop_totals(dataclasses.replace(cfg, sweep_values=(1.0,)), None)
+    rows = (GOLDEN / "n_channels_sweep.csv").read_text(encoding="utf-8").splitlines()
+    std_error = {tuple(row.split(",")[:3]): row.split(",")[4] for row in rows[1:]}
+    for system in (SystemKind.SEMANTIC, SystemKind.FOUR_G, SystemKind.FIVE_G):
+        assert np.unique(totals[system, "n_channels", 1.0]).size == 1
+        assert std_error[system.value, "n_channels", "1"] == "0"

@@ -10,7 +10,12 @@ from semse import allocator, harness
 from semse.cli import main
 from semse.harness import (
     _FLOAT_KEYS,
+    _INT_KEYS,
+    _LIST_KEYS,
+    _OWNER,
+    _STR_KEYS,
     CSV_HEADER,
+    SWEEPABLE,
     ScenarioConfig,
     ScenarioError,
     SweepRecord,
@@ -30,7 +35,7 @@ from semse.allocator import (
     conventional_weights,
 )
 from semse.channel import RadioParams, sample_drop
-from semse.link_adaptation import SystemKind
+from semse.link_adaptation import SystemKind, builtin_table
 from semse.metrics import SourceStats, TransformFactor
 
 from oracles import match_one
@@ -142,6 +147,56 @@ class TestLoadScenario:
         assert main(["run", str(path)]) == 1
         assert f"{key} must be finite" in capsys.readouterr().err
 
+    def test_every_key_lands_in_the_field_of_its_name(self, tmp_path):
+        # a value no default has, for every key the sweep keys leave
+        values = {**{key: "0.5" for key in _FLOAT_KEYS},
+                  **{key: "3" for key in _INT_KEYS},
+                  "surface": "s.csv", "cqi_4g": "a.csv", "cqi_5g": "b.csv", "systems": "ideal"}
+        assert sorted(values) == sorted(
+            (_INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _LIST_KEYS) - {"sweep_param", "sweep_values"}
+        )
+        cfg = load_scenario(write_scenario(
+            tmp_path, "".join(f"{key} = {text}\n" for key, text in values.items())
+        ))
+        assert cfg.systems == (SystemKind.IDEAL,)
+        for key, text in values.items():
+            if key != "systems":
+                holder = getattr(cfg, _OWNER[key]) if key in _OWNER else cfg
+                assert str(getattr(holder, key)) == text, key
+
+    @pytest.mark.parametrize("value", ["0", "-1", "1.5", "4000", "1e308"])
+    @pytest.mark.parametrize("key", SWEEPABLE)
+    def test_sweep_value_is_rejected_exactly_when_its_file_key_is(
+        self, tmp_path, key, value
+    ):
+        # tx_power_dbm = 4000 used to pass as a sweep value and fail at run time
+        errors = []
+        for name, text in (("key.txt", f"{key} = {value}\n"),
+                           ("swept.txt", f"sweep_param = {key}\nsweep_values = 3, {value}\n")):
+            try:
+                load_scenario(write_scenario(tmp_path, text, name))
+            except ScenarioError as exc:
+                errors.append(str(exc))
+            else:
+                errors.append(None)
+        as_key, swept = errors
+        assert (as_key is None) == (swept is None)
+        if as_key is not None:
+            assert key in as_key
+            assert f"sweep_values {float(value)!r}: " in swept
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_channels", "7"), ("tx_power_dbm", "-3.5"), ("bits_per_word", "12.5"),
+    ])
+    def test_sweep_value_resolves_to_the_scenario_with_its_file_key(
+        self, tmp_path, key, value
+    ):
+        swept = load_scenario(write_scenario(
+            tmp_path, f"n_users = 2\nsweep_param = {key}\nsweep_values = 3, {value}\n", "a.txt"
+        ))
+        as_key = load_scenario(write_scenario(tmp_path, f"n_users = 2\n{key} = {value}\n", "b.txt"))
+        assert harness._swept(swept, float(value)) == as_key
+
 
 NUMBER_FIELDS = [
     (cls, f.name)
@@ -161,6 +216,13 @@ class TestLibraryBoundary:
     def test_non_finite_field_rejected(self, cls, name, bad):
         with pytest.raises(ValueError, match=rf"^{name} must be finite"):
             cls(**{name: bad})
+
+    @pytest.mark.parametrize("sweep_param", SWEEPABLE)
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_sweep_value_rejected(self, sweep_param, bad):
+        # used to pass for tx_power_dbm, and to raise int()'s error for n_channels
+        with pytest.raises(ScenarioError, match=rf"^sweep_values {bad!r}: "):
+            ScenarioConfig(sweep_param=sweep_param, sweep_values=(3.0, bad))
 
 
 def split_comparison(totals: dict) -> tuple[dict, float]:
@@ -219,6 +281,16 @@ class TestRunScenario:
         scaled = run_scenario(quick_cfg(src=SourceStats(2.0)))
         for a, b in zip(base, scaled):
             assert b.mean_total_sse == pytest.approx(2.0 * a.mean_total_sse, rel=1e-12)
+
+    def test_equal_totals_have_zero_std_error(self):
+        # at 3000 dBm every 5G user gets the top CQI: the three totals are
+        # equal, yet their std error used to print 7.85046e-17
+        cfg = ScenarioConfig(n_drops=3, sweep_param="tx_power_dbm", sweep_values=(3000.0, 10.0))
+        equal = {row for row, totals in drop_totals(cfg, None).items()
+                 if np.unique(totals).size == 1}
+        assert (SystemKind.FIVE_G, "tx_power_dbm", 3000.0) in equal
+        for r in run_scenario(cfg):
+            assert (r.std_error == 0.0) == ((r.system, r.sweep_param, r.sweep_value) in equal)
 
     def test_single_drop_has_zero_std_error(self):
         records = run_scenario(quick_cfg(n_drops=1))
@@ -639,6 +711,37 @@ class TestCli:
         captured = capsys.readouterr()
         assert "bits_per_word = 1e-310" in captured.err
         assert "info_per_word = 1.0" not in captured.err
+        assert captured.out == ""
+
+    def test_table_whose_totals_overflow_is_named_with_bits_per_word(self, tmp_path, capsys):
+        # the per-drop totals overflow in the user-order sum: that used to
+        # print two numpy RuntimeWarnings (each fails this test, as pytest
+        # raises warnings) and blame info_per_word = 1.0
+        thresholds = builtin_table(SystemKind.FOUR_G).thresholds_db
+        rows = zip(np.geomspace(1e300, 1.7e308, 15), thresholds)
+        table = write_scenario(tmp_path, "index,efficiency,threshold_db\n" + "".join(
+            f"{i},{float(e)!r},{float(t)!r}\n" for i, (e, t) in enumerate(rows, 1)
+        ), "huge.csv")
+        scenario = write_scenario(
+            tmp_path, f"n_drops = 3\nsystems = 4g\ncqi_4g = {table}\nbits_per_word = 1\n"
+        )
+        assert main(["run", str(scenario)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: the 4g mean S-SE or its std error overflows at "
+                                f"bits_per_word = 1.0 with cqi_4g = {table}\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("lines", [
+        "bits_per_word = 1e308\n",
+        "sweep_param = bits_per_word\nsweep_values = 40, 1e308\n",
+    ], ids=["key", "sweep"])
+    def test_subnormal_bit_pipe_mean_is_named_with_bits_per_word(self, tmp_path, capsys, lines):
+        # used to blame info_per_word = 1.0, a value the scenario did not set
+        scenario = write_scenario(tmp_path, f"n_drops = 3\nsse_threshold = 0\n{lines}")
+        assert main(["run", str(scenario)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: the 4g mean S-SE or its std error underflows at "
+                                "bits_per_word = 1e+308 with cqi_4g = builtin\n")
         assert captured.out == ""
 
     @pytest.mark.parametrize("command, flags", [("run", []), ("compare", ["--k", "1,2"])])

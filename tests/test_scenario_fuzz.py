@@ -127,20 +127,25 @@ def test_run_exits_0_1_or_2(text):
             assert out.read_text(encoding="utf-8").startswith(CSV_HEADER)
 
 
-# No silent wrong answer: an extreme float either exits 1 naming its key, or
-# runs and prints only means and std errors that are 0 or normal floats (a
-# subnormal has lost digits). No RuntimeWarning filter here, so any numpy
-# warning fails the test.
-@pytest.mark.parametrize("value", ["1e308", "-1e308", "1e-310", "5e-324"])
-@pytest.mark.parametrize("key", sorted(_FLOAT_KEYS))
-def test_extreme_float_is_rejected_by_key_or_printed_exactly(tmp_path, capsys, key, value):
-    scenario = tmp_path / "scenario.txt"
-    scenario.write_text(f"n_drops = 3\n{key} = {value}\n", encoding="utf-8")
-    code = main(["run", str(scenario)])
+EXTREMES = ["1e308", "-1e308", "1e-310", "5e-324"]
+
+
+def assert_rejected_by_key_or_printed_exactly(path, capsys, lines: dict) -> None:
+    """Run a scenario of ``lines`` ({key: value}) plus ``n_drops = 3``.
+
+    No silent wrong answer: the run either exits 1 naming a key the file
+    sets (a swept key counts as set), or prints only means and std errors
+    that are 0 or normal floats (a subnormal has lost digits). No
+    RuntimeWarning filter here, so any numpy warning fails the test.
+    """
+    path.write_text("".join(f"{k} = {v}\n" for k, v in {"n_drops": 3, **lines}.items()),
+                    encoding="utf-8")
+    code = main(["run", str(path)])
     captured = capsys.readouterr()
     assert code in (0, 1)
     if code == 1:
-        assert key in captured.err
+        named = {*lines, lines.get("sweep_param")} - {"n_drops", None}
+        assert any(key in captured.err for key in named), captured.err
         return
     lines = captured.out.splitlines()
     assert lines[0] == CSV_HEADER and len(lines) > 1
@@ -148,6 +153,35 @@ def test_extreme_float_is_rejected_by_key_or_printed_exactly(tmp_path, capsys, k
         for printed in line.split(",")[3:5]:
             x = abs(float(printed))
             assert x == 0.0 or sys.float_info.min <= x < float("inf"), line
+
+
+@pytest.mark.parametrize("value", EXTREMES)
+@pytest.mark.parametrize("key", sorted(_FLOAT_KEYS))
+def test_extreme_float_is_rejected_by_key_or_printed_exactly(tmp_path, capsys, key, value):
+    assert_rejected_by_key_or_printed_exactly(tmp_path / "scenario.txt", capsys, {key: value})
+
+
+@pytest.mark.parametrize("value", EXTREMES)
+@pytest.mark.parametrize("key", sorted(_FLOAT_KEYS - {"sse_threshold"}))
+def test_extreme_float_with_no_sse_floor_is_rejected_by_key_or_printed_exactly(
+    tmp_path, capsys, key, value
+):
+    # a zero floor keeps the tiny weights a huge bits_per_word gives
+    assert_rejected_by_key_or_printed_exactly(
+        tmp_path / "scenario.txt", capsys, {"sse_threshold": 0, key: value}
+    )
+
+
+@pytest.mark.parametrize("floor", [None, "0"], ids=["default_floor", "no_floor"])
+@pytest.mark.parametrize("value", EXTREMES)
+@pytest.mark.parametrize("sweep_param", SWEEPABLE)
+def test_extreme_sweep_value_is_rejected_by_key_or_printed_exactly(
+    tmp_path, capsys, sweep_param, value, floor
+):
+    lines = {"sweep_param": sweep_param, "sweep_values": f"3, {value}"}
+    if floor is not None:
+        lines["sse_threshold"] = floor
+    assert_rejected_by_key_or_printed_exactly(tmp_path / "scenario.txt", capsys, lines)
 
 
 def test_std_error_of_tiny_totals_keeps_its_digits():
