@@ -25,9 +25,12 @@ matrix. Both find each drop the same matching, so the totals are
 bit-identical whichever runs. The scalar search scans only the matched
 columns a search has not picked, and finds the free ones from each row's
 columns sorted by descending weight: a free column's dual is still exactly
-0, so a row's best free columns are its heaviest free ones. That skips only
-comparisons whose outcome is known, so it keeps the full scan's every step
-and matching (see ``_max_weight_rect``).
+0, so a row's best free columns are its heaviest free ones. While no column
+dual has risen above 0, a search whose row's heaviest free column has the
+row's largest weight ends at that column at its first step, so it builds no
+scan state and reads no matched column. Both skip only comparisons whose
+outcome is known, so they keep the full scan's every step and matching (see
+``_max_weight_rect``).
 
 This module owns how a weight is computed and stored. Conventional
 bit-pipe baselines go through the same matching, with weights equal to
@@ -222,6 +225,17 @@ def _max_weight_rect(weights: list[list[float]], order: list[list[int]]) -> list
     its matching bit for bit (``tests/oracles.py`` keeps that scan). The
     argument needs each step's least distance to be below +inf, which only
     duals made NaN by sums of weights that overflow could break.
+
+    A search whose row's heaviest free column has the row's largest weight
+    ``top`` ends at its first step, unscanned, while no column dual has
+    risen above 0.0. Row ``cur`` searches fresh, so ``base`` is 0.0 and the
+    free column is reached at ``-top``; a matched column j at ``-row[j] -
+    v[j] >= -row[j] >= -top``, rounding included, since ``v[j] <= 0.0``.
+    So no matched column beats the free one, and the plain scan's tie rule
+    picks the free one: of the free columns at ``top``, the last in scan
+    order, which before any swap-remove is the lowest-numbered. The search
+    then sets ``u[cur] = -top`` and leaves ``v`` as it is. A dual update
+    can round a ``v`` above 0.0; from then on every search runs in full.
     """
     inf = float("inf")
     n, m = len(weights), len(weights[0])
@@ -231,7 +245,28 @@ def _max_weight_rect(weights: list[list[float]], order: list[list[int]]) -> list
     row_of_col = [-1] * m
     path = [-1] * m
     heaviest = [0] * n  # [i]: index into order[i] of row i's heaviest free column
+    lifted = False  # whether a dual update has set some v[c] above 0.0
     for cur in range(n):
+        if not lifted:
+            row = weights[cur]
+            cols = order[cur]
+            k = heaviest[cur]
+            while row_of_col[cols[k]] >= 0:
+                k += 1
+            heaviest[cur] = k
+            top = row[cols[0]]
+            sink = cols[k]
+            if row[sink] == top:  # the search ends here: walk the tied run
+                for k in range(k + 1, m):
+                    j = cols[k]
+                    if row[j] != top:
+                        break
+                    if j < sink and row_of_col[j] < 0:
+                        sink = j
+                u[cur] = 0.0 - top
+                row_of_col[sink] = cur
+                col_of_row[cur] = sink
+                continue
         dist = [inf] * m
         # Scan high to low, as Crouse's reference code does. A tying free
         # column replaces the current pick, so the lower-numbered one wins;
@@ -311,6 +346,8 @@ def _max_weight_rect(weights: list[list[float]], order: list[list[int]]) -> list
             u[i] += min_val - dist[col_of_row[i]]
         for c in cols_seen:
             v[c] -= min_val - dist[c]
+            if v[c] > 0.0:
+                lifted = True
         while True:  # augment along the path back to row ``cur``
             i = path[j]
             row_of_col[j] = i
@@ -476,12 +513,13 @@ class DropMatches(NamedTuple):
 # per-drop one Python work per drop. Timed on sampled semantic and 4G
 # weights (2-core host; README crossover table), the stacked one breaks
 # even at about 32 drops from 5x5 to 20x20 and is 3-6x faster at 256; on
-# larger matrices it breaks even sooner (8-32 drops at 50x50, 2-8 at
-# 120x80) but takes 1.7-2x as long as the per-drop one on 2 drops of
-# 120x80. A stack may mix systems. On ideal (Shannon) weights, which seldom
-# tie or fall to 0 so every search runs longer, it breaks even at 32-64
-# drops up to 50x50 and at about 64 drops of 120x80 (0.99-1.04 as fast),
-# and takes 4-6x as long on 2 drops of 120x80.
+# larger matrices it breaks even sooner (8-32 drops at 50x50 and at
+# 120x80), but takes 3.7-4.5x as long as the per-drop one on 2 drops of
+# 120x80, where most per-drop searches end at their first step. A stack may
+# mix systems. On ideal (Shannon) weights, which seldom tie or fall to 0 so
+# every search runs longer, it breaks even at 32-64 drops up to 50x50 and
+# at about 64 drops of 120x80 (0.90-0.99 as fast), and takes 6x as long on
+# 2 drops of 120x80.
 _STACK_MIN_DROPS = 64
 
 

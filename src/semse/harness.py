@@ -279,10 +279,16 @@ def _swept(cfg: ScenarioConfig, value) -> ScenarioConfig:
     """The unswept scenario at one sweep value; ``cfg`` itself if it sweeps nothing."""
     if cfg.sweep_param is None:
         return cfg
-    if cfg.sweep_param == "n_channels" and not float(value).is_integer():
+    unswept = {"sweep_param": None, "sweep_values": ()}
+    if cfg.sweep_param != "n_channels":
+        return _replace(cfg, {**unswept, cfg.sweep_param: float(value)})
+    if not float(value).is_integer():
         raise ValueError("n_channels must be an integer")
-    value = int(value) if cfg.sweep_param == "n_channels" else float(value)
-    return _replace(cfg, {"sweep_param": None, "sweep_values": (), cfg.sweep_param: value})
+    n_channels = int(value)
+    try:
+        return _replace(cfg, {**unswept, "n_channels": n_channels})
+    except ValueError as exc:  # name the value as given, not its int() (309 digits at 1e308)
+        raise ValueError(str(exc).replace(f"got {n_channels}", f"got {value}")) from None
 
 
 def _blocks(n_drops: int, pairs_per_drop: int, stacks: int):

@@ -17,6 +17,7 @@ switching point. Both are plain data and can be overridden per scenario.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from importlib import resources
 
@@ -142,13 +143,20 @@ def _builtin_bytes(system: SystemKind) -> bytes:
     return resources.files("semse.data").joinpath(name).read_bytes()
 
 
+@functools.cache
 def builtin_table(system: SystemKind) -> CqiTable:
-    """The shipped table for FOUR_G or FIVE_G."""
+    """The shipped table for FOUR_G or FIVE_G, parsed once per process.
+
+    Every call returns the same table; its arrays are read-only.
+    """
     if system not in BUILTIN_TABLE_FILES:
         raise ValueError(f"no builtin CQI table for {system}")
     name = BUILTIN_TABLE_FILES[system]
     with resources.as_file(resources.files("semse.data").joinpath(name)) as p:
-        return load_cqi_table(p)
+        table = load_cqi_table(p)
+    table.efficiencies.flags.writeable = False
+    table.thresholds_db.flags.writeable = False
+    return table
 
 
 def check_builtin_tables() -> list[str]:

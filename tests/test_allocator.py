@@ -382,6 +382,18 @@ PALETTES = [
     [0.0, 0.1, 0.2, 0.3, 0.1 + 0.2],
     [0.0, 1e16 / 3, 1e16 / 3 + 0.5, 1e16 / 3 + 1.0, 2e16 / 3, 1e16],
 ]
+# On the 1e16 palette, a dual update of this matrix rounds a column dual
+# above 0.0, after which a later row's search must scan its matched columns
+# although its heaviest free column has the row's largest weight.
+_a, _b, _c, _t, _x = PALETTES[2][1:]
+LIFTS_A_DUAL = np.array([
+    [0.0, _x, _c, _t, _x, _c],
+    [_c, _a, _t, _b, _a, _b],
+    [0.0, _a, _a, 0.0, 0.0, 0.0],
+    [_c, _t, 0.0, _t, 0.0, _t],
+    [_t, 0.0, _x, _t, 0.0, 0.0],
+    [_b, _t, _c, _c, _b, _c],
+])
 
 
 @st.composite
@@ -417,6 +429,7 @@ class TestPrunedSearch:
     @given(rect_weights())
     @example((np.zeros((3, 7)), np.arange(7)))
     @example((np.array([[0.3, 0.1 + 0.2, 0.3], [0.1 + 0.2, 0.3, 0.3]]), np.array([2, 0, 1])))
+    @example((LIFTS_A_DUAL, np.arange(6)))
     def test_equals_plain_scan(self, case):
         w, perm = case
         rows = w.tolist()
@@ -424,11 +437,13 @@ class TestPrunedSearch:
         assert allocator._max_weight_rect(rows, descending_order(w, perm)) == expect
         assert allocator._max_weight_rect(rows, descending_order(w, perm[::-1])) == expect
 
+    @pytest.mark.parametrize("sse_threshold", [Constraints().sse_threshold, 0.0])
+    @pytest.mark.parametrize("seed", [7, 8, 9])
     @pytest.mark.parametrize("system", list(SystemKind))
-    def test_sampled_overloaded_drop_equals_plain_scan(self, system):
+    def test_sampled_overloaded_drop_equals_plain_scan(self, system, seed, sse_threshold):
         # a 120-user, 80-channel drop, transposed as match_drops does
-        cons = Constraints()
-        drop = sample_drops(120, 80, RadioParams(), [7])
+        cons = Constraints(sse_threshold=sse_threshold)
+        drop = sample_drops(120, 80, RadioParams(), [seed])
         if system is SystemKind.SEMANTIC:
             w = build_pair_plans(drop.snr_db, default_surrogate(20), cons).weight[0]
         else:

@@ -12,9 +12,18 @@ regenerates them with
         > tests/golden/<name>.csv 2> tests/golden/<name>.stderr
 
 (deleting an empty stderr file) and says why.
+
+``bench/golden.json`` pins the benchmark's outputs, every workload at seeds
+0..31; they are replayed here in process, through the benchmark's own
+scenario writer, so a change that moves one fails here, not only in the
+benchmark.
 """
 
 import dataclasses
+import functools
+import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +35,8 @@ from semse.link_adaptation import SystemKind
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
+
+BENCH_GOLDEN = json.loads((ROOT / "bench" / "golden.json").read_text(encoding="utf-8"))
 
 CASES = {
     "default": ["run", "scenarios/default.txt"],
@@ -57,3 +68,32 @@ def test_equal_totals_print_a_zero_std_error():
     for system in (SystemKind.SEMANTIC, SystemKind.FOUR_G, SystemKind.FIVE_G):
         assert np.unique(totals[system, "n_channels", 1.0]).size == 1
         assert std_error[system.value, "n_channels", "1"] == "0"
+
+
+@functools.cache
+def bench_run_module():
+    """``bench/run.py``, imported from its file: its workloads and scenario writer."""
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_GOLDEN))
+def test_bench_golden_outputs_reproduce(workload, tmp_path, monkeypatch, capsys):
+    bench = bench_run_module()
+    wl = bench.WORKLOADS[workload]
+    monkeypatch.chdir(ROOT)  # the benchmark runs the CLI from the root
+    out = tmp_path / "out.csv"
+    differ = []
+    for seed, pinned in sorted(BENCH_GOLDEN[workload].items(), key=lambda item: int(item[0])):
+        scenario = bench.write_scenario(workload, int(seed), tmp_path)
+        argv = [wl.command, str(scenario), "--out", str(out)]
+        if wl.fixed_k:
+            argv += ["--k", ",".join(map(str, wl.fixed_k))]
+        code = main(argv)
+        err = capsys.readouterr().err
+        if (code, out.read_text(encoding="utf-8"), err) != (0, pinned["csv"], pinned["stderr"]):
+            differ.append(seed)
+    assert len(BENCH_GOLDEN[workload]) == 32 and not differ

@@ -669,6 +669,20 @@ class TestCli:
         assert f"got base_seed = {2**128 - 1} with n_drops = 2" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("value", ["1e308", "1e18"])
+    def test_huge_n_channels_sweep_value_is_printed_as_given(self, tmp_path, capsys, value):
+        # int(1e308) used to be printed in full, 309 digits
+        scenario = write_scenario(
+            tmp_path, f"n_drops = 2\nsweep_param = n_channels\nsweep_values = 10, {value}\n"
+        )
+        assert main(["run", str(scenario)]) == 1
+        captured = capsys.readouterr()
+        given = repr(float(value))
+        assert captured.err.endswith(f"sweep_values {given}: n_channels must be at most "
+                                     f"{harness._MAX_DROP_PAIRS // 5} with n_users = 5, "
+                                     f"got {given}\n")
+        assert captured.out == ""
+
     def test_last_128_bit_seeds_run(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, "n_users = 2\nn_channels = 2\nn_drops = 2\n")
         assert main(["run", str(scenario), "--seed", str(2**128 - 2)]) == 0

@@ -58,6 +58,15 @@ def test_builtin_hashes_pinned():
     assert len(report) == len(BUILTIN_TABLE_SHA256) == 2
 
 
+@pytest.mark.parametrize("system", [SystemKind.FOUR_G, SystemKind.FIVE_G])
+def test_builtin_table_is_parsed_once_and_read_only(system):
+    table = builtin_table(system)
+    assert builtin_table(system) is table
+    for values in (table.efficiencies, table.thresholds_db):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 1.0
+
+
 def test_cqi_selection_rules():
     table = builtin_table(SystemKind.FOUR_G)
     assert table_se(table, table.thresholds_db[0] - 0.01) == 0.0
