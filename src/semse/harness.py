@@ -11,13 +11,13 @@ changes. Example::
     sweep_param = bits_per_word
     sweep_values = 10, 19, 27, 40, 60
 
-Each key is set and validated by the dataclass that holds it: ``_OWNER``
-routes the keys of ``RadioParams``, ``Constraints``, ``TransformFactor`` and
-``SourceStats`` to the ``ScenarioConfig`` field of that type, and every
-other key is the ``ScenarioConfig`` field of its name. A sweep value is the
-swept key's value in one unswept scenario, ``_swept(cfg, value)``, built
-through the same table. So a sweep value is checked at load exactly as that
-value set as its key in the file, and the error names ``sweep_values``.
+Each key is parsed by the type of its default and set and validated by the
+dataclass that holds it: ``_OWNER`` routes the keys of ``RadioParams``,
+``Constraints``, ``TransformFactor`` and ``SourceStats`` to the
+``ScenarioConfig`` field of that type, every other key to the field of its
+name. A sweep value is the swept key's value in one unswept scenario,
+``_swept(cfg, value)``, so it is checked exactly as that value set as its
+key in the file, and the error names ``sweep_values``.
 
 Each drop d of a run uses seed ``base_seed + d``. All systems and all sweep
 values share those seeds, so every system sees the identical network
@@ -68,7 +68,7 @@ from .allocator import Constraints, DropMatches
 from .channel import SEED_LIMIT, RadioParams, sample_drops
 from .link_adaptation import CqiTable, CqiTableError, SystemKind, builtin_table, load_cqi_table
 from .metrics import SourceStats, TransformFactor
-from .similarity import SimilaritySurface, default_surrogate, load_surface
+from .similarity import SimilaritySurface, SurfaceError, default_surrogate, load_surface
 
 SWEEPABLE = ("n_channels", "tx_power_dbm", "bits_per_word")
 
@@ -174,20 +174,16 @@ class SweepRecord:
     n_drops: int
 
 
-_INT_KEYS = {"n_users", "n_channels", "k_max", "n_drops", "base_seed"}
-_FLOAT_KEYS = {
-    "bandwidth_hz", "noise_psd_dbm_hz", "tx_power_dbm", "pathloss_a",
-    "pathloss_b", "shadow_sigma_db", "cell_radius_km",
-    "similarity_threshold", "sse_threshold", "bits_per_word", "info_per_word",
-}
-_STR_KEYS = {"surface", "cqi_4g", "cqi_5g", "sweep_param"}
-_LIST_KEYS = {"systems", "sweep_values"}
-# The ScenarioConfig field that holds each key of a nested dataclass; every
+# Every scenario key's default, whose type picks the key's parser, and the
+# ScenarioConfig field that holds each key of a nested dataclass; every
 # other key is the ScenarioConfig field of the same name
-_OWNER = {f.name: owner
-          for owner, cls in (("radio", RadioParams), ("constraints", Constraints),
-                             ("tf", TransformFactor), ("src", SourceStats))
-          for f in dataclasses.fields(cls)}
+_DEFAULT, _OWNER = {}, {}
+for _f in dataclasses.fields(ScenarioConfig):
+    if dataclasses.is_dataclass(_f.default_factory):  # radio, constraints, tf, src
+        for _g in dataclasses.fields(_f.default_factory):
+            _DEFAULT[_g.name], _OWNER[_g.name] = _g.default, _f.name
+    else:
+        _DEFAULT[_f.name] = _f.default
 
 
 def _finite(key: str, text: str) -> float:
@@ -211,15 +207,10 @@ def load_scenario(path) -> ScenarioConfig:
             key, value = key.strip(), value.strip()
             if key in raw:
                 raise ScenarioError(f"{path}:{lineno}: duplicate key {key!r}")
-            known = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _LIST_KEYS
-            if key not in known:
+            if key not in _DEFAULT:
                 raise ScenarioError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                if key in _INT_KEYS:
-                    raw[key] = int(value)
-                elif key in _FLOAT_KEYS:
-                    raw[key] = _finite(key, value)
-                elif key == "systems":
+                if key == "systems":
                     raw[key] = tuple(
                         SystemKind.parse(tok) for tok in value.split(",") if tok.strip()
                     )
@@ -227,7 +218,11 @@ def load_scenario(path) -> ScenarioConfig:
                     raw[key] = tuple(
                         _finite(key, tok) for tok in value.split(",") if tok.strip()
                     )
-                else:
+                elif type(_DEFAULT[key]) is int:
+                    raw[key] = int(value)
+                elif type(_DEFAULT[key]) is float:
+                    raw[key] = _finite(key, value)
+                else:  # a text key: its default is a str, or None
                     raw[key] = value
             except ValueError as exc:
                 named = str(exc) if str(exc).startswith(key) else f"{key}: {exc}"
@@ -246,7 +241,10 @@ def surface_for(cfg: ScenarioConfig) -> SimilaritySurface:
         except MemoryError:
             raise ScenarioError(f"a surrogate surface of k_max = {cfg.constraints.k_max} "
                                 f"rows is too large to allocate") from None
-    surface = load_surface(cfg.surface)
+    try:
+        surface = load_surface(cfg.surface)
+    except SurfaceError as exc:
+        raise SurfaceError(f"surface: {exc}") from None
     if not surface.covers_k_range(cfg.constraints.k_max):
         raise ScenarioError(f"surface {cfg.surface} does not tabulate every k in "
                             f"1..k_max = {cfg.constraints.k_max}")
@@ -279,16 +277,16 @@ def _swept(cfg: ScenarioConfig, value) -> ScenarioConfig:
     """The unswept scenario at one sweep value; ``cfg`` itself if it sweeps nothing."""
     if cfg.sweep_param is None:
         return cfg
-    unswept = {"sweep_param": None, "sweep_values": ()}
-    if cfg.sweep_param != "n_channels":
-        return _replace(cfg, {**unswept, cfg.sweep_param: float(value)})
+    key, unswept = cfg.sweep_param, {"sweep_param": None, "sweep_values": ()}
+    if type(_DEFAULT[key]) is not int:
+        return _replace(cfg, {**unswept, key: float(value)})
     if not float(value).is_integer():
-        raise ValueError("n_channels must be an integer")
-    n_channels = int(value)
+        raise ValueError(f"{key} must be an integer")
+    n = int(value)
     try:
-        return _replace(cfg, {**unswept, "n_channels": n_channels})
+        return _replace(cfg, {**unswept, key: n})
     except ValueError as exc:  # name the value as given, not its int() (309 digits at 1e308)
-        raise ValueError(str(exc).replace(f"got {n_channels}", f"got {value}")) from None
+        raise ValueError(str(exc).replace(f"got {n}", f"got {value}")) from None
 
 
 def _blocks(n_drops: int, pairs_per_drop: int, stacks: int):
@@ -443,8 +441,10 @@ def _records(cfg: ScenarioConfig, fixed_k_values: list[int] | None):
     """
     n, scale = cfg.n_drops, cfg.src.info_per_word
     by_row = drop_totals(cfg, fixed_k_values)
-    with np.errstate(over="ignore"):  # an overflowing mean is inf, and rejected below
-        means = [float(totals.mean()) for totals in by_row.values()]
+    # the first total plus the mean deviation from it, so that equal totals
+    # have their value as mean; an overflow or inf total gives inf or NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = [float(t[0] + (t - t[0]).mean()) for t in by_row.values()]
     records = []
     for (row, totals), mean in zip(by_row.items(), means):
         stderr = 0.0 if n == 1 or not math.isfinite(mean) else _std(totals) / math.sqrt(n)

@@ -153,15 +153,6 @@ class SimilaritySurface:
         j, dx = located
         return self.evaluate(self._row(k) * self.snr_grid_db.size + j, dx)
 
-    def query(self, k: int, snr_db):
-        """Similarity of row k at snr_db; k must be tabulated exactly.
-
-        ``snr_db`` may be a scalar, giving a float, or an array of any shape,
-        giving an array of that shape.
-        """
-        out = self.interpolate(k, self.locate(snr_db))
-        return float(out) if np.ndim(out) == 0 else out
-
     def covers_k_range(self, k_max: int) -> bool:
         return all(k in self._k_index for k in range(1, k_max + 1))
 

@@ -1,5 +1,7 @@
-"""Reference implementations the tests compare the allocator against.
+"""Reference implementations the tests compare the package against.
 
+``query`` is the scalar similarity lookup that ``SimilaritySurface.locate``
+and ``interpolate`` split in two for the vectorized paths.
 ``best_pair_plan`` is the scalar k scan that ``allocator.build_pair_plans``
 vectorizes, and ``full_k_scan`` the array scan of every k in 1..k_max that
 its candidate-k scan must equal; ``brute_force_links`` enumerates every
@@ -29,6 +31,16 @@ from semse.similarity import SimilaritySurface
 _JOINT_BLOCK_LIMIT = 1 << 22
 
 
+def query(surface: SimilaritySurface, k: int, snr_db):
+    """Similarity of ``surface``'s row k at snr_db; k must be tabulated exactly.
+
+    ``snr_db`` may be a scalar, giving a float, or an array of any shape,
+    giving an array of that shape.
+    """
+    out = surface.interpolate(k, surface.locate(snr_db))
+    return float(out) if np.ndim(out) == 0 else out
+
+
 def best_pair_plan(surface: SimilaritySurface, snr_db: float, cons: Constraints) -> PlanArrays:
     """Scan k = 1..k_max for the feasible k maximizing similarity/k, one pair.
 
@@ -41,7 +53,7 @@ def best_pair_plan(surface: SimilaritySurface, snr_db: float, cons: Constraints)
     _require_k_coverage(surface, cons.k_max)
     best_k, best_xi, best_w = None, 0.0, 0.0
     for k in range(1, cons.k_max + 1):
-        xi = surface.query(k, snr_db)
+        xi = query(surface, k, snr_db)
         w = xi / k
         ok = xi >= cons.similarity_threshold and w >= cons.sse_threshold
         if ok and (best_k is None or w > best_w):
@@ -90,7 +102,7 @@ def brute_force_links(
         raise ValueError(f"instance {n}x{m} with k_max {cons.k_max} exceeds oracle bound")
     _require_k_coverage(surface, cons.k_max)
     ks = np.arange(1, cons.k_max + 1)
-    xi = np.stack([surface.query(int(k), snr) for k in ks])  # (K, N, M)
+    xi = np.stack([query(surface, int(k), snr) for k in ks])  # (K, N, M)
     w = xi / ks[:, None, None]
     ok = (xi >= cons.similarity_threshold) & (w >= cons.sse_threshold)
     value = np.where(ok, w, 0.0)  # value[k-1, user, channel]

@@ -31,7 +31,7 @@ from semse.link_adaptation import (
 )
 from semse.metrics import TransformFactor
 from semse.similarity import default_surrogate
-from oracles import brute_force_allocation, match_one
+from oracles import brute_force_allocation, match_one, query
 
 LTE_EFFICIENCIES = [
     0.1523, 0.2344, 0.3770, 0.6016, 0.8770, 1.1758, 1.4766,
@@ -230,7 +230,7 @@ def test_criterion_9_invariant_suites():
     for _ in range(200):
         k = int(rng.integers(1, 21))
         a, b = np.sort(rng.uniform(-30, 40, 2))
-        qa, qb = surface.query(k, a), surface.query(k, b)
+        qa, qb = query(surface, k, a), query(surface, k, b)
         assert 0.0 <= qa <= qb <= 1.0
 
     # SNR multiplicative linearity

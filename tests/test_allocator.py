@@ -25,7 +25,9 @@ from semse.metrics import TransformFactor
 from semse.similarity import SimilaritySurface, SurfaceError, default_surrogate
 
 import oracles
-from oracles import best_pair_plan, brute_force_allocation, brute_force_links, match_one
+from oracles import (
+    best_pair_plan, brute_force_allocation, brute_force_links, match_one, query,
+)
 
 MU40 = TransformFactor(40.0)
 FLOORLESS = Constraints(sse_threshold=0.0)
@@ -210,7 +212,7 @@ def k_scan_cases(draw):
         draw(st.lists(st.floats(-100.0, 100.0), max_size=4)),
     ])
     # similarities and weights the scan computes at those SNRs but NaN
-    values = np.stack([surface.query(k, snr[~np.isnan(snr)]) for k in range(1, k_max + 1)])
+    values = np.stack([query(surface, k, snr[~np.isnan(snr)]) for k in range(1, k_max + 1)])
     weights = values / np.arange(1, k_max + 1)[:, None]
     near = st.sampled_from([0, 0, -1, 1]).map(lambda step: lambda x: (
         x if step == 0 else float(np.nextafter(x, step * np.inf))))
@@ -704,7 +706,7 @@ class TestAllocateSemantic:
                 total = 0.0
                 for i, j in enumerate(cols):
                     k = int(rng.integers(1, 9))
-                    xi = surface.query(k, float(snr[i, j]))
+                    xi = query(surface, k, float(snr[i, j]))
                     w = xi / k
                     if xi >= cons.similarity_threshold and w >= cons.sse_threshold:
                         total += w

@@ -2,7 +2,8 @@
 
 ``semse`` exports exactly the names the README's Library use section
 documents, and that section's example runs as written. The defaults the
-README's Scenario files section shows are the ones ``ScenarioConfig`` has.
+README's Scenario files section shows are the ones ``ScenarioConfig`` has,
+for every scenario key.
 """
 
 import os
@@ -13,7 +14,7 @@ from pathlib import Path
 from types import ModuleType
 
 import semse
-from semse.harness import ScenarioConfig, load_scenario
+from semse.harness import _DEFAULT, ScenarioConfig, load_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -30,6 +31,8 @@ def test_readme_scenario_defaults_are_the_real_defaults(tmp_path):
     path = tmp_path / "defaults.txt"
     path.write_text(block, encoding="utf-8")
     assert load_scenario(path) == ScenarioConfig()
+    # every scenario key is shown, the sweep keys in comments
+    assert sorted(re.findall(r"^(?:# )?(\w+) =", block, re.M)) == sorted(_DEFAULT)
 
 
 def test_library_use_example_runs(capsys):

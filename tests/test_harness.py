@@ -9,11 +9,8 @@ import pytest
 from semse import allocator, harness
 from semse.cli import main
 from semse.harness import (
-    _FLOAT_KEYS,
-    _INT_KEYS,
-    _LIST_KEYS,
+    _DEFAULT,
     _OWNER,
-    _STR_KEYS,
     CSV_HEADER,
     SWEEPABLE,
     ScenarioConfig,
@@ -38,7 +35,7 @@ from semse.channel import RadioParams, sample_drop
 from semse.link_adaptation import SystemKind, builtin_table
 from semse.metrics import SourceStats, TransformFactor
 
-from oracles import match_one
+from oracles import match_one, query
 
 ALL_SYSTEMS = (
     SystemKind.SEMANTIC,
@@ -49,6 +46,8 @@ ALL_SYSTEMS = (
 
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+# the scenario keys parsed as floats: those whose default is a float
+FLOAT_KEYS = sorted(key for key, default in _DEFAULT.items() if type(default) is float)
 
 
 def write_scenario(tmp_path, text, name="scenario.txt"):
@@ -137,7 +136,7 @@ class TestLoadScenario:
         assert main(["run", str(path)]) == 1
         assert "sweep_values" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", sorted(_FLOAT_KEYS) + ["sweep_values"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS + ["sweep_values"])
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_float_rejected(self, tmp_path, capsys, key, bad):
         value = f"10, {bad}" if key == "sweep_values" else bad
@@ -149,12 +148,10 @@ class TestLoadScenario:
 
     def test_every_key_lands_in_the_field_of_its_name(self, tmp_path):
         # a value no default has, for every key the sweep keys leave
-        values = {**{key: "0.5" for key in _FLOAT_KEYS},
-                  **{key: "3" for key in _INT_KEYS},
+        values = {**{key: "0.5" for key in FLOAT_KEYS},
+                  **{key: "3" for key in _DEFAULT if type(_DEFAULT[key]) is int},
                   "surface": "s.csv", "cqi_4g": "a.csv", "cqi_5g": "b.csv", "systems": "ideal"}
-        assert sorted(values) == sorted(
-            (_INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _LIST_KEYS) - {"sweep_param", "sweep_values"}
-        )
+        assert sorted(values) == sorted(_DEFAULT.keys() - {"sweep_param", "sweep_values"})
         cfg = load_scenario(write_scenario(
             tmp_path, "".join(f"{key} = {text}\n" for key, text in values.items())
         ))
@@ -393,7 +390,7 @@ class TestBlocks:
             for k, total in fixed.items():
                 expect = 0.0
                 for i, j in ideal.pairs:
-                    xi = surface.query(k, float(drop.snr_db[i, j]))
+                    xi = query(surface, k, float(drop.snr_db[i, j]))
                     if xi >= cons.similarity_threshold and xi / k >= cons.sse_threshold:
                         expect += xi / k
                         scored += 1
@@ -744,6 +741,19 @@ class TestCli:
         assert captured.err == ("error: the 4g mean S-SE or its std error overflows at "
                                 f"bits_per_word = 1.0 with cqi_4g = {table}\n")
         assert captured.out == ""
+
+    def test_finite_totals_whose_sum_overflows_print_their_mean(self, tmp_path, capsys):
+        # every user sits at the top CQI, so each drop's total is 1e308 and
+        # their plain sum overflows: that used to exit 1 naming bits_per_word
+        rows = zip(np.linspace(0.9e308, 1e308, 15), np.arange(-400.0, -385.0))
+        table = write_scenario(tmp_path, "index,efficiency,threshold_db\n" + "".join(
+            f"{i},{float(e)!r},{float(t)!r}\n" for i, (e, t) in enumerate(rows, 1)
+        ), "huge.csv")
+        scenario = write_scenario(
+            tmp_path, f"n_drops = 3\nsystems = 4g\ncqi_4g = {table}\nbits_per_word = 5\n"
+        )
+        assert main(["run", str(scenario)]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "4g,none,0,1e+308,0,3"
 
     @pytest.mark.parametrize("lines", [
         "bits_per_word = 1e308\n",

@@ -10,17 +10,15 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from semse.allocator import Constraints
 from semse.cli import main
 from semse.harness import (
-    _FLOAT_KEYS,
-    _INT_KEYS,
-    _LIST_KEYS,
-    _STR_KEYS,
+    _DEFAULT,
     CSV_HEADER,
     SWEEPABLE,
     ScenarioConfig,
@@ -74,7 +72,9 @@ GARBAGE = [
     "", "abc", "1.5.2", "0x10", "--1", "1,2", ",", "= 3", "1e999", "nan", "-inf", "é", "\x00",
     '"5"', " 5 5 ",
 ]
-KEYS = sorted((_INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _LIST_KEYS) - {"n_drops"})
+KEYS = sorted(_DEFAULT.keys() - {"n_drops"})
+# the scenario keys parsed as floats: those whose default is a float
+FLOAT_KEYS = sorted(key for key, default in _DEFAULT.items() if type(default) is float)
 HARMLESS_LINES = ["# comment", "", "   ", "\t", "# n_users = 4"]
 BAD_LINES = [
     "frobnicate = 3", "N_USERS = 2", "n_users 5", "= 3", "=", "n_users == 2", "sweep_values",
@@ -156,13 +156,13 @@ def assert_rejected_by_key_or_printed_exactly(path, capsys, lines: dict) -> None
 
 
 @pytest.mark.parametrize("value", EXTREMES)
-@pytest.mark.parametrize("key", sorted(_FLOAT_KEYS))
+@pytest.mark.parametrize("key", FLOAT_KEYS)
 def test_extreme_float_is_rejected_by_key_or_printed_exactly(tmp_path, capsys, key, value):
     assert_rejected_by_key_or_printed_exactly(tmp_path / "scenario.txt", capsys, {key: value})
 
 
 @pytest.mark.parametrize("value", EXTREMES)
-@pytest.mark.parametrize("key", sorted(_FLOAT_KEYS - {"sse_threshold"}))
+@pytest.mark.parametrize("key", [key for key in FLOAT_KEYS if key != "sse_threshold"])
 def test_extreme_float_with_no_sse_floor_is_rejected_by_key_or_printed_exactly(
     tmp_path, capsys, key, value
 ):
@@ -182,6 +182,76 @@ def test_extreme_sweep_value_is_rejected_by_key_or_printed_exactly(
     if floor is not None:
         lines["sse_threshold"] = floor
     assert_rejected_by_key_or_printed_exactly(tmp_path / "scenario.txt", capsys, lines)
+
+
+# capsys is read, and the scenario file rewritten, by every example
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.sampled_from(FLOAT_KEYS), min_size=2, max_size=2, unique=True),
+       st.lists(st.sampled_from(EXTREMES), min_size=2, max_size=2))
+def test_two_extreme_floats_are_rejected_by_key_or_printed_exactly(tmp_path, capsys, keys, values):
+    assert_rejected_by_key_or_printed_exactly(
+        tmp_path / "scenario.txt", capsys, dict(zip(keys, values))
+    )
+
+
+def spaced(lo, hi):
+    """15 increasing floats from lo to hi, as file text; lo and hi may be +-1.7e308."""
+    return [repr(float(x)) for x in np.linspace(lo / 2, hi / 2, 15) * 2]
+
+
+# The file inputs at extreme but valid values, and some just past them. Each
+# file and its scenario are run from their own directory, so that only the
+# file's key, and no part of a path, can name a key in a message.
+FLOORS = {"default_floors": {}, "no_floors": {"similarity_threshold": 0, "sse_threshold": 0}}
+SURFACE_GRIDS = {"too_wide": "-1e308, 1e308", "from_-1e308": "-1e308, 0", "to_1e308": "0, 1e308",
+                 "below_-1e307": "-1e308, -1e307", "subnormal": "-5e-324, 5e-324",
+                 "one_column": "1e308"}
+SIMILARITIES = {"subnormal": "5e-324, 5e-324", "0_to_subnormal": "0, 5e-324",
+                "subnormal_to_1": "5e-324, 1", "0_to_1.7e308": "0, 1.7e308", "0_to_1": "0, 1"}
+CQI_EFFICIENCIES = {
+    "subnormal": [repr(i * 5e-324) for i in range(1, 16)],
+    "least_normal": [repr(i * sys.float_info.min) for i in range(1, 16)],
+    "huge": spaced(1e307, 1.7e308),
+}
+CQI_THRESHOLDS = {
+    "outage": spaced(9e307, 1e308),
+    "top_cqi": spaced(-1e308, -9e307),
+    "spread": spaced(-1e308, 1e308),
+    "subnormal": [repr(i * 5e-324) for i in range(-7, 8)],
+}
+
+
+@pytest.mark.parametrize("floors", FLOORS)
+@pytest.mark.parametrize("xi", SIMILARITIES)
+@pytest.mark.parametrize("grid", SURFACE_GRIDS)
+def test_extreme_surface_file_is_rejected_by_key_or_printed_exactly(
+    tmp_path, capsys, monkeypatch, grid, xi, floors
+):
+    monkeypatch.chdir(tmp_path)
+    grid = SURFACE_GRIDS[grid]
+    row = ", ".join(SIMILARITIES[xi].split(", ")[-len(grid.split(",")):])
+    Path("table.csv").write_text(f"k\\snr, {grid}\n1, {row}\n2, {row}\n", encoding="utf-8")
+    assert_rejected_by_key_or_printed_exactly(
+        Path("scenario.txt"), capsys, {"surface": "table.csv", "k_max": 2, **FLOORS[floors]}
+    )
+
+
+@pytest.mark.parametrize("floors", FLOORS)
+@pytest.mark.parametrize("thresholds", CQI_THRESHOLDS)
+@pytest.mark.parametrize("efficiencies", CQI_EFFICIENCIES)
+@pytest.mark.parametrize("key", ["cqi_4g", "cqi_5g"])
+def test_extreme_cqi_file_is_rejected_by_key_or_printed_exactly(
+    tmp_path, capsys, monkeypatch, key, efficiencies, thresholds, floors
+):
+    monkeypatch.chdir(tmp_path)
+    rows = zip(CQI_EFFICIENCIES[efficiencies], CQI_THRESHOLDS[thresholds])
+    Path("table.csv").write_text("index,efficiency,threshold_db\n" + "".join(
+        f"{i},{e},{t}\n" for i, (e, t) in enumerate(rows, 1)
+    ), encoding="utf-8")
+    assert_rejected_by_key_or_printed_exactly(
+        Path("scenario.txt"), capsys, {key: "table.csv", **FLOORS[floors]}
+    )
 
 
 def test_std_error_of_tiny_totals_keeps_its_digits():

