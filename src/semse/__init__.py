@@ -7,7 +7,6 @@ from .allocator import (
     bit_se,
     build_pair_plans,
     match_drops,
-    semantic_weights,
 )
 from .channel import NetworkDrop, RadioParams, sample_drops
 from .link_adaptation import SystemKind, builtin_table

@@ -6,8 +6,8 @@ into (a) a per-(user, channel) scan for the symbols-per-word count k that
 maximizes similarity/k under the similarity and SE floors, and (b) a
 maximum-weight bipartite matching of users to channels over those per-pair
 optima, solved by shortest augmenting path. Pairs that cannot meet the
-floors carry weight 0; the matching may then leave such users unserved,
-which is reported as an SE contribution of exactly 0.
+floors carry k 0 and weight 0; the matching may then leave such users
+unserved, which is reported as an SE contribution of exactly 0.
 
 Both steps run on arrays, over a (drops, users, channels) stack. The
 semantic allocation is ``plans = build_pair_plans(snr_db, surface, cons)``,
@@ -95,11 +95,6 @@ class Assignment:
     total_weight: float
 
 
-def _require_k_coverage(surface: SimilaritySurface, k_max: int) -> None:
-    if not surface.covers_k_range(k_max):
-        raise ValueError(f"surface does not tabulate every k in 1..{k_max}")
-
-
 def _sse(xi, k, cons: Constraints):
     """(normalized S-SE similarity/k, both floors met) of similarities xi at k."""
     w = xi / k
@@ -118,24 +113,22 @@ def sse_at_k(surface: SimilaritySurface, k: int, located: tuple, cons: Constrain
 class PlanArrays(NamedTuple):
     """Best plan of every pair of a link-matrix stack, shape (..., users, channels).
 
-    Where no k meets the floors, ``k`` is 0, ``similarity`` and ``weight``
-    are 0 and ``feasible`` is False.
+    Where no k meets the floors, ``k``, ``similarity`` and ``weight`` are 0;
+    ``k > 0`` marks the pairs where some k does.
     """
 
     k: np.ndarray
     similarity: np.ndarray
     weight: np.ndarray
-    feasible: np.ndarray
 
 
 def _k_candidates(surface: SimilaritySurface, cons: Constraints) -> tuple:
-    """(k, piece, live) of the k values that can be chosen on each SNR grid column.
+    """(k, piece) of the k values that can be chosen on each SNR grid column.
 
     Each is (slots, columns): slot s of column j holds the column's s-th
-    candidate k in ascending order and that k's linear piece there. ``live``
-    is False on padding, which holds some other k of 1..k_max, never 0, so
-    nothing is divided by 0. A k leaves a column's candidates only if, over
-    the column's SNRs,
+    candidate k in ascending order and that k's linear piece there, and the
+    slots past them its other k of 1..k_max, never 0, so nothing is divided
+    by 0. A k leaves a column's candidates only if, over the column's SNRs,
     - it meets the floors nowhere, or
     - another k meets them everywhere, with a least weight above this k's
       greatest weight.
@@ -145,6 +138,15 @@ def _k_candidates(surface: SimilaritySurface, cons: Constraints) -> tuple:
     so the bounds hold for every value the scan computes there, rounding
     included, and a k that leaves is never the first feasible k of the
     largest weight.
+
+    Nor does ``build_pair_plans`` ever take a padding slot, so it needs no
+    mask for them. The slot's k meets the floors nowhere on the column, or
+    its weights there are all below the least weight of k*, the k that
+    meets them everywhere with the greatest least weight. k* is a candidate
+    (its least weight is not above its greatest), and candidates are
+    scanned first, so by then the pair holds k* or a k of larger weight:
+    ``best_k > 0``, ``best_w`` is above the slot's weight, and the take
+    rule fails.
     """
     ks = range(1, cons.k_max + 1)
     pieces = surface.pieces(ks)
@@ -156,7 +158,7 @@ def _k_candidates(surface: SimilaritySurface, cons: Constraints) -> tuple:
     candidate = somewhere & ~(floor > hi_w)
     # stable: each column's candidates first, in ascending k
     order = np.argsort(~candidate, axis=0, kind="stable")[:candidate.sum(axis=0).max()]
-    return order + 1, np.take_along_axis(pieces, order, 0), np.take_along_axis(candidate, order, 0)
+    return order + 1, np.take_along_axis(pieces, order, 0)
 
 
 def build_pair_plans(
@@ -170,25 +172,23 @@ def build_pair_plans(
     first k of the largest feasible weight, so ties break toward smaller k
     (same SE, less latency). That is the choice a scan of every k in
     1..k_max makes. With both floors at 0 a pair of similarity 0 is
-    feasible at k = 1 with weight 0.
+    feasible at k = 1 with weight 0. Raises ValueError naming the first k
+    of 1..k_max that ``surface`` does not tabulate.
     """
-    _require_k_coverage(surface, cons.k_max)
     snr = np.atleast_2d(np.asarray(snr_db, dtype=float))
     best_k = np.zeros(snr.shape, dtype=int)
     best_xi = np.zeros(snr.shape)
     best_w = np.zeros(snr.shape)
-    feasible = np.zeros(snr.shape, dtype=bool)
     j, dx = surface.locate(snr)
-    for k_slot, piece_slot, live_slot in zip(*_k_candidates(surface, cons)):
+    for k_slot, piece_slot in zip(*_k_candidates(surface, cons)):
         k = k_slot.take(j)
         xi = surface.evaluate(piece_slot.take(j), dx)
         w, take = _sse(xi, k, cons)
-        take &= live_slot.take(j) & ((w > best_w) | ~feasible)
+        take &= (w > best_w) | (best_k == 0)
         np.copyto(best_k, k, where=take)
         np.copyto(best_xi, xi, where=take)
         np.copyto(best_w, w, where=take)
-        feasible |= take
-    return PlanArrays(best_k, best_xi, best_w, feasible)
+    return PlanArrays(best_k, best_xi, best_w)
 
 
 def weight_matrix(plans: PlanArrays) -> np.ndarray:
@@ -581,17 +581,6 @@ def match_drops(weights) -> DropMatches:
     matched = np.take_along_axis(w, np.maximum(channel, 0)[..., None], axis=2)[..., 0]
     served = (channel >= 0) & (matched > 0.0)
     return DropMatches(sum_by_user(np.where(served, matched, 0.0)), np.where(served, channel, -1))
-
-
-def semantic_weights(
-    snr_db: np.ndarray, surface: SimilaritySurface, cons: Constraints
-) -> np.ndarray:
-    """Normalized semantic-SE weights of every pair, shape (..., users, channels).
-
-    ``build_pair_plans(...).weight``: the weights a semantic allocation
-    matches, from one k scan over the whole array.
-    """
-    return weight_matrix(build_pair_plans(snr_db, surface, cons))
 
 
 def bit_se(snr_db: np.ndarray, snr_linear: np.ndarray, system: SystemKind, tables: dict):

@@ -196,37 +196,41 @@ def _finite(key: str, text: str) -> float:
 def load_scenario(path) -> ScenarioConfig:
     """Parse and validate a scenario file."""
     raw: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ScenarioError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key in raw:
-                raise ScenarioError(f"{path}:{lineno}: duplicate key {key!r}")
-            if key not in _DEFAULT:
-                raise ScenarioError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                if key == "systems":
-                    raw[key] = tuple(
-                        SystemKind.parse(tok) for tok in value.split(",") if tok.strip()
-                    )
-                elif key == "sweep_values":
-                    raw[key] = tuple(
-                        _finite(key, tok) for tok in value.split(",") if tok.strip()
-                    )
-                elif type(_DEFAULT[key]) is int:
-                    raw[key] = int(value)
-                elif type(_DEFAULT[key]) is float:
-                    raw[key] = _finite(key, value)
-                else:  # a text key: its default is a str, or None
-                    raw[key] = value
-            except ValueError as exc:
-                named = str(exc) if str(exc).startswith(key) else f"{key}: {exc}"
-                raise ScenarioError(f"{path}:{lineno}: {named}") from None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ScenarioError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key in raw:
+            raise ScenarioError(f"{path}:{lineno}: duplicate key {key!r}")
+        if key not in _DEFAULT:
+            raise ScenarioError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            if key == "systems":
+                raw[key] = tuple(
+                    SystemKind.parse(tok) for tok in value.split(",") if tok.strip()
+                )
+            elif key == "sweep_values":
+                raw[key] = tuple(
+                    _finite(key, tok) for tok in value.split(",") if tok.strip()
+                )
+            elif type(_DEFAULT[key]) is int:
+                raw[key] = int(value)
+            elif type(_DEFAULT[key]) is float:
+                raw[key] = _finite(key, value)
+            else:  # a text key: its default is a str, or None
+                raw[key] = value
+        except ValueError as exc:
+            named = str(exc) if str(exc).startswith(key) else f"{key}: {exc}"
+            raise ScenarioError(f"{path}:{lineno}: {named}") from None
 
     try:
         return _replace(ScenarioConfig(), raw)
@@ -243,8 +247,8 @@ def surface_for(cfg: ScenarioConfig) -> SimilaritySurface:
                                 f"rows is too large to allocate") from None
     try:
         surface = load_surface(cfg.surface)
-    except SurfaceError as exc:
-        raise SurfaceError(f"surface: {exc}") from None
+    except (SurfaceError, OSError) as exc:  # name the key, keep the error's type
+        raise type(exc)(f"surface: {exc}") from None
     if not surface.covers_k_range(cfg.constraints.k_max):
         raise ScenarioError(f"surface {cfg.surface} does not tabulate every k in "
                             f"1..k_max = {cfg.constraints.k_max}")
@@ -257,8 +261,8 @@ def tables_for(cfg: ScenarioConfig) -> dict[SystemKind, CqiTable]:
         source = getattr(cfg, key)
         try:
             tables[system] = builtin_table(system) if source == "builtin" else load_cqi_table(source)
-        except CqiTableError as exc:
-            raise CqiTableError(f"{key}: {exc}") from None
+        except (CqiTableError, OSError) as exc:
+            raise type(exc)(f"{key}: {exc}") from None
     return tables
 
 
@@ -336,7 +340,7 @@ def _matched_blocks(cfg: ScenarioConfig, surface: SimilaritySurface | None):
                                     f"is too large to allocate") from None
             # the k scan runs before the weight buffer exists, so that their
             # peaks do not add
-            semantic = (allocator.semantic_weights(drops.snr_db, surface, cons)
+            semantic = (allocator.build_pair_plans(drops.snr_db, surface, cons).weight
                         if surface is not None else None)
             weights = allocator.weight_stacks(len(rows), len(block), cfg.n_users, n_channels)
             if semantic is not None:

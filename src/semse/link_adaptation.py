@@ -113,8 +113,11 @@ def table_se(table: CqiTable, snr_db):
 
 def load_cqi_table(path) -> CqiTable:
     """Load a CQI table CSV with header ``index,efficiency,threshold_db``."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise CqiTableError(f"{path}: {exc}") from None
     if not lines or lines[0].replace(" ", "") != "index,efficiency,threshold_db":
         raise CqiTableError(f"{path}: expected header 'index,efficiency,threshold_db'")
     eff, thr = [], []

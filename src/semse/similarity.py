@@ -164,8 +164,11 @@ def load_surface(path) -> SimilaritySurface:
     dB; each following row ``k, xi1, xi2, ...``, k an integer (``2`` or
     ``2.0``). UTF-8, decimal points.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise SurfaceError(f"{path}: {exc}") from None
     if len(lines) < 2:
         raise SurfaceError(f"{path}: need a header row and at least one k row")
     header = lines[0].split(",")

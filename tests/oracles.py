@@ -4,12 +4,15 @@
 and ``interpolate`` split in two for the vectorized paths.
 ``best_pair_plan`` is the scalar k scan that ``allocator.build_pair_plans``
 vectorizes, and ``full_k_scan`` the array scan of every k in 1..k_max that
-its candidate-k scan must equal; ``brute_force_links`` enumerates every
+its candidate-k scan must equal; all three give k = 0 where no k meets the
+floors, and raise ValueError naming the first k in 1..k_max that the
+surface does not tabulate. ``brute_force_links`` enumerates every
 injective user-to-channel map jointly with every per-user k, and
 ``brute_force_allocation`` reports its optimum as an ``Assignment``.
 ``match_one`` is the package's matcher, ``allocator.match_drops``, on one
-drop, reported the same way; ``plain_max_weight_rect`` is the full scan that
-the matcher's pruned search must equal step for step.
+drop, reported the same way; ``brute_max_total`` is the maximum matching
+total by enumeration, and ``plain_max_weight_rect`` the full scan that the
+matcher's pruned search must equal step for step.
 """
 
 import itertools
@@ -20,7 +23,6 @@ from semse.allocator import (
     Assignment,
     Constraints,
     PlanArrays,
-    _require_k_coverage,
     match_drops,
     sse_at_k,
 )
@@ -50,7 +52,6 @@ def best_pair_plan(surface: SimilaritySurface, snr_db: float, cons: Constraints)
     similarity 0 is feasible at k = 1 with weight 0. Reference scalar
     implementation; ``build_pair_plans`` is the vectorized equivalent.
     """
-    _require_k_coverage(surface, cons.k_max)
     best_k, best_xi, best_w = None, 0.0, 0.0
     for k in range(1, cons.k_max + 1):
         xi = query(surface, k, snr_db)
@@ -59,8 +60,8 @@ def best_pair_plan(surface: SimilaritySurface, snr_db: float, cons: Constraints)
         if ok and (best_k is None or w > best_w):
             best_k, best_xi, best_w = k, xi, w
     if best_k is None:
-        return PlanArrays(0, 0.0, 0.0, False)
-    return PlanArrays(best_k, best_xi, best_w, True)
+        return PlanArrays(0, 0.0, 0.0)
+    return PlanArrays(best_k, best_xi, best_w)
 
 
 def full_k_scan(snr_db, surface: SimilaritySurface, cons: Constraints) -> PlanArrays:
@@ -69,21 +70,18 @@ def full_k_scan(snr_db, surface: SimilaritySurface, cons: Constraints) -> PlanAr
     One ``sse_at_k`` pass over the whole array per k, in ascending order,
     keeping the first k of the largest feasible weight.
     """
-    _require_k_coverage(surface, cons.k_max)
     snr = np.atleast_2d(np.asarray(snr_db, dtype=float))
     best_k = np.zeros(snr.shape, dtype=int)
     best_xi = np.zeros(snr.shape)
     best_w = np.zeros(snr.shape)
-    feasible = np.zeros(snr.shape, dtype=bool)
     located = surface.locate(snr)
     for k in range(1, cons.k_max + 1):
         xi, w, take = sse_at_k(surface, k, located, cons)
-        take &= (w > best_w) | ~feasible
+        take &= (w > best_w) | (best_k == 0)
         np.copyto(best_k, k, where=take)
         np.copyto(best_xi, xi, where=take)
         np.copyto(best_w, w, where=take)
-        feasible |= take
-    return PlanArrays(best_k, best_xi, best_w, feasible)
+    return PlanArrays(best_k, best_xi, best_w)
 
 
 def brute_force_links(
@@ -100,7 +98,6 @@ def brute_force_links(
     n, m = snr.shape
     if n > 6 or m > 6 or cons.k_max > 20:
         raise ValueError(f"instance {n}x{m} with k_max {cons.k_max} exceeds oracle bound")
-    _require_k_coverage(surface, cons.k_max)
     ks = np.arange(1, cons.k_max + 1)
     xi = np.stack([query(surface, int(k), snr) for k in ks])  # (K, N, M)
     w = xi / ks[:, None, None]
@@ -168,6 +165,28 @@ def match_one(weights) -> Assignment:
     channel = match.channel[0]
     users = np.flatnonzero(channel >= 0)
     return Assignment(tuple(zip(users.tolist(), channel[users].tolist())), float(match.total[0]))
+
+
+def brute_max_total(weights) -> float:
+    """Maximum matching total of a small matrix, by enumerating every injective map.
+
+    The matrix is padded with zeros to square, and each permutation's
+    weights are summed left to right in row order; a padded 0.0 changes no
+    sum. So the total of a map equals ``match_one``'s sum of the same pairs.
+    """
+    w = np.asarray(weights, dtype=float)
+    size = max(w.shape)
+    padded = np.zeros((size, size))
+    padded[:w.shape[0], :w.shape[1]] = w
+    rows = padded.tolist()
+    best = -1.0
+    for perm in itertools.permutations(range(size)):
+        total = 0.0
+        for row, j in zip(rows, perm):
+            total += row[j]
+        if total > best:
+            best = total
+    return best
 
 
 def plain_max_weight_rect(weights: list[list[float]]) -> list[int]:

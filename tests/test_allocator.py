@@ -1,4 +1,3 @@
-import itertools
 import math
 from pathlib import Path
 
@@ -16,7 +15,6 @@ from semse.allocator import (
     build_pair_plans,
     conventional_weights,
     match_drops,
-    weight_matrix,
     weight_stacks,
 )
 from semse.channel import RadioParams, sample_drop, sample_drops
@@ -26,7 +24,8 @@ from semse.similarity import SimilaritySurface, SurfaceError, default_surrogate
 
 import oracles
 from oracles import (
-    best_pair_plan, brute_force_allocation, brute_force_links, match_one, query,
+    best_pair_plan, brute_force_allocation, brute_force_links, brute_max_total, match_one,
+    query,
 )
 
 MU40 = TransformFactor(40.0)
@@ -42,31 +41,6 @@ def flat_surface(xi_by_k):
     ks = np.arange(1, len(xi_by_k) + 1)
     xi = np.repeat(np.asarray(xi_by_k, dtype=float)[:, None], 2, axis=1)
     return SimilaritySurface(ks, np.array([-50.0, 50.0]), xi)
-
-
-def brute_max_matching(w):
-    """Reference maximum matching total by full permutation enumeration."""
-    w = np.asarray(w, dtype=float)
-    n, m = w.shape
-    best = -1.0
-    best_pairs = []
-    if n <= m:
-        for cols in itertools.permutations(range(m), n):
-            pairs = sorted((i, c) for i, c in enumerate(cols))
-            total = 0.0
-            for i, j in pairs:
-                total += float(w[i, j])
-            if total > best:
-                best, best_pairs = total, pairs
-    else:
-        for rows in itertools.permutations(range(n), m):
-            pairs = sorted((r, j) for j, r in enumerate(rows))
-            total = 0.0
-            for i, j in pairs:
-                total += float(w[i, j])
-            if total > best:
-                best, best_pairs = total, pairs
-    return best, best_pairs
 
 
 def assert_valid_matching(assignment: Assignment, n, m, weight=None):
@@ -93,7 +67,7 @@ class TestBestPairPlan:
         surface = flat_surface([0.5, 0.92, 0.95])
         cons = Constraints(k_max=3, similarity_threshold=0.9, sse_threshold=0.0)
         plan = best_pair_plan(surface, 0.0, cons)
-        assert plan.feasible and plan.k == 2
+        assert plan.k == 2
         assert plan.similarity == pytest.approx(0.92)
         assert plan.weight == pytest.approx(0.46)
 
@@ -101,7 +75,6 @@ class TestBestPairPlan:
         surface = flat_surface([0.5, 0.6, 0.7])
         cons = Constraints(k_max=3, similarity_threshold=0.9, sse_threshold=0.0)
         plan = best_pair_plan(surface, 0.0, cons)
-        assert not plan.feasible
         assert plan.k == 0 and plan.weight == 0.0
 
     def test_constant_similarity_prefers_smallest_k(self):
@@ -115,12 +88,14 @@ class TestBestPairPlan:
         cons = Constraints(k_max=2, similarity_threshold=0.9, sse_threshold=0.5)
         # only k=2 clears the similarity floor but 0.95/2 < 0.5
         plan = best_pair_plan(surface, 0.0, cons)
-        assert not plan.feasible
+        assert plan.k == 0
 
     def test_missing_k_row_is_error(self):
         surface = flat_surface([0.5, 0.9])
         with pytest.raises(ValueError, match="tabulate"):
             best_pair_plan(surface, 0.0, Constraints(k_max=5))
+        with pytest.raises(ValueError, match=r"^k=3 is not tabulated in this surface$"):
+            build_pair_plans(np.zeros((2, 2)), surface, Constraints(k_max=5))
 
 
 class TestBuildPairPlans:
@@ -129,13 +104,13 @@ class TestBuildPairPlans:
         cons = Constraints(k_max=5, similarity_threshold=0.0, sse_threshold=0.0)
         plans = build_pair_plans(np.array([[10.0]]), surface, cons)
         assert plans.weight.shape == (1, 1)
-        assert plans.feasible[0, 0] and plans.k[0, 0] >= 1
+        assert plans.k[0, 0] >= 1
 
     def test_identical_links_give_identical_weights(self):
         surface = default_surrogate(10)
         cons = Constraints(k_max=10)
         snr = np.full((4, 3), 12.0)
-        w = weight_matrix(build_pair_plans(snr, surface, cons))
+        w = build_pair_plans(snr, surface, cons).weight
         assert np.all(w == w[0, 0])
 
     def test_matches_scalar_scan(self):
@@ -161,14 +136,14 @@ class TestBuildPairPlans:
                             ref = best_pair_plan(surface, float(snr[d, i, j]), cons)
                             assert tuple(a[i, j] for a in plans) == ref
         zero = build_pair_plans(np.array([[-10.0]]), surfaces[1], cons)
-        assert zero.feasible[0, 0] and zero.k[0, 0] == 1 and zero.weight[0, 0] == 0.0
+        assert zero.k[0, 0] == 1 and zero.weight[0, 0] == 0.0
 
     def test_matched_plans_respect_floors(self):
         surface = default_surrogate(20)
         cons = Constraints()
         rng = np.random.default_rng(22)
         plans = build_pair_plans(rng.uniform(-10, 25, size=(3, 5, 5)), surface, cons)
-        ok = plans.feasible
+        ok = plans.k > 0
         assert ok.any() and not ok.all()
         assert np.all(plans.similarity[ok] >= cons.similarity_threshold)
         assert np.all(plans.weight[ok] >= cons.sse_threshold)
@@ -253,14 +228,13 @@ class TestCandidateKScan:
         got = build_pair_plans(snr, surface, cons)
         want = oracles.full_k_scan(snr, surface, cons)
         assert got.k.dtype == want.k.dtype and np.array_equal(got.k, want.k)
-        assert np.array_equal(got.feasible, want.feasible)
         for a, b in ((got.similarity, want.similarity), (got.weight, want.weight)):
             assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
     def test_surrogate_columns_hold_at_most_two_candidates(self):
         for floors in ((0.9, 0.025), (0.9, 0.0)):
-            k, _piece, live = _k_candidates(default_surrogate(20), Constraints(20, *floors))
-            assert len(k) == 2 and live.any()
+            k, _piece = _k_candidates(default_surrogate(20), Constraints(20, *floors))
+            assert len(k) == 2
 
 
 class TestConstraints:
@@ -296,17 +270,15 @@ class TestHungarian:
         rng = np.random.default_rng(23)
         for _ in range(200):
             w = rng.uniform(0, 10, size=(5, 5))
-            expect, _ = brute_max_matching(w)
-            assert match_one(w).total_weight == expect
+            assert match_one(w).total_weight == brute_max_total(w)
 
     @pytest.mark.parametrize("shape", [(3, 6), (6, 3), (1, 4), (4, 1), (2, 5)])
     def test_rectangular_matches_brute_force(self, shape):
         rng = np.random.default_rng(hash(shape) % 2**32)
         for _ in range(60):
             w = rng.uniform(0, 5, size=shape)
-            expect, _ = brute_max_matching(w)
             a = match_one(w)
-            assert a.total_weight == expect
+            assert a.total_weight == brute_max_total(w)
             assert_valid_matching(a, *shape)
 
     def test_rejects_bad_weights(self):
@@ -363,7 +335,7 @@ class TestHungarianProperties:
     @given(tied_weights())
     def test_matches_permutation_enumeration(self, w):
         n, m = w.shape
-        expect, _ = brute_max_matching(w)
+        expect = brute_max_total(w)
         for weights, shape in ((w, (n, m)), (w.T, (m, n))):
             a = match_one(weights)
             assert_valid_matching(a, *shape)
@@ -536,7 +508,7 @@ class TestStackedMatcher:
     @pytest.mark.parametrize("shape", [(2, 120, 80), (64, 20, 20), (500, 5, 5)])
     def test_match_drops_equals_per_drop_hungarian(self, shape):
         drops = sample_drops(shape[1], shape[2], RadioParams(), range(shape[0]))
-        w = weight_matrix(build_pair_plans(drops.snr_db, default_surrogate(20), Constraints()))
+        w = build_pair_plans(drops.snr_db, default_surrogate(20), Constraints()).weight
         got = match_drops(w)
         totals, channels = per_drop_matches(w)
         assert got.total.tolist() == totals
@@ -639,7 +611,7 @@ class TestAgainstScipy:
         cons = Constraints()
         drop = sample_drop(*shape, RadioParams(), rng_seed=sum(shape))
         if system is SystemKind.SEMANTIC:
-            w = weight_matrix(build_pair_plans(drop.snr_db, default_surrogate(20), cons))
+            w = build_pair_plans(drop.snr_db, default_surrogate(20), cons).weight
         else:
             w = conventional_weights(drop.snr_db, drop.snr_linear, system, TABLES, MU40, cons)
             assert len(np.unique(w)) < w.size // 10  # CQI steps: many tied weights
@@ -656,7 +628,7 @@ class TestAgainstScipy:
         cons = Constraints()
         drops = sample_drops(shape[1], shape[2], RadioParams(), range(100, 100 + shape[0]))
         if system is SystemKind.SEMANTIC:
-            w = weight_matrix(build_pair_plans(drops.snr_db, default_surrogate(20), cons))
+            w = build_pair_plans(drops.snr_db, default_surrogate(20), cons).weight
         else:
             w = conventional_weights(
                 drops.snr_db, drops.snr_linear, system, TABLES, MU40, cons
@@ -673,7 +645,7 @@ class TestAllocateSemantic:
         cons = Constraints()
         plans, a = semantic_allocation(np.array([[18.0]]), surface, cons)
         assert a.pairs == ((0, 0),)
-        assert plans.feasible[0, 0] and plans.weight[0, 0] == a.total_weight
+        assert plans.k[0, 0] > 0 and plans.weight[0, 0] == a.total_weight
 
     def test_two_by_two_against_joint_enumeration(self):
         surface = flat_surface([0.5, 0.92, 0.95])

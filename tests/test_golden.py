@@ -4,11 +4,13 @@
 ``scenarios/`` and on the sweep scenarios kept beside the goldens, and of
 ``semse compare`` on the default scenario and on a swept one (``compare``
 ignores the sweep and ``systems``): the CSV, and where there is one
-the ``<name>.stderr`` file with the crossover lines. A refactor or speed-up
-must reproduce these bytes exactly; a change that alters them on purpose
-regenerates them with
+the ``<name>.stderr`` file with the crossover lines. Each case is one
+``<name> <argv...>`` line of ``tests/golden/cases.txt``, the one list of
+cases that these tests and the CI job without test extras both read. A
+refactor or speed-up must reproduce these bytes exactly; a change that
+alters them on purpose regenerates them with
 
-    PYTHONPATH=src python -m semse.cli <argv below> \\
+    PYTHONPATH=src python -m semse.cli <argv> \\
         > tests/golden/<name>.csv 2> tests/golden/<name>.stderr
 
 (deleting an empty stderr file) and says why.
@@ -38,14 +40,8 @@ GOLDEN = ROOT / "tests" / "golden"
 
 BENCH_GOLDEN = json.loads((ROOT / "bench" / "golden.json").read_text(encoding="utf-8"))
 
-CASES = {
-    "default": ["run", "scenarios/default.txt"],
-    "bits_per_word_sweep": ["run", "scenarios/bits_per_word_sweep.txt"],
-    "n_channels_sweep": ["run", "tests/golden/n_channels_sweep.txt"],
-    "tx_power_sweep": ["run", "tests/golden/tx_power_sweep.txt"],
-    "compare_default": ["compare", "scenarios/default.txt", "--k", "1,2,3,4,5"],
-    "compare_swept": ["compare", "tests/golden/compare_swept.txt", "--k", "1,3,5"],
-}
+CASES = {name: argv for name, *argv in map(
+    str.split, (GOLDEN / "cases.txt").read_text(encoding="utf-8").splitlines())}
 
 
 @pytest.mark.parametrize("name", list(CASES))

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import re
 import tracemalloc
 from pathlib import Path
@@ -776,6 +777,34 @@ class TestCli:
         assert main([command, str(scenario), *flags]) == 1
         captured = capsys.readouterr()
         assert f"surface {surface} does not tabulate every k in 1..k_max = 20" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("key, systems", [("surface", "semantic"), ("cqi_5g", "5g")])
+    @pytest.mark.parametrize("is_dir, code", [(False, errno.ENOENT), (True, errno.EISDIR)])
+    def test_unreadable_file_is_named_by_key(self, tmp_path, capsys, key, systems, is_dir, code):
+        # used to print the OSError alone, which names the path but not the key
+        path = tmp_path / "table"
+        if is_dir:
+            path.mkdir()
+        scenario = write_scenario(tmp_path, f"n_drops = 3\nsystems = {systems}\n{key} = {path}\n")
+        assert main(["run", str(scenario)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"i/o error: {key}: [Errno {code}] ")
+        assert str(path) in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("key", ["scenario", "surface", "cqi_4g"])
+    def test_file_that_is_not_utf8_is_named(self, tmp_path, capsys, key):
+        # used to print only the codec's message, which names neither file nor key
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe = 2\n")
+        if key == "scenario":
+            scenario, prefix = bad, f"error: {bad}: "
+        else:
+            scenario = write_scenario(tmp_path, f"n_drops = 3\n{key} = {bad}\n")
+            prefix = f"error: {key}: {bad}: "
+        assert main(["run", str(scenario)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(prefix + "'utf-8' codec can't decode byte 0xff")
         assert captured.out == ""
 
     def test_crossover_emitted_on_bits_per_word_sweep(self, tmp_path, capsys):
