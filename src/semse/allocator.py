@@ -25,12 +25,12 @@ matrix. Both find each drop the same matching, so the totals are
 bit-identical whichever runs. The scalar search scans only the matched
 columns a search has not picked, and finds the free ones from each row's
 columns sorted by descending weight: a free column's dual is still exactly
-0, so a row's best free columns are its heaviest free ones. While no column
-dual has risen above 0, a search whose row's heaviest free column has the
-row's largest weight ends at that column at its first step, so it builds no
-scan state and reads no matched column. Both skip only comparisons whose
-outcome is known, so they keep the full scan's every step and matching (see
-``_max_weight_rect``).
+0, so a row's best free columns are its heaviest free ones. Every search
+runs one loop, in which one guard ends it at its first step, before it
+builds any scan state, if its row's heaviest free column has the row's
+largest weight and no column dual has risen above 0. Both skip only
+comparisons whose outcome is known, so they keep the full scan's every step
+and matching (see ``_max_weight_rect``).
 
 This module owns how a weight is computed and stored. Conventional
 bit-pipe baselines go through the same matching, with weights equal to
@@ -226,16 +226,19 @@ def _max_weight_rect(weights: list[list[float]], order: list[list[int]]) -> list
     argument needs each step's least distance to be below +inf, which only
     duals made NaN by sums of weights that overflow could break.
 
-    A search whose row's heaviest free column has the row's largest weight
-    ``top`` ends at its first step, unscanned, while no column dual has
-    risen above 0.0. Row ``cur`` searches fresh, so ``base`` is 0.0 and the
-    free column is reached at ``-top``; a matched column j at ``-row[j] -
-    v[j] >= -row[j] >= -top``, rounding included, since ``v[j] <= 0.0``.
-    So no matched column beats the free one, and the plain scan's tie rule
-    picks the free one: of the free columns at ``top``, the last in scan
-    order, which before any swap-remove is the lowest-numbered. The search
-    then sets ``u[cur] = -top`` and leaves ``v`` as it is. A dual update
-    can round a ``v`` above 0.0; from then on every search runs in full.
+    Every search runs one loop, one sink walk and one augmentation. One
+    guard ends a search at its first step, before it builds any scan state:
+    while no column dual has risen above 0.0, a row whose heaviest free
+    column has the row's largest weight ``top`` breaks out of the loop. Row
+    ``cur`` searches fresh, so ``base`` is 0.0 and that free column is
+    reached at ``-top``; a matched column j at ``-row[j] - v[j] >= -row[j]
+    >= -top``, rounding included, since ``v[j] <= 0.0``. So no matched
+    column beats the free one and the scan would end at this step. The sink
+    walk, reading ``position`` as the unscanned order, then picks what the
+    plain scan's tie rule picks, the lowest-numbered free column at ``top``,
+    and the tail skips the ``v`` update, which would subtract exactly 0.0.
+    A dual update can round a ``v`` above 0.0; from then on every search
+    scans.
     """
     inf = float("inf")
     n, m = len(weights), len(weights[0])
@@ -245,40 +248,17 @@ def _max_weight_rect(weights: list[list[float]], order: list[list[int]]) -> list
     row_of_col = [-1] * m
     path = [-1] * m
     heaviest = [0] * n  # [i]: index into order[i] of row i's heaviest free column
+    # Scan high to low, as Crouse's reference code does. A tying free column
+    # replaces the current pick, so the lower-numbered one wins; an appended
+    # channel then seldom displaces a tied optimum, and the per-drop totals of
+    # a channel sweep stay non-decreasing to the bit. unscanned[p] is the
+    # column at scan position p before any pick, and column j's position.
+    unscanned = list(range(m - 1, -1, -1))
     lifted = False  # whether a dual update has set some v[c] above 0.0
     for cur in range(n):
-        if not lifted:
-            row = weights[cur]
-            cols = order[cur]
-            k = heaviest[cur]
-            while row_of_col[cols[k]] >= 0:
-                k += 1
-            heaviest[cur] = k
-            top = row[cols[0]]
-            sink = cols[k]
-            if row[sink] == top:  # the search ends here: walk the tied run
-                for k in range(k + 1, m):
-                    j = cols[k]
-                    if row[j] != top:
-                        break
-                    if j < sink and row_of_col[j] < 0:
-                        sink = j
-                u[cur] = 0.0 - top
-                row_of_col[sink] = cur
-                col_of_row[cur] = sink
-                continue
-        dist = [inf] * m
-        # Scan high to low, as Crouse's reference code does. A tying free
-        # column replaces the current pick, so the lower-numbered one wins;
-        # an appended channel then seldom displaces a tied optimum, and the
-        # per-drop totals of a channel sweep stay non-decreasing to the bit.
-        # remaining[p] is the column at scan position p, and position[j]
-        # column j's position, both kept through the swap-remove of a pick.
-        remaining = list(range(m - 1, -1, -1))
-        position = remaining[:]
-        scan = sorted(col_of_row[:cur], reverse=True)  # the matched columns in remaining
         seen = []  # (row, its base) of each row the search has seen
-        cols_seen = []
+        position = unscanned
+        scan = None  # the scan state is built at the search's first scanning step
         i = cur
         min_val = 0.0
         free_lowest = inf  # least free distance over the rows seen
@@ -294,6 +274,16 @@ def _max_weight_rect(weights: list[list[float]], order: list[list[int]]) -> list
             r = base - row[cols[k]]
             if r < free_lowest:
                 free_lowest = r
+            if scan is None:  # the first step, from row cur at base 0.0
+                if not lifted and row[cols[k]] == row[cols[0]]:
+                    break  # no matched column beats the heaviest free one
+                dist = [inf] * m
+                # remaining[p] is the column at scan position p, and position[j]
+                # column j's position, both kept through the swap-remove of a pick
+                remaining = unscanned[:]
+                position = unscanned[:]
+                scan = sorted(col_of_row[:cur], reverse=True)  # the matched columns in remaining
+                cols_seen = []
             lowest = inf
             index = -1
             for it, j in enumerate(scan):
@@ -329,7 +319,9 @@ def _max_weight_rect(weights: list[list[float]], order: list[list[int]]) -> list
         last_position = -1
         for i, base in seen:
             row = weights[i]
-            for j in order[i][heaviest[i]:]:
+            cols = order[i]
+            for k in range(heaviest[i], m):
+                j = cols[k]
                 if row_of_col[j] >= 0:
                     continue
                 if base - row[j] != min_val:
@@ -338,16 +330,17 @@ def _max_weight_rect(weights: list[list[float]], order: list[list[int]]) -> list
                     last_position = position[j]
                     sink = j
                     path[j] = i
-        dist[sink] = min_val
-        cols_seen.append(sink)
-        j = sink
         u[cur] += min_val
-        for i, _base in seen[1:]:
-            u[i] += min_val - dist[col_of_row[i]]
-        for c in cols_seen:
-            v[c] -= min_val - dist[c]
-            if v[c] > 0.0:
-                lifted = True
+        if scan is not None:  # unscanned, v's update would subtract exactly 0.0
+            dist[sink] = min_val
+            cols_seen.append(sink)
+            for i, _base in seen[1:]:
+                u[i] += min_val - dist[col_of_row[i]]
+            for c in cols_seen:
+                v[c] -= min_val - dist[c]
+                if v[c] > 0.0:
+                    lifted = True
+        j = sink
         while True:  # augment along the path back to row ``cur``
             i = path[j]
             row_of_col[j] = i

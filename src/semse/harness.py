@@ -67,7 +67,7 @@ from . import allocator  # looked up per call, so wrappers installed there see i
 from .allocator import Constraints, DropMatches
 from .channel import SEED_LIMIT, RadioParams, sample_drops
 from .link_adaptation import CqiTable, CqiTableError, SystemKind, builtin_table, load_cqi_table
-from .metrics import SourceStats, TransformFactor
+from .metrics import SourceStats, TransformFactor, read_lines
 from .similarity import SimilaritySurface, SurfaceError, default_surrogate, load_surface
 
 SWEEPABLE = ("n_channels", "tx_power_dbm", "bits_per_word")
@@ -196,12 +196,7 @@ def _finite(key: str, text: str) -> float:
 def load_scenario(path) -> ScenarioConfig:
     """Parse and validate a scenario file."""
     raw: dict = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise ScenarioError(f"{path}: {exc}") from None
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in read_lines(path, ScenarioError):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

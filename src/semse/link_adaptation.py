@@ -23,6 +23,8 @@ from importlib import resources
 
 import numpy as np
 
+from .metrics import read_lines
+
 
 class SystemKind(enum.Enum):
     SEMANTIC = "semantic"
@@ -113,26 +115,22 @@ def table_se(table: CqiTable, snr_db):
 
 def load_cqi_table(path) -> CqiTable:
     """Load a CQI table CSV with header ``index,efficiency,threshold_db``."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    except UnicodeDecodeError as exc:
-        raise CqiTableError(f"{path}: {exc}") from None
-    if not lines or lines[0].replace(" ", "") != "index,efficiency,threshold_db":
-        raise CqiTableError(f"{path}: expected header 'index,efficiency,threshold_db'")
+    lines = read_lines(path, CqiTableError)
+    lineno, header = lines[0] if lines else (1, "")
+    if header.replace(" ", "") != "index,efficiency,threshold_db":
+        raise CqiTableError(f"{path}:{lineno}: expected header 'index,efficiency,threshold_db'")
     eff, thr = [], []
-    for expected_idx, ln in enumerate(lines[1:], start=1):
+    for expected_idx, (lineno, ln) in enumerate(lines[1:], start=1):
         toks = [t.strip() for t in ln.split(",")]
         if len(toks) != 3:
-            raise CqiTableError(f"{path}: row {expected_idx} must have 3 columns")
+            raise CqiTableError(f"{path}:{lineno}: expected 3 columns")
         try:
             idx, e, t = int(toks[0]), float(toks[1]), float(toks[2])
         except ValueError as exc:
-            raise CqiTableError(f"{path}: row {expected_idx}: {exc}") from None
+            raise CqiTableError(f"{path}:{lineno}: {exc}") from None
         if idx != expected_idx:
-            raise CqiTableError(
-                f"{path}: row {expected_idx} has index {idx}, rows must be 1..15 in order"
-            )
+            raise CqiTableError(f"{path}:{lineno}: index {idx}, expected {expected_idx}: "
+                                "rows must be 1..15 in order")
         eff.append(e)
         thr.append(t)
     try:

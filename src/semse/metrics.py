@@ -1,4 +1,4 @@
-"""Source statistics, the transform factor and the finite-field check.
+"""Source statistics, the transform factor, the input file reader and the finite-field check.
 
 The semantic spectral efficiency of a link is the semantic information
 carried per symbol times the achieved similarity, (I/L) * similarity / k.
@@ -17,6 +17,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+
+
+def read_lines(path, error: type) -> list[tuple[int, str]]:
+    """(number, stripped text) of each non-blank line of a scenario, surface or CQI file.
+
+    UTF-8, with or without a byte-order mark; numbers count blank lines too.
+    A file that is not UTF-8 raises ``error`` naming ``path``.
+    """
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return [(number, text) for number, line in enumerate(fh, start=1)
+                    if (text := line.strip())]
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: {exc}") from None
 
 
 def require_finite_fields(obj) -> None:

@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .metrics import read_lines
+
 
 class SurfaceError(ValueError):
     """Raised when a similarity table violates the grid contract."""
@@ -164,36 +166,28 @@ def load_surface(path) -> SimilaritySurface:
     dB; each following row ``k, xi1, xi2, ...``, k an integer (``2`` or
     ``2.0``). UTF-8, decimal points.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    except UnicodeDecodeError as exc:
-        raise SurfaceError(f"{path}: {exc}") from None
+    lines = read_lines(path, SurfaceError)
     if len(lines) < 2:
         raise SurfaceError(f"{path}: need a header row and at least one k row")
-    header = lines[0].split(",")
+    lineno, header = lines[0]
     try:
-        snr_grid = np.array([float(tok) for tok in header[1:]])
+        snr_grid = np.array([float(tok) for tok in header.split(",")[1:]])
     except ValueError as exc:
-        raise SurfaceError(f"{path}: bad SNR grid value in header: {exc}") from None
+        raise SurfaceError(f"{path}:{lineno}: bad SNR grid value in header: {exc}") from None
     k_values = []
     rows = []
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in lines[1:]:
         toks = ln.split(",")
         if len(toks) != snr_grid.size + 1:
-            raise SurfaceError(
-                f"{path}: line {lineno} has {len(toks) - 1} entries, "
-                f"expected {snr_grid.size}"
-            )
+            raise SurfaceError(f"{path}:{lineno}: {len(toks) - 1} entries, "
+                               f"expected {snr_grid.size}")
         try:
             k = float(toks[0])
             rows.append([float(t) for t in toks[1:]])
         except ValueError as exc:
-            raise SurfaceError(f"{path}: line {lineno}: {exc}") from None
+            raise SurfaceError(f"{path}:{lineno}: {exc}") from None
         if not k.is_integer():
-            raise SurfaceError(
-                f"{path}: line {lineno}: k must be an integer, got {toks[0].strip()!r}"
-            )
+            raise SurfaceError(f"{path}:{lineno}: k must be an integer, got {toks[0].strip()!r}")
         k_values.append(int(k))
     try:
         return SimilaritySurface(np.array(k_values), snr_grid, np.array(rows))

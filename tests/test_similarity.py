@@ -269,7 +269,7 @@ class TestLoad:
 
     def test_rejects_ragged_row(self, tmp_path):
         p = self.write(tmp_path, "k\\snr,0,5\n1,0.5\n")
-        with pytest.raises(SurfaceError, match="line 2"):
+        with pytest.raises(SurfaceError, match=r"surface\.csv:2: 1 entries, expected 2$"):
             load_surface(p)
 
     def test_rejects_non_numeric(self, tmp_path):
@@ -283,7 +283,7 @@ class TestLoad:
         rows = ["1", "2"]
         rows[line - 2] = label
         p = self.write(tmp_path, f"k\\snr,0,10\n{rows[0]},0.2,0.9\n{rows[1]},0.3,0.95\n")
-        with pytest.raises(SurfaceError, match=rf"line {line}: k must be an integer, got '{label}'"):
+        with pytest.raises(SurfaceError, match=rf"\.csv:{line}: k must be an integer, got '{label}'"):
             load_surface(p)
 
     def test_integral_float_k_label_loads(self, tmp_path):
