@@ -226,19 +226,22 @@ def _max_weight_rect(weights: list[list[float]], order: list[list[int]]) -> list
     argument needs each step's least distance to be below +inf, which only
     duals made NaN by sums of weights that overflow could break.
 
-    Every search runs one loop, one sink walk and one augmentation. One
-    guard ends a search at its first step, before it builds any scan state:
-    while no column dual has risen above 0.0, a row whose heaviest free
-    column has the row's largest weight ``top`` breaks out of the loop. Row
-    ``cur`` searches fresh, so ``base`` is 0.0 and that free column is
-    reached at ``-top``; a matched column j at ``-row[j] - v[j] >= -row[j]
-    >= -top``, rounding included, since ``v[j] <= 0.0``. So no matched
-    column beats the free one and the scan would end at this step. The sink
-    walk, reading ``position`` as the unscanned order, then picks what the
-    plain scan's tie rule picks, the lowest-numbered free column at ``top``,
-    and the tail skips the ``v`` update, which would subtract exactly 0.0.
-    A dual update can round a ``v`` above 0.0; from then on every search
-    scans.
+    Every search runs one loop, one sink walk and one augmentation, and
+    keeps one record, ``seen``, the rows it reached. It reached each row i
+    past ``cur`` through the matched column c = ``col_of_row[i]`` it picked,
+    so one step ``min_val - dist[c]`` updates ``u[i]`` and ``v[c]``. The
+    sink's step is exactly 0.0, its distance being ``min_val`` and its ``v``
+    0.0, so it is skipped. One guard ends a search at its first step, before
+    it builds any scan state: while no column dual has risen above 0.0, a
+    row whose heaviest free column has the row's largest weight ``top``
+    breaks out of the loop. Row ``cur`` searches fresh, so ``base`` is 0.0
+    and that free column is reached at ``-top``; a matched column j at
+    ``-row[j] - v[j] >= -row[j] >= -top``, rounding included, since ``v[j]
+    <= 0.0``. So no matched column beats the free one and the scan would end
+    at this step. The sink walk, reading ``position`` as the unscanned
+    order, then picks what the plain scan's tie rule picks, the
+    lowest-numbered free column at ``top``. A dual update can round a ``v``
+    above 0.0; from then on every search scans.
     """
     inf = float("inf")
     n, m = len(weights), len(weights[0])
@@ -283,7 +286,6 @@ def _max_weight_rect(weights: list[list[float]], order: list[list[int]]) -> list
                 remaining = unscanned[:]
                 position = unscanned[:]
                 scan = sorted(col_of_row[:cur], reverse=True)  # the matched columns in remaining
-                cols_seen = []
             lowest = inf
             index = -1
             for it, j in enumerate(scan):
@@ -299,7 +301,6 @@ def _max_weight_rect(weights: list[list[float]], order: list[list[int]]) -> list
                 break  # a free column ties or wins: the search ends there
             min_val = lowest
             j = scan[index]
-            cols_seen.append(j)
             last = remaining.pop()
             if last == j:
                 scan.pop()
@@ -331,15 +332,13 @@ def _max_weight_rect(weights: list[list[float]], order: list[list[int]]) -> list
                     sink = j
                     path[j] = i
         u[cur] += min_val
-        if scan is not None:  # unscanned, v's update would subtract exactly 0.0
-            dist[sink] = min_val
-            cols_seen.append(sink)
-            for i, _base in seen[1:]:
-                u[i] += min_val - dist[col_of_row[i]]
-            for c in cols_seen:
-                v[c] -= min_val - dist[c]
-                if v[c] > 0.0:
-                    lifted = True
+        for i, _base in seen[1:]:  # c, the matched column picked to reach row i
+            c = col_of_row[i]
+            step = min_val - dist[c]
+            u[i] += step
+            v[c] -= step
+            if v[c] > 0.0:
+                lifted = True
         j = sink
         while True:  # augment along the path back to row ``cur``
             i = path[j]
@@ -368,7 +367,12 @@ def _max_weight_stack(weights: np.ndarray) -> np.ndarray:
     small integer tie keys. A search's first step is the same for every
     drop: all drops search, from row ``cur``, with every column unscanned
     and ``min_val`` 0. It computes the reduced costs in place in the column
-    state's contiguous (cols, drops) slices, in reversed scan order.
+    state's contiguous (cols, drops) slices, in reversed scan order. A
+    search keeps one record, ``cols_seen``, its picks: a matched pick's row
+    (``row_of_col``) is a row it reached, a drop's one free pick its sink.
+    One step ``min_val - dist`` per matched pick updates its ``v`` and its
+    row's ``u``. The sink's step, exactly 0.0 since ``dist`` there is the
+    pick's ``min_val`` and a free column's ``v`` 0.0, is skipped.
     """
     n_drops, n, m = weights.shape
     drops = np.arange(n_drops)
@@ -383,8 +387,7 @@ def _max_weight_stack(weights: np.ndarray) -> np.ndarray:
     dist = np.empty(m * n_drops)
     # [p * drops + d]: the flat offset, column * drops + d, of drop d's p-th column to scan
     remaining = np.empty(m * n_drops, dtype=int)
-    rows_seen = np.empty(n * n_drops, dtype=bool)  # rows other than ``cur``
-    cols_seen = np.empty(m * n_drops, dtype=bool)
+    cols_seen = np.empty(m * n_drops, dtype=bool)  # a search's one record: its picks
     # Tie keys by scan position p, in the narrowest unsigned type: a tied
     # free column keys m+1+p (later ones higher), another tied column m-p
     # (earlier ones higher), an untied one 0. The largest key is then the
@@ -400,11 +403,9 @@ def _max_weight_stack(weights: np.ndarray) -> np.ndarray:
         x.reshape(m, n_drops) for x in (v, dist, path, row_of_col))
     free_first, other_first = key_free[::-1], key_other[::-1]
     for cur in range(n):
-        rows_seen.fill(False)
         cols_seen.fill(False)
         np.add(at_pos[::-1], drops, out=remaining.reshape(m, n_drops))
         min_val = np.zeros(n_drops)
-        sink = np.empty(n_drops, dtype=int)  # flat offset of the free column each search ends at
         active = drops
         for size in range(m, 0, -1):
             if size == m:  # first step: every column of every drop, dist all inf
@@ -442,22 +443,19 @@ def _max_weight_stack(weights: np.ndarray) -> np.ndarray:
             cols_seen[j_at] = True
             remaining[index * n_drops + active] = remaining[at_pos[size - 1] + active]
             i = row_of_col[j_at]
-            done = i < 0
-            sink[active[done]] = j_at[done]
-            searching = ~done
-            active, i = active[searching], i[searching]
+            active, i = active[i >= 0], i[i >= 0]
             if not active.size:
                 break
             i_at = np.multiply(i, n_drops, dtype=np.intp) + active
-            rows_seen[i_at] = True
         u[cur * n_drops:(cur + 1) * n_drops] += min_val
-        seen = np.flatnonzero(rows_seen)
-        d_of = seen % n_drops
-        u[seen] += min_val[d_of] - dist[
-            np.multiply(col_of_row[seen], n_drops, dtype=np.intp) + d_of]
         seen = np.flatnonzero(cols_seen)
-        v[seen] -= min_val[seen % n_drops] - dist[seen]
-        active, j = drops, sink // n_drops
+        row = row_of_col[seen]
+        sink = seen[row < 0]  # each drop's one free pick, the column its search ends at
+        seen, row = seen[row >= 0], row[row >= 0]
+        step = min_val[seen % n_drops] - dist[seen]
+        v[seen] -= step
+        u[np.multiply(row, n_drops, dtype=np.intp) + seen % n_drops] += step
+        active, j = sink % n_drops, sink // n_drops
         while active.size:  # augment along each path back to row ``cur``
             j_at = np.multiply(j, n_drops, dtype=np.intp) + active
             i = path[j_at]
@@ -522,12 +520,11 @@ def sum_by_user(x: np.ndarray) -> np.ndarray:
     ``DropMatches.total`` is summed here, so a total of other per-user
     values summed here has the same rounding. A sum past the float range is
     inf, without a warning: the caller that reports it names its cause.
+    Accumulate adds left to right (a pairwise ``x.sum(axis=1)`` rounds
+    otherwise from 9 users up); ``+ 0.0`` makes a row of -0.0 sum to 0.0.
     """
-    total = np.zeros(len(x))
     with np.errstate(over="ignore"):
-        for column in x.T:
-            total += column
-    return total
+        return np.add.accumulate(x, axis=1)[:, -1] + 0.0
 
 
 def weight_stacks(n_stacks: int, n_drops: int, n_users: int, n_channels: int) -> np.ndarray:

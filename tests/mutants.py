@@ -1,0 +1,214 @@
+"""Mutants of the arguments that keep every matching and output byte exact.
+
+Each mutant is (name, file under ``src/``, old text, new text, killing test
+ids). For each one this script requires that the old text occurs exactly
+once in the file, applies the mutant to a copy of ``src/`` in a temporary
+directory, runs only the killing tests against that copy, and requires
+every one of them to fail. It exits 1 naming each mutant that is not killed.
+
+A mutant that survives is a test gap: close it with a test, never by
+deleting the mutant. A change that moves or rewrites a mutated line updates
+the mutant's text in the same change.
+
+Left out, because no test can kill it:
+- dropping the matched filter in ``_max_weight_stack`` (``seen, row =
+  seen[row >= 0], row[row >= 0]``). The sink's step ``min_val - dist`` is
+  then applied too: to its own ``v`` and, since its row is -1, to the ``u``
+  of row n-1 of its drop. That step is exactly 0.0, so only a sign of zero
+  could expose it.
+
+Run it from any directory as ``python tests/mutants.py``. pytest does not
+collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 60  # per mutant
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest ids relative to the repository root
+
+
+ALLOCATOR, HARNESS, CHANNEL = "semse/allocator.py", "semse/harness.py", "semse/channel.py"
+PLAN_SCAN = (
+    "tests/test_allocator.py::TestBuildPairPlans::test_matches_scalar_scan",
+    "tests/test_allocator.py::TestCandidateKScan::test_equals_full_scan_bit_for_bit",
+)
+GOLDEN_SWEEP = ("tests/test_golden.py::test_run_output_is_byte_identical[n_channels_sweep]",)
+STACKED = (
+    "tests/test_allocator.py::TestStackedMatcher::test_equals_per_drop_hungarian_bit_for_bit",
+)
+PRUNED = ("tests/test_allocator.py::TestPrunedSearch::test_equals_plain_scan",)
+SEEDING = (
+    "tests/test_channel.py::test_sample_drops_equal_default_rng_drops_for_every_seed_width",
+)
+SUM_BY_USER = "tests/test_allocator.py::TestSumByUser::"
+
+MUTANTS = [
+    # the k scan: its take rule and its candidate pruning
+    Mutant("take rule without best_k == 0", ALLOCATOR,
+           "take &= (w > best_w) | (best_k == 0)", "take &= w > best_w", PLAN_SCAN),
+    Mutant("take rule w >= best_w", ALLOCATOR,
+           "take &= (w > best_w) | (best_k == 0)", "take &= (w >= best_w) | (best_k == 0)",
+           PLAN_SCAN),
+    Mutant("candidate = somewhere", ALLOCATOR,
+           "candidate = somewhere & ~(floor > hi_w)", "candidate = somewhere",
+           ("tests/test_allocator.py::TestCandidateKScan"
+            "::test_surrogate_columns_hold_at_most_two_candidates",)),
+    # the mean and std of the totals, shifted by the first total
+    Mutant("_std without - scaled[0]", HARNESS,
+           "(scaled - scaled[0]).std(ddof=1)", "scaled.std(ddof=1)", GOLDEN_SWEEP),
+    Mutant("plain t.mean() in _records", HARNESS,
+           "float(t[0] + (t - t[0]).mean())", "float(t.mean())", GOLDEN_SWEEP),
+    # which matcher runs, and how a total is summed
+    Mutant("_STACK_MIN_DROPS = 1", ALLOCATOR,
+           "_STACK_MIN_DROPS = 64", "_STACK_MIN_DROPS = 1",
+           ("tests/test_allocator.py::TestStackedMatcher"
+            "::test_benchmark_workloads_take_the_intended_matcher[None-None-False]",)),
+    Mutant("sum_by_user reversed", ALLOCATOR,
+           "np.add.accumulate(x, axis=1)", "np.add.accumulate(x[:, ::-1], axis=1)",
+           ("tests/test_acceptance.py::test_criterion_2_hungarian_optimality",)),
+    Mutant("sum_by_user pairwise", ALLOCATOR,
+           "np.add.accumulate(x, axis=1)[:, -1]", "x.sum(axis=1)",
+           (SUM_BY_USER + "test_ten_users_are_summed_left_to_right",)),
+    Mutant("sum_by_user without + 0.0", ALLOCATOR,
+           "np.add.accumulate(x, axis=1)[:, -1] + 0.0", "np.add.accumulate(x, axis=1)[:, -1]",
+           (SUM_BY_USER + "test_row_of_negative_zeros_sums_to_positive_zero",)),
+    Mutant("sum_by_user warns on overflow", ALLOCATOR,
+           'with np.errstate(over="ignore"):\n        return np.add.accumulate',
+           "if True:\n        return np.add.accumulate",
+           (SUM_BY_USER + "test_overflowing_row_is_inf_without_a_warning",)),
+    # the stacked matcher: tie keys, evaluation order, its one record per search
+    Mutant("stacked key_free/key_other swapped", ALLOCATOR,
+           "key_free, key_other = (m + 1 + p)", "key_other, key_free = (m + 1 + p)",
+           ("tests/test_acceptance.py::test_criterion_6_more_channels_never_hurt",)),
+    Mutant("stacked tie key: the earliest tied free column", ALLOCATOR,
+           "(m + 1 + p).astype(key_type)", "(2 * m - p).astype(key_type)", STACKED),
+    Mutant("stacked: no free-column preference past the first step", ALLOCATOR,
+           "row_of_col[at] < 0, key_free[:size]", "row_of_col[at] < -1, key_free[:size]",
+           ("tests/test_acceptance.py::test_criterion_6_more_channels_never_hurt",
+            "tests/test_allocator.py::TestStackedMatcher"
+            "::test_match_drops_equals_per_drop_hungarian[shape1]")),
+    Mutant("stacked evaluation order base - (w + v)", ALLOCATOR,
+           "np.subtract(min_val[active] - u[i_at], r, out=r)\n                r -= v[at]",
+           "r += v[at]\n                np.subtract(min_val[active] - u[i_at], r, out=r)",
+           STACKED),
+    # with two sinks in a drop, the bit-for-bit test hangs in the augmentation
+    Mutant("stacked sink row <= 0", ALLOCATOR,
+           "sink = seen[row < 0]", "sink = seen[row <= 0]",
+           ("tests/test_allocator.py::TestAgainstScipy::test_stacked_totals_match"
+            "_linear_sum_assignment[SystemKind.SEMANTIC-shape1-True]",)),
+    # the per-drop matcher: its first-step guard, sink walk and dual step
+    Mutant("guard without not lifted", ALLOCATOR,
+           "if not lifted and row[cols[k]] == row[cols[0]]:",
+           "if row[cols[k]] == row[cols[0]]:", PRUNED),
+    Mutant("guard without the top = row-max check", ALLOCATOR,
+           "if not lifted and row[cols[k]] == row[cols[0]]:", "if not lifted:", PRUNED),
+    Mutant("sink walk: no tied-run walk", ALLOCATOR,
+           "for k in range(heaviest[i], m):", "for k in range(heaviest[i], heaviest[i] + 1):",
+           PRUNED),
+    Mutant("sink walk: the highest-numbered tied column", ALLOCATOR,
+           "if position[j] > last_position:\n                    last_position = position[j]",
+           "if j > last_position:\n                    last_position = j", PRUNED),
+    Mutant("sink walk: the first tied column in scan order", ALLOCATOR,
+           "if position[j] > last_position:\n                    last_position = position[j]",
+           "if m - position[j] > last_position:\n"
+           "                    last_position = m - position[j]",
+           PRUNED),
+    Mutant("sink walk: the first tied column it meets", ALLOCATOR,
+           "if position[j] > last_position:", "if last_position < 0:", PRUNED),
+    Mutant("scalar step skipped for one seen row", ALLOCATOR,
+           "for i, _base in seen[1:]:", "for i, _base in seen[2:]:",
+           ("tests/test_allocator.py::TestHungarian::test_random_square_matches_brute_force",)),
+    # seeding numpy's generator for a block of drops
+    Mutant("seeding mix constant", CHANNEL,
+           "np.uint32(0xCA01F9DD)", "np.uint32(0xCA01F9DC)", SEEDING),
+    Mutant("seed-word order", CHANNEL,
+           "words.reshape(-1, 4).T", "words.reshape(-1, 4)[:, ::-1].T", SEEDING),
+]
+
+
+def failed_ids(output: str, cwd: Path) -> set[str]:
+    """The ids, relative to the repository root, that pytest's ``-rfE`` summary
+    reports as failed or in error; the summary names them relative to ``cwd``."""
+    ids = set()
+    for line in output.splitlines():
+        for outcome in ("FAILED ", "ERROR "):
+            if line.startswith(outcome):
+                path, _, test = line[len(outcome):].split(" - ")[0].partition("::")
+                path = os.path.relpath(os.path.normpath(cwd / path), ROOT)
+                ids.add(f"{Path(path).as_posix()}::{test}")
+    return ids
+
+
+def check(mutant: Mutant, work: Path) -> str | None:
+    """None if every killing test fails on the mutant, else why it is not killed."""
+    src = work / "src"
+    shutil.rmtree(src, ignore_errors=True)
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    path = src / mutant.file
+    text = path.read_text()
+    count = text.count(mutant.old)
+    if count != 1:
+        return f"its old text occurs {count} times in src/{mutant.file}"
+    path.write_text(text.replace(mutant.old, mutant.new))
+    # run from the temp directory so that hypothesis keeps its database there
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+             "--hypothesis-seed=0", *(str(ROOT / t) for t in mutant.tests)],
+            cwd=work, capture_output=True, text=True, timeout=TIMEOUT_S,
+            env=dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1"),
+        )
+    except subprocess.TimeoutExpired:  # a mutant can loop forever: name a test that fails
+        return f"its tests ran past {TIMEOUT_S} s"
+    if result.returncode not in (0, 1):  # 1: tests failed; else pytest could not run them
+        return f"pytest exited {result.returncode}:\n{result.stdout}{result.stderr}"
+    survivors = set(mutant.tests) - failed_ids(result.stdout, work)
+    if survivors:
+        return "these tests pass on it: " + ", ".join(sorted(survivors))
+    return None
+
+
+def main() -> int:
+    start = time.perf_counter()
+    failures = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        # the copy, not an installed semse, must be what the tests import
+        shutil.copytree(ROOT / "src", work / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        found = subprocess.run(
+            [sys.executable, "-c", "import semse; print(semse.__file__)"], cwd=work,
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(work / "src")),
+        ).stdout.strip()
+        if not Path(found).resolve().is_relative_to(work.resolve()):
+            print(f"the tests would import semse from {found or 'nowhere'}, not from the copy")
+            return 1
+        for mutant in MUTANTS:
+            t0 = time.perf_counter()
+            why = check(mutant, work)
+            failures += why is not None
+            status = "killed" if why is None else "NOT KILLED: " + why
+            print(f"{time.perf_counter() - t0:5.1f} s  {mutant.name}: {status}", flush=True)
+    print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants killed"
+          f" in {time.perf_counter() - start:.0f} s")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,6 +15,7 @@ from semse.allocator import (
     build_pair_plans,
     conventional_weights,
     match_drops,
+    sum_by_user,
     weight_stacks,
 )
 from semse.channel import RadioParams, sample_drop, sample_drops
@@ -599,6 +600,39 @@ class TestWeightStacks:
         per_drop = match_on_fork(flat, stacked=False)
         assert got.total.tolist() == per_drop.total.tolist()
         assert np.array_equal(got.channel, per_drop.channel)
+
+
+class TestSumByUser:
+    """Per-drop totals: summed left to right from 0.0, inf past the float range."""
+
+    def test_row_of_negative_zeros_sums_to_positive_zero(self):
+        total = sum_by_user(np.full((2, 3), -0.0))
+        assert total.tolist() == [0.0, 0.0]
+        assert not np.signbit(total).any()
+
+    def test_overflowing_row_is_inf_without_a_warning(self):
+        # pytest's filterwarnings turns an overflow RuntimeWarning into an error;
+        # left to right, the first two users already overflow
+        total = sum_by_user(np.array([[1e308, 1e308, -1e308], [1.0, 2.0, 3.0]]))
+        assert total.tolist() == [np.inf, 6.0]
+
+    def test_ten_users_are_summed_left_to_right(self):
+        x = np.full((1, 10), 0.1)
+        left_to_right = 0.0
+        for value in x[0].tolist():
+            left_to_right += value
+        assert sum_by_user(x).tolist() == [left_to_right]
+        assert x.sum(axis=1).tolist() != [left_to_right]  # a pairwise sum rounds otherwise
+
+    def test_equals_a_column_by_column_sum_from_zero_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        tiny_or_huge = np.where(rng.random((40, 9)) < 0.5, 1e-320, 1e308 * rng.random((40, 9)))
+        for x in (rng.random((50, 12)), rng.random((12, 50)).T, tiny_or_huge):
+            reference = np.zeros(len(x))
+            with np.errstate(over="ignore"):
+                for column in x.T:
+                    reference += column
+            assert sum_by_user(x).tobytes() == reference.tobytes()
 
 
 class TestAgainstScipy:
