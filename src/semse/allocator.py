@@ -597,19 +597,3 @@ def bit_pipe_weights(se_bits, tf: TransformFactor, cons: Constraints) -> np.ndar
     except FloatingPointError:
         raise ValueError(f"S-SE overflows at bits_per_word = {tf.bits_per_word}") from None
     return np.where(w >= cons.sse_threshold, w, 0.0)
-
-
-def conventional_weights(
-    snr_db: np.ndarray,
-    snr_linear: np.ndarray,
-    system: SystemKind,
-    tables: dict,
-    tf: TransformFactor,
-    cons: Constraints,
-) -> np.ndarray:
-    """Normalized semantic-SE weights of a bit-pipe system, floors applied.
-
-    ``bit_pipe_weights(bit_se(...), tf, cons)``; a caller weighing the same
-    links at several ``tf`` calls the two steps itself, ``bit_se`` once.
-    """
-    return bit_pipe_weights(bit_se(snr_db, snr_linear, system, tables), tf, cons)

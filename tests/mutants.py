@@ -135,6 +135,19 @@ MUTANTS = [
     Mutant("scalar step skipped for one seen row", ALLOCATOR,
            "for i, _base in seen[1:]:", "for i, _base in seen[2:]:",
            ("tests/test_allocator.py::TestHungarian::test_random_square_matches_brute_force",)),
+    # the results' boundaries: positive pairs only, the bit-pipe floor, unserved users
+    Mutant("hungarian_max keeps zero-weight pairs", ALLOCATOR,
+           "if x > 0.0:", "if x >= 0.0:",
+           ("tests/test_allocator.py::TestHungarian"
+            "::test_hungarian_max_reports_positive_pairs_only",)),
+    Mutant("bit-pipe floor w > sse_threshold", ALLOCATOR,
+           "np.where(w >= cons.sse_threshold, w, 0.0)", "np.where(w > cons.sse_threshold, w, 0.0)",
+           ("tests/test_allocator.py::TestBitPipeWeights::test_weight_at_the_floor_is_kept",)),
+    Mutant("fixed k scores unserved users", HARNESS,
+           "np.where(served & ok, w, 0.0)", "np.where(ok, w, 0.0)",
+           ("tests/test_acceptance.py::test_criterion_5_fixed_k_policy_dominated[8x3]",
+            "tests/test_acceptance.py::test_criterion_5_fixed_k_policy_dominated[20x5]",
+            "tests/test_golden.py::test_run_output_is_byte_identical[compare_overloaded]")),
     # seeding numpy's generator for a block of drops
     Mutant("seeding mix constant", CHANNEL,
            "np.uint32(0xCA01F9DD)", "np.uint32(0xCA01F9DC)", SEEDING),

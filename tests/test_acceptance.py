@@ -112,9 +112,14 @@ def test_criterion_4_transform_method_and_tables():
     _pass(4, "ideal equivalent S-SE 0.1229 and 30 pinned CQI entries", t0, 10.0)
 
 
-def test_criterion_5_fixed_k_policy_dominated():
+# with more users than channels, the ideal matching leaves users unserved,
+# and fixed k must score them 0, not at some channel's SNR
+@pytest.mark.parametrize("n_users, n_channels", [(5, 5), (8, 3), (20, 5)],
+                         ids=["5x5", "8x3", "20x5"])
+def test_criterion_5_fixed_k_policy_dominated(n_users, n_channels):
     t0 = time.perf_counter()
-    cfg = ScenarioConfig(n_drops=500)  # table defaults: 5x5, thresholds 0.9 / 0.025
+    # table defaults otherwise: thresholds 0.9 / 0.025
+    cfg = ScenarioConfig(n_drops=500, n_users=n_users, n_channels=n_channels)
     fixed_ks = [1, 2, 3, 4, 5]
     totals = drop_totals(cfg, fixed_ks)
     optimized = totals[SystemKind.SEMANTIC, "optimized_k", 0.0]
@@ -126,7 +131,8 @@ def test_criterion_5_fixed_k_policy_dominated():
     assert any(v == 0.0 for v in sums.values()), (
         "similarity threshold 0.9 should shut out at least one fixed k entirely"
     )
-    _pass(5, "joint optimization dominates every fixed-k policy on all 500 drops", t0, 120.0)
+    _pass(5, "joint optimization dominates every fixed-k policy on all 500 "
+             f"{n_users}x{n_channels} drops", t0, 120.0)
 
 
 def test_criterion_6_more_channels_never_hurt():

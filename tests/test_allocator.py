@@ -12,8 +12,8 @@ from semse.allocator import (
     Constraints,
     _k_candidates,
     bit_pipe_weights,
+    bit_se,
     build_pair_plans,
-    conventional_weights,
     match_drops,
     sum_by_user,
     weight_stacks,
@@ -267,6 +267,12 @@ class TestHungarian:
         assert a.total_weight == 1.0
         assert match_one(np.zeros((3, 3))).pairs == ()
 
+    def test_hungarian_max_reports_positive_pairs_only(self):
+        # match_drops filters zero weights again, but the traced bench counts
+        # hungarian_max's own pairs as served users
+        a = allocator.hungarian_max(np.array([[0.0, 0.0], [0.0, 3.0]]))
+        assert a.pairs == ((1, 1),) and a.total_weight == 3.0
+
     def test_random_square_matches_brute_force(self):
         rng = np.random.default_rng(23)
         for _ in range(200):
@@ -422,7 +428,8 @@ class TestPrunedSearch:
         if system is SystemKind.SEMANTIC:
             w = build_pair_plans(drop.snr_db, default_surrogate(20), cons).weight[0]
         else:
-            w = conventional_weights(drop.snr_db, drop.snr_linear, system, TABLES, MU40, cons)[0]
+            se = bit_se(drop.snr_db, drop.snr_linear, system, TABLES)
+            w = bit_pipe_weights(se, MU40, cons)[0]
         rows = w.T.tolist()
         got = allocator._max_weight_rect(rows, np.argsort(-w.T, axis=1).tolist())
         assert got == oracles.plain_max_weight_rect(rows)
@@ -647,7 +654,7 @@ class TestAgainstScipy:
         if system is SystemKind.SEMANTIC:
             w = build_pair_plans(drop.snr_db, default_surrogate(20), cons).weight
         else:
-            w = conventional_weights(drop.snr_db, drop.snr_linear, system, TABLES, MU40, cons)
+            w = bit_pipe_weights(bit_se(drop.snr_db, drop.snr_linear, system, TABLES), MU40, cons)
             assert len(np.unique(w)) < w.size // 10  # CQI steps: many tied weights
         rows, cols = lsa(w, maximize=True)
         assert match_one(w).total_weight == pytest.approx(
@@ -664,8 +671,8 @@ class TestAgainstScipy:
         if system is SystemKind.SEMANTIC:
             w = build_pair_plans(drops.snr_db, default_surrogate(20), cons).weight
         else:
-            w = conventional_weights(
-                drops.snr_db, drops.snr_linear, system, TABLES, MU40, cons
+            w = bit_pipe_weights(
+                bit_se(drops.snr_db, drops.snr_linear, system, TABLES), MU40, cons
             )
         got = match_on_fork(w, stacked)
         for d, drop in enumerate(w):
@@ -725,16 +732,16 @@ class TestConventionalWeights:
     def test_all_links_in_outage(self):
         snr_db = np.full((3, 3), -40.0)
         snr_lin = 10 ** (snr_db / 10)
-        a = match_one(conventional_weights(
-            snr_db, snr_lin, SystemKind.FOUR_G, TABLES, MU40, Constraints()
+        a = match_one(bit_pipe_weights(
+            bit_se(snr_db, snr_lin, SystemKind.FOUR_G, TABLES), MU40, Constraints()
         ))
         assert a.pairs == () and a.total_weight == 0.0
 
     def test_single_ideal_link_value(self):
         snr_db = np.array([[14.666]])
         snr_lin = 10 ** (snr_db / 10)
-        a = match_one(conventional_weights(
-            snr_db, snr_lin, SystemKind.IDEAL, {}, MU40, Constraints()
+        a = match_one(bit_pipe_weights(
+            bit_se(snr_db, snr_lin, SystemKind.IDEAL, {}), MU40, Constraints()
         ))
         assert a.total_weight == pytest.approx(0.1229, abs=1e-3)
 
@@ -746,7 +753,7 @@ class TestConventionalWeights:
             snr_lin = 10 ** (snr_db / 10)
             totals = {
                 s: match_one(
-                    conventional_weights(snr_db, snr_lin, s, TABLES, MU40, cons)
+                    bit_pipe_weights(bit_se(snr_db, snr_lin, s, TABLES), MU40, cons)
                 ).total_weight
                 for s in (SystemKind.IDEAL, SystemKind.FOUR_G, SystemKind.FIVE_G)
             }
@@ -757,16 +764,13 @@ class TestConventionalWeights:
         # R/mu below the floor contributes nothing even if positive
         cons = Constraints(sse_threshold=0.2)
         snr_db = np.array([[0.0]])  # shannon 1 bit/s/Hz -> 0.025 < 0.2
-        w = conventional_weights(snr_db, np.array([[1.0]]), SystemKind.IDEAL, {}, MU40, cons)
+        w = bit_pipe_weights(bit_se(snr_db, np.array([[1.0]]), SystemKind.IDEAL, {}), MU40, cons)
         a = match_one(w)
         assert a.total_weight == 0.0 and a.pairs == ()
 
     def test_semantic_system_is_rejected(self):
         with pytest.raises(ValueError):
-            conventional_weights(
-                np.zeros((2, 2)), np.ones((2, 2)), SystemKind.SEMANTIC,
-                TABLES, MU40, Constraints(),
-            )
+            bit_se(np.zeros((2, 2)), np.ones((2, 2)), SystemKind.SEMANTIC, TABLES)
 
 
 class TestBitPipeWeights:
@@ -812,6 +816,11 @@ class TestBitPipeWeights:
         for cons in (FLOORLESS, Constraints()):
             with pytest.raises(ValueError, match="bit SE"):
                 bit_pipe_weights(se, MU40, cons)
+
+    def test_weight_at_the_floor_is_kept(self):
+        # 1.0 / 40.0 is exactly 0.025: a weight equal to sse_threshold stays, as in _sse
+        out = bit_pipe_weights(np.array([1.0]), MU40, Constraints(sse_threshold=0.025))
+        assert out.tolist() == [0.025]
 
     def test_overflow_names_bits_per_word(self):
         with pytest.raises(ValueError, match="bits_per_word = 5e-324"):

@@ -2,8 +2,9 @@
 
 ``tests/golden/`` pins the output of ``semse run`` on each file in
 ``scenarios/`` and on the sweep scenarios kept beside the goldens, and of
-``semse compare`` on the default scenario and on a swept one (``compare``
-ignores the sweep and ``systems``): the CSV, and where there is one
+``semse compare`` on the default scenario, on a swept one (``compare``
+ignores the sweep and ``systems``) and on one with more users than
+channels: the CSV, and where there is one
 the ``<name>.stderr`` file with the crossover lines. Each case is one
 ``<name> <argv...>`` line of ``tests/golden/cases.txt``, the one list of
 cases that these tests and the CI job without test extras both read. A

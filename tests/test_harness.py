@@ -29,8 +29,9 @@ from semse.harness import (
 )
 from semse.allocator import (
     Constraints,
+    bit_pipe_weights,
+    bit_se,
     build_pair_plans,
-    conventional_weights,
 )
 from semse.channel import RadioParams, sample_drop
 from semse.link_adaptation import SystemKind, builtin_table
@@ -369,8 +370,8 @@ class TestBlocks:
             semantic = build_pair_plans(drop.snr_db, surface, cons).weight
             expect = {SystemKind.SEMANTIC: match_one(semantic)}
             for system in ALL_SYSTEMS[1:]:
-                expect[system] = match_one(conventional_weights(
-                    drop.snr_db, drop.snr_linear, system, tables, cfg.tf, cons
+                expect[system] = match_one(bit_pipe_weights(
+                    bit_se(drop.snr_db, drop.snr_linear, system, tables), cfg.tf, cons
                 ))
             assert {row: t[d] for row, t in totals.items()} == {
                 (s, "none", 0.0): a.total_weight for s, a in expect.items()
@@ -385,8 +386,8 @@ class TestBlocks:
         for d in range(cfg.n_drops):
             fixed, optimized = split_comparison({row: t[d] for row, t in totals.items()})
             drop = sample_drop(cfg.n_users, cfg.n_channels, cfg.radio, cfg.base_seed + d)
-            ideal = match_one(conventional_weights(
-                drop.snr_db, drop.snr_linear, SystemKind.IDEAL, {}, cfg.tf, cons
+            ideal = match_one(bit_pipe_weights(
+                bit_se(drop.snr_db, drop.snr_linear, SystemKind.IDEAL, {}), cfg.tf, cons
             ))
             for k, total in fixed.items():
                 expect = 0.0
