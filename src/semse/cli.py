@@ -14,7 +14,6 @@ import dataclasses
 import sys
 
 from .harness import (
-    ScenarioError,
     crossover_bits_per_word,
     emit_csv,
     format_csv,
@@ -22,7 +21,7 @@ from .harness import (
     run_model_comparison,
     run_scenario,
 )
-from .link_adaptation import CqiTableError, check_builtin_tables
+from .link_adaptation import check_builtin_tables
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -98,7 +97,7 @@ def main(argv=None) -> int:
                 return 1
             for line in check_builtin_tables():
                 print(line)
-    except (ScenarioError, CqiTableError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -88,9 +88,9 @@ _MAX_DROP_PAIRS = np.iinfo(np.intp).max // np.dtype(float).itemsize
 _BLOCK_PAIRS = 1 << 14
 # Most weights (pairs x stacks) in one match_drops call: this bounds the
 # weight buffer (8 bytes a weight) and the stacked matcher's working set
-# (a tracemalloc peak of 13.2 bytes a weight on 5 x 5 stacks), and lets the
-# shipped 500-drop scenario and 200-drop bits_per_word sweep match in one
-# call each.
+# (a tracemalloc peak of 12.70 bytes a weight on the (3200, 5, 5) stack),
+# and lets the shipped 500-drop scenario and 200-drop bits_per_word sweep
+# match in one call each.
 _CALL_WEIGHTS = 1 << 17
 
 
@@ -234,7 +234,7 @@ def load_scenario(path) -> ScenarioConfig:
 
 
 def surface_for(cfg: ScenarioConfig) -> SimilaritySurface:
-    if cfg.surface == "surrogate":
+    if cfg.surface == _DEFAULT["surface"]:
         try:
             return default_surrogate(cfg.constraints.k_max)
         except MemoryError:
@@ -244,18 +244,24 @@ def surface_for(cfg: ScenarioConfig) -> SimilaritySurface:
         surface = load_surface(cfg.surface)
     except (SurfaceError, OSError) as exc:  # name the key, keep the error's type
         raise type(exc)(f"surface: {exc}") from None
-    if not surface.covers_k_range(cfg.constraints.k_max):
+    try:  # the k scan's own lookup of rows 1..k_max
+        surface.pieces(range(1, cfg.constraints.k_max + 1))
+    except ValueError as exc:
         raise ScenarioError(f"surface {cfg.surface} does not tabulate every k in "
-                            f"1..k_max = {cfg.constraints.k_max}")
+                            f"1..k_max = {cfg.constraints.k_max}: {exc}") from None
     return surface
 
 
 def tables_for(cfg: ScenarioConfig) -> dict[SystemKind, CqiTable]:
+    """The CQI table of each 4G or 5G system that ``cfg`` runs."""
     tables = {}
     for system, key in _CQI_KEY.items():
+        if system not in cfg.systems:
+            continue
         source = getattr(cfg, key)
         try:
-            tables[system] = builtin_table(system) if source == "builtin" else load_cqi_table(source)
+            tables[system] = (builtin_table(system) if source == _DEFAULT[key]
+                              else load_cqi_table(source))
         except (CqiTableError, OSError) as exc:
             raise type(exc)(f"{key}: {exc}") from None
     return tables
@@ -310,8 +316,7 @@ def _matched_blocks(cfg: ScenarioConfig, surface: SimilaritySurface | None):
     bit-pipe system's at each of those values, from one bit SE per system.
     The sample's blocks are sized from its own pairs and stacks per drop.
     """
-    need_tables = any(s in cfg.systems for s in (SystemKind.FOUR_G, SystemKind.FIVE_G))
-    tables = tables_for(cfg) if need_tables else {}
+    tables = tables_for(cfg)
     cons = cfg.constraints
     pipes = [s for s in cfg.systems if s is not SystemKind.SEMANTIC]
     first_pipe = int(surface is not None)  # stack index of the first bit-pipe stack
@@ -364,18 +369,16 @@ def drop_totals(cfg: ScenarioConfig, fixed_k_values: list[int] | None) -> dict:
     floor score 0) next to the optimized total. The record's mean is the
     array's mean times ``info_per_word``.
     """
-    if fixed_k_values is None:
-        surface = surface_for(cfg) if SystemKind.SEMANTIC in cfg.systems else None
-    else:
-        cons = cfg.constraints
+    cons = cfg.constraints
+    if fixed_k_values is not None:
         for k in fixed_k_values:
             if not 1 <= k <= cons.k_max:
                 raise ScenarioError(f"fixed k={k} outside 1..{cons.k_max}")
         if len(set(fixed_k_values)) < len(fixed_k_values):
             raise ScenarioError(f"fixed k values must not repeat, got {fixed_k_values}")
-        surface = surface_for(cfg)
         cfg = dataclasses.replace(cfg, systems=(SystemKind.IDEAL, SystemKind.SEMANTIC),
                                   sweep_param=None, sweep_values=())
+    surface = surface_for(cfg) if SystemKind.SEMANTIC in cfg.systems else None
     parts: dict = {}  # {row key: its per-drop totals, block by block}
     for drops, matches in _matched_blocks(cfg, surface):
         if fixed_k_values is None:

@@ -155,9 +155,6 @@ class SimilaritySurface:
         j, dx = located
         return self.evaluate(self._row(k) * self.snr_grid_db.size + j, dx)
 
-    def covers_k_range(self, k_max: int) -> bool:
-        return all(k in self._k_index for k in range(1, k_max + 1))
-
 
 def load_surface(path) -> SimilaritySurface:
     """Load a similarity table from CSV.

@@ -45,6 +45,7 @@ class Mutant(NamedTuple):
 
 
 ALLOCATOR, HARNESS, CHANNEL = "semse/allocator.py", "semse/harness.py", "semse/channel.py"
+CLI = "semse/cli.py"
 PLAN_SCAN = (
     "tests/test_allocator.py::TestBuildPairPlans::test_matches_scalar_scan",
     "tests/test_allocator.py::TestCandidateKScan::test_equals_full_scan_bit_for_bit",
@@ -58,6 +59,7 @@ SEEDING = (
     "tests/test_channel.py::test_sample_drops_equal_default_rng_drops_for_every_seed_width",
 )
 SUM_BY_USER = "tests/test_allocator.py::TestSumByUser::"
+CLI_TESTS = "tests/test_harness.py::TestCli::"
 
 MUTANTS = [
     # the k scan: its take rule and its candidate pruning
@@ -148,6 +150,22 @@ MUTANTS = [
            ("tests/test_acceptance.py::test_criterion_5_fixed_k_policy_dominated[8x3]",
             "tests/test_acceptance.py::test_criterion_5_fixed_k_policy_dominated[20x5]",
             "tests/test_golden.py::test_run_output_is_byte_identical[compare_overloaded]")),
+    # which inputs a run reads, and the CLI's edge cases
+    Mutant("tables_for reads every CQI table", HARNESS,
+           "        if system not in cfg.systems:\n            continue\n", "",
+           (CLI_TESTS + "test_cqi_key_of_a_system_that_does_not_run_is_not_read",
+            CLI_TESTS + "test_run_of_no_cqi_system_reads_no_cqi_key[run]",
+            CLI_TESTS + "test_run_of_no_cqi_system_reads_no_cqi_key[compare]")),
+    Mutant("surface_for without its coverage check", HARNESS,
+           "surface.pieces(range(1, cfg.constraints.k_max + 1))", "pass",
+           (CLI_TESTS + "test_surface_missing_a_k_is_rejected_by_key[run-flags0]",
+            CLI_TESTS + "test_surface_missing_a_k_is_rejected_by_key[compare-flags1]")),
+    Mutant("crossover 0 at a zero semantic level", HARNESS,
+           "math.inf if level == 0.0 else scaled / level", "scaled / level if level else 0.0",
+           (CLI_TESTS + "test_crossover_is_inf_at_a_zero_semantic_level",)),
+    Mutant("--k keeps empty tokens", CLI,
+           'for tok in args.k.split(",") if tok.strip()]', 'for tok in args.k.split(",")]',
+           (CLI_TESTS + "test_compare_skips_an_empty_k_token",)),
     # seeding numpy's generator for a block of drops
     Mutant("seeding mix constant", CHANNEL,
            "np.uint32(0xCA01F9DD)", "np.uint32(0xCA01F9DC)", SEEDING),

@@ -625,6 +625,14 @@ class TestCli:
         assert f"--k must be comma-separated integers, got {k!r}" in captured.err
         assert captured.out == ""
 
+    def test_compare_skips_an_empty_k_token(self, capsys):
+        # as a scenario list skips its empty tokens
+        scenario = str(SCENARIOS / "default.txt")
+        assert main(["compare", scenario, "--k", "1,3"]) == 0
+        expected = capsys.readouterr()
+        assert main(["compare", scenario, "--k", "1,3,"]) == 0
+        assert capsys.readouterr() == expected
+
     def test_tables_check(self, capsys):
         assert main(["tables", "--check"]) == 0
         out = capsys.readouterr().out
@@ -777,7 +785,8 @@ class TestCli:
         scenario = write_scenario(tmp_path, f"n_drops = 3\nsurface = {surface}\n")
         assert main([command, str(scenario), *flags]) == 1
         captured = capsys.readouterr()
-        assert f"surface {surface} does not tabulate every k in 1..k_max = 20" in captured.err
+        assert (f"surface {surface} does not tabulate every k in 1..k_max = 20: "
+                "k=3 is not tabulated in this surface") in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("key, systems", [("surface", "semantic"), ("cqi_5g", "5g")])
@@ -793,6 +802,24 @@ class TestCli:
         assert captured.err.startswith(f"i/o error: {key}: [Errno {code}] ")
         assert str(path) in captured.err and captured.out == ""
 
+    def test_cqi_key_of_a_system_that_does_not_run_is_not_read(self, tmp_path, capsys):
+        # a 4G-only run used to read cqi_5g too, and exit 2 when it was missing
+        outputs = []
+        for cqi_5g in ("builtin", tmp_path / "missing.csv"):
+            scenario = write_scenario(tmp_path, f"n_drops = 3\nsystems = 4g\ncqi_5g = {cqi_5g}\n")
+            assert main(["run", str(scenario)]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("argv", [["run"], ["compare", "--k", "1"]], ids=["run", "compare"])
+    def test_run_of_no_cqi_system_reads_no_cqi_key(self, tmp_path, capsys, argv):
+        missing = tmp_path / "missing.csv"
+        scenario = write_scenario(tmp_path, f"n_drops = 3\nsystems = semantic, ideal\n"
+                                            f"cqi_4g = {missing}\ncqi_5g = {missing}\n")
+        command, *flags = argv
+        assert main([command, str(scenario), *flags]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("key", ["scenario", "surface", "cqi_4g"])
     def test_file_that_is_not_utf8_is_named(self, tmp_path, capsys, key):
         # used to print only the codec's message, which names neither file nor key
@@ -807,6 +834,18 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith(prefix + "'utf-8' codec can't decode byte 0xff")
         assert captured.out == ""
+
+    def test_crossover_is_inf_at_a_zero_semantic_level(self, tmp_path, capsys):
+        # the surrogate's similarity stays below 1, so no semantic link is served
+        scenario = write_scenario(
+            tmp_path,
+            "n_drops = 20\nsimilarity_threshold = 1\nsse_threshold = 0\n"
+            "sweep_param = bits_per_word\nsweep_values = 10, 40\n",
+        )
+        assert main(["run", str(scenario)]) == 0
+        assert capsys.readouterr().err == "".join(
+            f"crossover vs semantic: {s} at inf bits/word\n" for s in ("ideal", "4g", "5g")
+        )
 
     def test_crossover_emitted_on_bits_per_word_sweep(self, tmp_path, capsys):
         scenario = write_scenario(

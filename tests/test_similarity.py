@@ -322,8 +322,9 @@ class TestSurrogate:
 
     def test_covers_requested_range(self):
         s = default_surrogate(7)
-        assert s.covers_k_range(7)
-        assert not s.covers_k_range(8)
+        assert s.pieces(range(1, 8)).shape == (7, s.snr_grid_db.size)
+        with pytest.raises(ValueError, match="^k=8 is not tabulated in this surface$"):
+            s.pieces(range(1, 9))
 
     def test_rejects_bad_k_max(self):
         with pytest.raises(ValueError):
