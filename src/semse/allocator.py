@@ -17,20 +17,19 @@ then ``match_drops(plans.weight)``; a user i matched to channel j =
 
 ``match_drops`` is the one matcher entry point. It checks the weights once,
 takes the shorter side of each matrix as the matcher's rows, finds each
-row's column, and assembles every drop's ``DropMatches`` in user order. From
-``_STACK_MIN_DROPS`` drops up it runs every drop's search at once, with
-numpy over the drop axis (``_max_weight_stack``); below that it calls
-``hungarian_max`` per drop, the scalar search ``_max_weight_rect`` on one
-matrix. Both find each drop the same matching, so the totals are
-bit-identical whichever runs. The scalar search scans only the matched
-columns a search has not picked, and finds the free ones from each row's
-columns sorted by descending weight: a free column's dual is still exactly
-0, so a row's best free columns are its heaviest free ones. Every search
-runs one loop, in which one guard ends it at its first step, before it
-builds any scan state, if its row's heaviest free column has the row's
-largest weight and no column dual has risen above 0. Both skip only
-comparisons whose outcome is known, so they keep the full scan's every step
-and matching (see ``_max_weight_rect``).
+row's column, and assembles every drop's ``DropMatches`` in user order. Two
+engines run the same method, shortest augmenting path (Crouse, "On
+implementing 2D rectangular assignment algorithms", IEEE TAES 2016). From
+``_STACK_MIN_DROPS`` drops up, ``_max_weight_stack`` runs every drop's
+search at once, with numpy over the drop axis, step for step the plain scan
+that ``tests/oracles.py`` keeps. Below that, ``hungarian_max`` matches one
+drop at a time with scipy's compiled ``linear_sum_assignment``. On ties the
+two may pick different optimal matchings, but a drop's total is its matched
+weights summed in ascending order (``sum_by_user``), so it depends only on
+which weights are matched, not on who holds them. On sampled drops the
+totals agree bit for bit whichever engine runs. Only two optimal matchings
+of different weights with equal exact sums, such as 0.1 + 0.2 and 0.3 on a
+grid of tenths, can round apart.
 
 This module owns how a weight is computed and stored. Conventional
 bit-pipe baselines go through the same matching, with weights equal to
@@ -47,7 +46,11 @@ The exhaustive joint oracle the tests compare against lives in
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import operator
+import os
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -87,8 +90,8 @@ class Assignment:
     """A partial row-to-column matching of one matrix and its objective value.
 
     ``pairs`` holds (row, column) tuples sorted by row, each row and each
-    column appearing at most once. ``total_weight`` is the plain
-    left-to-right sum of the matched weights in that order.
+    column appearing at most once. ``total_weight`` is the sum of the
+    matched weights in ascending order, as ``sum_by_user`` sums.
     """
 
     pairs: tuple
@@ -195,169 +198,18 @@ def weight_matrix(plans: PlanArrays) -> np.ndarray:
     return plans.weight
 
 
-def _max_weight_rect(weights: list[list[float]], order: list[list[int]]) -> list[int]:
-    """Maximum-weight assignment of every row of a rectangular weight matrix.
-
-    ``weights`` is a list of rows with no more rows than columns, and
-    ``order[i]`` lists row i's columns by descending weight, ties in any
-    order. Returns ``col_of_row``. Shortest augmenting path on the costs
-    ``-weights`` (Crouse, "On implementing 2D rectangular assignment
-    algorithms", IEEE TAES 2016): each row grows one Dijkstra search over
-    the columns not yet reached, preferring a free column on ties so the
-    search ends early, and the duals are updated once per augmentation.
-    O(rows^2 * cols) in the worst case. The reduced cost ``base - row[j] -
-    v[j]`` is bit-identical to ``base + (-row[j]) - v[j]``, so no negated
-    copy is made.
-
-    Each step scans only the matched columns the search has not picked; the
-    free columns are found from ``order``. This is exact, step for step:
-    - a free column has never been picked, so its dual ``v`` is still
-      exactly 0.0, and a matched column never becomes free again;
-    - so row i reaches a free column j at ``base - row[j]``, which rounding
-      keeps non-increasing in ``row[j]``: row i's best free columns are a
-      prefix of ``order[i]`` past its matched columns, and a pointer per
-      row only moves forward;
-    - a free column's distance is the least of those values over the rows
-      the search has seen, reached first by the first row to attain it.
-    A step compares the least matched distance with the least free one over
-    the rows seen and applies the plain scan's tie rule; the float
-    expressions and dual updates are the plain scan's, so every matrix gets
-    its matching bit for bit (``tests/oracles.py`` keeps that scan). The
-    argument needs each step's least distance to be below +inf, which only
-    duals made NaN by sums of weights that overflow could break.
-
-    Every search runs one loop, one sink walk and one augmentation, and
-    keeps one record, ``seen``, the rows it reached. It reached each row i
-    past ``cur`` through the matched column c = ``col_of_row[i]`` it picked,
-    so one step ``min_val - dist[c]`` updates ``u[i]`` and ``v[c]``. The
-    sink's step is exactly 0.0, its distance being ``min_val`` and its ``v``
-    0.0, so it is skipped. One guard ends a search at its first step, before
-    it builds any scan state: while no column dual has risen above 0.0, a
-    row whose heaviest free column has the row's largest weight ``top``
-    breaks out of the loop. Row ``cur`` searches fresh, so ``base`` is 0.0
-    and that free column is reached at ``-top``; a matched column j at
-    ``-row[j] - v[j] >= -row[j] >= -top``, rounding included, since ``v[j]
-    <= 0.0``. So no matched column beats the free one and the scan would end
-    at this step. The sink walk, reading ``position`` as the unscanned
-    order, then picks what the plain scan's tie rule picks, the
-    lowest-numbered free column at ``top``. A dual update can round a ``v``
-    above 0.0; from then on every search scans.
-    """
-    inf = float("inf")
-    n, m = len(weights), len(weights[0])
-    u = [0.0] * n
-    v = [0.0] * m
-    col_of_row = [-1] * n
-    row_of_col = [-1] * m
-    path = [-1] * m
-    heaviest = [0] * n  # [i]: index into order[i] of row i's heaviest free column
-    # Scan high to low, as Crouse's reference code does. A tying free column
-    # replaces the current pick, so the lower-numbered one wins; an appended
-    # channel then seldom displaces a tied optimum, and the per-drop totals of
-    # a channel sweep stay non-decreasing to the bit. unscanned[p] is the
-    # column at scan position p before any pick, and column j's position.
-    unscanned = list(range(m - 1, -1, -1))
-    lifted = False  # whether a dual update has set some v[c] above 0.0
-    for cur in range(n):
-        seen = []  # (row, its base) of each row the search has seen
-        position = unscanned
-        scan = None  # the scan state is built at the search's first scanning step
-        i = cur
-        min_val = 0.0
-        free_lowest = inf  # least free distance over the rows seen
-        while True:
-            row = weights[i]
-            base = min_val - u[i]
-            seen.append((i, base))
-            cols = order[i]
-            k = heaviest[i]
-            while row_of_col[cols[k]] >= 0:
-                k += 1
-            heaviest[i] = k
-            r = base - row[cols[k]]
-            if r < free_lowest:
-                free_lowest = r
-            if scan is None:  # the first step, from row cur at base 0.0
-                if not lifted and row[cols[k]] == row[cols[0]]:
-                    break  # no matched column beats the heaviest free one
-                dist = [inf] * m
-                # remaining[p] is the column at scan position p, and position[j]
-                # column j's position, both kept through the swap-remove of a pick
-                remaining = unscanned[:]
-                position = unscanned[:]
-                scan = sorted(col_of_row[:cur], reverse=True)  # the matched columns in remaining
-            lowest = inf
-            index = -1
-            for it, j in enumerate(scan):
-                r = base - row[j] - v[j]
-                d = dist[j]
-                if r < d:
-                    path[j] = i
-                    dist[j] = d = r
-                if d < lowest:
-                    lowest = d
-                    index = it
-            if free_lowest <= lowest:
-                break  # a free column ties or wins: the search ends there
-            min_val = lowest
-            j = scan[index]
-            last = remaining.pop()
-            if last == j:
-                scan.pop()
-            else:
-                p = position[j]
-                remaining[p] = last
-                position[last] = p
-                if row_of_col[last] >= 0:  # then scan's last entry too
-                    scan[index] = scan.pop()
-                else:
-                    del scan[index]
-            i = row_of_col[j]
-        # The free column the plain scan picks: of those at free_lowest, the
-        # last in scan order. Its distance is free_lowest, first reached by
-        # the first row whose tied run holds it, so that row is its path.
-        min_val = free_lowest
-        last_position = -1
-        for i, base in seen:
-            row = weights[i]
-            cols = order[i]
-            for k in range(heaviest[i], m):
-                j = cols[k]
-                if row_of_col[j] >= 0:
-                    continue
-                if base - row[j] != min_val:
-                    break
-                if position[j] > last_position:
-                    last_position = position[j]
-                    sink = j
-                    path[j] = i
-        u[cur] += min_val
-        for i, _base in seen[1:]:  # c, the matched column picked to reach row i
-            c = col_of_row[i]
-            step = min_val - dist[c]
-            u[i] += step
-            v[c] -= step
-            if v[c] > 0.0:
-                lifted = True
-        j = sink
-        while True:  # augment along the path back to row ``cur``
-            i = path[j]
-            row_of_col[j] = i
-            col_of_row[i], j = j, col_of_row[i]
-            if i == cur:
-                break
-    return col_of_row
-
-
 def _max_weight_stack(weights: np.ndarray) -> np.ndarray:
-    """``_max_weight_rect`` of every matrix of a (drops, rows, cols) stack.
+    """Maximum-weight assignment of every row of each matrix of a (drops, rows, cols) stack.
 
-    Each step of the scalar code runs once for all drops still searching,
-    with numpy over the drop axis: the same float expressions, the same
-    swap-remove scan order and tie rule (the last free tied column in scan
-    order, else the first tied one), one dual update per augmentation. So
-    every drop gets the scalar matching. Returns ``col_of_row``, shape
-    (drops, rows).
+    Each matrix has no more rows than columns. Shortest augmenting path on
+    the costs ``-weights`` (Crouse 2016): each row grows one Dijkstra search
+    over the columns not yet reached, and the duals are updated once per
+    augmentation. Each step of the plain scan, ``plain_max_weight_rect`` in
+    ``tests/oracles.py``, runs once for all drops still searching, with numpy
+    over the drop axis: the same float expressions, the same swap-remove
+    scan order, high to low, and tie rule (the last free tied column in scan
+    order, else the first tied one). So every drop gets the plain scan's
+    matching. Returns ``col_of_row``, shape (drops, rows).
 
     State is held drop-minor and flat, ``x[row_or_col * drops + drop]``, so
     each step gathers with one flat index and reduces over a leading axis. A
@@ -391,7 +243,7 @@ def _max_weight_stack(weights: np.ndarray) -> np.ndarray:
     # Tie keys by scan position p, in the narrowest unsigned type: a tied
     # free column keys m+1+p (later ones higher), another tied column m-p
     # (earlier ones higher), an untied one 0. The largest key is then the
-    # scalar tie rule's pick and position[key] its p; a scan of the first s
+    # plain scan's tie rule pick and position[key] its p; a scan of the first s
     # positions keeps that order with key_free[:s] and key_other[:s].
     p = np.arange(m)[:, None]
     key_type = np.min_scalar_type(2 * m)
@@ -467,31 +319,59 @@ def _max_weight_stack(weights: np.ndarray) -> np.ndarray:
     return col_of_row.reshape(n, n_drops).T.astype(int)
 
 
+def _load_linear_sum_assignment():
+    """scipy's compiled ``linear_sum_assignment``, without importing ``scipy.optimize``.
+
+    Importing ``scipy.optimize`` costs about half a second and 50 MiB; its
+    ``_lsap`` extension alone loads in under a millisecond. So the extension
+    is loaded from its file, under its own name, and a later ``import
+    scipy.optimize`` reuses that module. Where the file is not found, the
+    public import supplies the same function.
+    """
+    name = "scipy.optimize._lsap"
+    if name not in sys.modules:
+        scipy = importlib.util.find_spec("scipy")
+        paths = [os.path.join(root, "optimize", "_lsap" + suffix)
+                 for root in (scipy.submodule_search_locations if scipy else ())
+                 for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+        path = next((p for p in paths if os.path.isfile(p)), None)
+        if path is None:
+            from scipy.optimize import linear_sum_assignment
+
+            return linear_sum_assignment
+        loader = importlib.machinery.ExtensionFileLoader(name, path)
+        module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+        loader.exec_module(module)
+        sys.modules[name] = module
+    return sys.modules[name].linear_sum_assignment
+
+
+_linear_sum_assignment = _load_linear_sum_assignment()
+
+
 def hungarian_max(rows: np.ndarray) -> Assignment:
     """Maximum-weight matching of one checked matrix with no more rows than columns.
 
     ``match_drops``'s per-drop engine: ``rows`` is finite, non-negative and
     already oriented. Returns the (row, column) pairs of positive weight in
-    row order and their total summed in that order.
+    row order and their total, summed as ``sum_by_user`` sums: in ascending
+    order, left to right from 0.0 (in Python floats, a few microseconds
+    cheaper on a small matrix than numpy's sort and accumulate).
     """
-    weights = rows.tolist()
-    # heaviest first; ties need no stable order, since each tied run is walked whole
-    col_of_row = _max_weight_rect(weights, np.argsort(-rows, axis=1).tolist())
-    pairs = []
+    row, col = _linear_sum_assignment(rows, maximize=True)
+    weights = rows[row, col].tolist()
     total = 0.0
-    for i, j in enumerate(col_of_row):
-        x = weights[i][j]
-        if x > 0.0:
-            pairs.append((i, j))
-            total += x
-    return Assignment(pairs=tuple(pairs), total_weight=total)
+    for x in sorted(weights):
+        total += x
+    pairs = tuple((i, j) for i, j, x in zip(row.tolist(), col.tolist(), weights) if x > 0.0)
+    return Assignment(pairs=pairs, total_weight=total)
 
 
 class DropMatches(NamedTuple):
     """``match_drops`` of a (drops, users, channels) weight stack.
 
-    ``total`` (drops,) is each drop's maximum matched weight, summed left to
-    right in user order; ``channel`` (drops, users) is each user's matched
+    ``total`` (drops,) is each drop's maximum matched weight, summed by
+    ``sum_by_user``; ``channel`` (drops, users) is each user's matched
     channel, -1 where the user is unmatched or matched at zero weight.
     """
 
@@ -501,30 +381,32 @@ class DropMatches(NamedTuple):
 
 # Fewest drops in a stack for which ``match_drops`` uses the stacked
 # matcher. The stacked matcher pays numpy dispatch per search step, the
-# per-drop one Python work per drop. Timed on sampled semantic and 4G
-# weights (2-core host; README crossover table), the stacked one breaks
-# even at about 32 drops from 5x5 to 20x20 and is 3-6x faster at 256; on
-# larger matrices it breaks even sooner (8-32 drops at 50x50 and at
-# 120x80), but takes 3.7-4.5x as long as the per-drop one on 2 drops of
-# 120x80, where most per-drop searches end at their first step. A stack may
-# mix systems. On ideal (Shannon) weights, which seldom tie or fall to 0 so
-# every search runs longer, it breaks even at 32-64 drops up to 50x50 and
-# at about 64 drops of 120x80 (0.90-0.99 as fast), and takes 6x as long on
-# 2 drops of 120x80.
-_STACK_MIN_DROPS = 64
+# compiled per-drop one a few microseconds of Python per drop. Timed on
+# sampled semantic, 4G and ideal (Shannon) weights (2-core host; README
+# crossover table), the stacked one breaks even at about 128 drops of 5x5
+# and is 1.5-1.8x faster at 256. On larger matrices it breaks even later:
+# at about 256 drops of 10x10 and of 20x80 on semantic and 4G weights, at
+# about 1,000 of 10x10 and beyond 400 of 20x80 on ideal ones, which seldom
+# tie or fall to 0, and beyond 512 of 20x20; on 120x80 the per-drop one is
+# 1-25x faster at 8-64 drops. A stack may mix systems. The shipped
+# scenarios match 1,000-3,200 matrices of 5x5 a call.
+_STACK_MIN_DROPS = 256
 
 
 def sum_by_user(x: np.ndarray) -> np.ndarray:
-    """Per-drop sums of a (drops, users) array, left to right in user order.
+    """Per-drop sums of a (drops, users) array, each drop's values in ascending order.
 
     ``DropMatches.total`` is summed here, so a total of other per-user
-    values summed here has the same rounding. A sum past the float range is
-    inf, without a warning: the caller that reports it names its cause.
-    Accumulate adds left to right (a pairwise ``x.sum(axis=1)`` rounds
-    otherwise from 9 users up); ``+ 0.0`` makes a row of -0.0 sum to 0.0.
+    values summed here has the same rounding. The order makes a sum depend
+    only on the values, not on which user holds which, so two optimal
+    matchings of the same weights give the same total. A sum past the float
+    range is inf, without a warning: the caller that reports it names its
+    cause. Accumulate adds left to right (a pairwise ``x.sum(axis=1)``
+    rounds otherwise from 9 users up); ``+ 0.0`` makes a row of -0.0 sum to
+    0.0.
     """
     with np.errstate(over="ignore"):
-        return np.add.accumulate(x, axis=1)[:, -1] + 0.0
+        return np.add.accumulate(np.sort(x, axis=1), axis=1)[:, -1] + 0.0
 
 
 def weight_stacks(n_stacks: int, n_drops: int, n_users: int, n_channels: int) -> np.ndarray:
@@ -543,10 +425,13 @@ def match_drops(weights) -> DropMatches:
 
     The matcher's rows are the shorter side, the channels when there are
     more users than channels. A stack of at least ``_STACK_MIN_DROPS`` drops
-    is matched at once, fewer drops one ``hungarian_max`` call at a time;
-    each drop gets the same matching and total either way. A stack laid out
-    by ``weight_stacks`` is read without a copy. Only the optimal total is
-    contractual; which optimal matching is returned is not.
+    is matched at once, fewer drops one ``hungarian_max`` call at a time. A
+    stack laid out by ``weight_stacks`` is read without a copy. Only the
+    optimal total is contractual: it depends only on the matched weights,
+    so it is the same whichever engine runs, but on ties the two may return
+    different channels (see the module docstring). So ``compare``, which
+    scores fixed k on the ideal matching's channels, could print another
+    fixed-k row if tied positive ideal weights were matched otherwise.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 3 or w.size == 0:

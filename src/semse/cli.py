@@ -14,6 +14,7 @@ import dataclasses
 import sys
 
 from .harness import (
+    ScenarioConfig,
     crossover_bits_per_word,
     emit_csv,
     format_csv,
@@ -50,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> "ScenarioConfig":
+def _load(args) -> ScenarioConfig:
     cfg = load_scenario(args.scenario)
     overrides = {}
     if getattr(args, "drops", None) is not None:

@@ -51,10 +51,9 @@ PLAN_SCAN = (
     "tests/test_allocator.py::TestCandidateKScan::test_equals_full_scan_bit_for_bit",
 )
 GOLDEN_SWEEP = ("tests/test_golden.py::test_run_output_is_byte_identical[n_channels_sweep]",)
-STACKED = (
-    "tests/test_allocator.py::TestStackedMatcher::test_equals_per_drop_hungarian_bit_for_bit",
-)
-PRUNED = ("tests/test_allocator.py::TestPrunedSearch::test_equals_plain_scan",)
+STACKED = ("tests/test_allocator.py::TestStackedMatcher::test_equals_plain_scan_bit_for_bit",)
+ENGINES = ("tests/test_allocator.py::TestEngineIndependence"
+           "::test_totals_agree_and_each_matching_is_optimal")
 SEEDING = (
     "tests/test_channel.py::test_sample_drops_equal_default_rng_drops_for_every_seed_width",
 )
@@ -79,17 +78,23 @@ MUTANTS = [
            "float(t[0] + (t - t[0]).mean())", "float(t.mean())", GOLDEN_SWEEP),
     # which matcher runs, and how a total is summed
     Mutant("_STACK_MIN_DROPS = 1", ALLOCATOR,
-           "_STACK_MIN_DROPS = 64", "_STACK_MIN_DROPS = 1",
+           "_STACK_MIN_DROPS = 256", "_STACK_MIN_DROPS = 1",
            ("tests/test_allocator.py::TestStackedMatcher"
             "::test_benchmark_workloads_take_the_intended_matcher[None-None-False]",)),
-    Mutant("sum_by_user reversed", ALLOCATOR,
-           "np.add.accumulate(x, axis=1)", "np.add.accumulate(x[:, ::-1], axis=1)",
-           ("tests/test_acceptance.py::test_criterion_2_hungarian_optimality",)),
+    Mutant("sum_by_user without the sort", ALLOCATOR,
+           "np.add.accumulate(np.sort(x, axis=1), axis=1)", "np.add.accumulate(x, axis=1)",
+           (SUM_BY_USER + "test_ten_users_are_summed_in_ascending_order",)),
+    Mutant("sum_by_user in descending order", ALLOCATOR,
+           "np.add.accumulate(np.sort(x, axis=1), axis=1)",
+           "np.add.accumulate(np.sort(x, axis=1)[:, ::-1], axis=1)",
+           ("tests/test_acceptance.py::test_criterion_2_hungarian_optimality",
+            SUM_BY_USER + "test_ten_users_are_summed_in_ascending_order")),
     Mutant("sum_by_user pairwise", ALLOCATOR,
-           "np.add.accumulate(x, axis=1)[:, -1]", "x.sum(axis=1)",
-           (SUM_BY_USER + "test_ten_users_are_summed_left_to_right",)),
+           "np.add.accumulate(np.sort(x, axis=1), axis=1)[:, -1]", "np.sort(x, axis=1).sum(axis=1)",
+           (SUM_BY_USER + "test_ten_users_are_summed_in_ascending_order",)),
     Mutant("sum_by_user without + 0.0", ALLOCATOR,
-           "np.add.accumulate(x, axis=1)[:, -1] + 0.0", "np.add.accumulate(x, axis=1)[:, -1]",
+           "np.add.accumulate(np.sort(x, axis=1), axis=1)[:, -1] + 0.0",
+           "np.add.accumulate(np.sort(x, axis=1), axis=1)[:, -1]",
            (SUM_BY_USER + "test_row_of_negative_zeros_sums_to_positive_zero",)),
     Mutant("sum_by_user warns on overflow", ALLOCATOR,
            'with np.errstate(over="ignore"):\n        return np.add.accumulate',
@@ -97,15 +102,13 @@ MUTANTS = [
            (SUM_BY_USER + "test_overflowing_row_is_inf_without_a_warning",)),
     # the stacked matcher: tie keys, evaluation order, its one record per search
     Mutant("stacked key_free/key_other swapped", ALLOCATOR,
-           "key_free, key_other = (m + 1 + p)", "key_other, key_free = (m + 1 + p)",
-           ("tests/test_acceptance.py::test_criterion_6_more_channels_never_hurt",)),
+           "key_free, key_other = (m + 1 + p)", "key_other, key_free = (m + 1 + p)", STACKED),
     Mutant("stacked tie key: the earliest tied free column", ALLOCATOR,
            "(m + 1 + p).astype(key_type)", "(2 * m - p).astype(key_type)", STACKED),
     Mutant("stacked: no free-column preference past the first step", ALLOCATOR,
            "row_of_col[at] < 0, key_free[:size]", "row_of_col[at] < -1, key_free[:size]",
-           ("tests/test_acceptance.py::test_criterion_6_more_channels_never_hurt",
-            "tests/test_allocator.py::TestStackedMatcher"
-            "::test_match_drops_equals_per_drop_hungarian[shape1]")),
+           STACKED + ("tests/test_allocator.py::TestStackedMatcher"
+                      "::test_match_drops_equals_per_drop_hungarian[shape1]",)),
     Mutant("stacked evaluation order base - (w + v)", ALLOCATOR,
            "np.subtract(min_val[active] - u[i_at], r, out=r)\n                r -= v[at]",
            "r += v[at]\n                np.subtract(min_val[active] - u[i_at], r, out=r)",
@@ -115,31 +118,19 @@ MUTANTS = [
            "sink = seen[row < 0]", "sink = seen[row <= 0]",
            ("tests/test_allocator.py::TestAgainstScipy::test_stacked_totals_match"
             "_linear_sum_assignment[SystemKind.SEMANTIC-shape1-True]",)),
-    # the per-drop matcher: its first-step guard, sink walk and dual step
-    Mutant("guard without not lifted", ALLOCATOR,
-           "if not lifted and row[cols[k]] == row[cols[0]]:",
-           "if row[cols[k]] == row[cols[0]]:", PRUNED),
-    Mutant("guard without the top = row-max check", ALLOCATOR,
-           "if not lifted and row[cols[k]] == row[cols[0]]:", "if not lifted:", PRUNED),
-    Mutant("sink walk: no tied-run walk", ALLOCATOR,
-           "for k in range(heaviest[i], m):", "for k in range(heaviest[i], heaviest[i] + 1):",
-           PRUNED),
-    Mutant("sink walk: the highest-numbered tied column", ALLOCATOR,
-           "if position[j] > last_position:\n                    last_position = position[j]",
-           "if j > last_position:\n                    last_position = j", PRUNED),
-    Mutant("sink walk: the first tied column in scan order", ALLOCATOR,
-           "if position[j] > last_position:\n                    last_position = position[j]",
-           "if m - position[j] > last_position:\n"
-           "                    last_position = m - position[j]",
-           PRUNED),
-    Mutant("sink walk: the first tied column it meets", ALLOCATOR,
-           "if position[j] > last_position:", "if last_position < 0:", PRUNED),
-    Mutant("scalar step skipped for one seen row", ALLOCATOR,
-           "for i, _base in seen[1:]:", "for i, _base in seen[2:]:",
-           ("tests/test_allocator.py::TestHungarian::test_random_square_matches_brute_force",)),
+    # the per-drop matcher: a maximum, its positive pairs, its total summed as sum_by_user sums
+    Mutant("hungarian_max with maximize=False", ALLOCATOR,
+           "_linear_sum_assignment(rows, maximize=True)",
+           "_linear_sum_assignment(rows, maximize=False)",
+           ("tests/test_acceptance.py::test_criterion_2_hungarian_optimality",
+            ENGINES + "[semantic-5x5]")),
+    Mutant("hungarian_max total in row order", ALLOCATOR,
+           "for x in sorted(weights):", "for x in weights:",
+           ("tests/test_allocator.py::TestHungarian"
+            "::test_hungarian_max_total_is_summed_as_sum_by_user",)),
     # the results' boundaries: positive pairs only, the bit-pipe floor, unserved users
     Mutant("hungarian_max keeps zero-weight pairs", ALLOCATOR,
-           "if x > 0.0:", "if x >= 0.0:",
+           "if x > 0.0)", "if x >= 0.0)",
            ("tests/test_allocator.py::TestHungarian"
             "::test_hungarian_max_reports_positive_pairs_only",)),
     Mutant("bit-pipe floor w > sse_threshold", ALLOCATOR,
@@ -163,6 +154,9 @@ MUTANTS = [
     Mutant("crossover 0 at a zero semantic level", HARNESS,
            "math.inf if level == 0.0 else scaled / level", "scaled / level if level else 0.0",
            (CLI_TESTS + "test_crossover_is_inf_at_a_zero_semantic_level",)),
+    Mutant("cli does not import ScenarioConfig", CLI,
+           "from .harness import (\n    ScenarioConfig,\n", "from .harness import (\n",
+           ("tests/test_api.py::test_every_annotation_resolves",)),
     Mutant("--k keeps empty tokens", CLI,
            'for tok in args.k.split(",") if tok.strip()]', 'for tok in args.k.split(",")]',
            (CLI_TESTS + "test_compare_skips_an_empty_k_token",)),

@@ -12,7 +12,9 @@ injective user-to-channel map jointly with every per-user k, and
 ``match_one`` is the package's matcher, ``allocator.match_drops``, on one
 drop, reported the same way; ``brute_max_total`` is the maximum matching
 total by enumeration, and ``plain_max_weight_rect`` the full scan that the
-matcher's pruned search must equal step for step.
+stacked matcher, ``allocator._max_weight_stack``, must equal step for step.
+Every total here is summed as ``allocator.sum_by_user`` sums, in ascending
+order (``ascending_sum``).
 """
 
 import itertools
@@ -31,6 +33,14 @@ from semse.similarity import SimilaritySurface
 # largest joint k-combination tensor the oracle materializes at once;
 # beyond this it iterates the first user's k and holds K**(n-1) floats
 _JOINT_BLOCK_LIMIT = 1 << 22
+
+
+def ascending_sum(values) -> float:
+    """``values`` summed left to right from 0.0 in ascending order, as ``sum_by_user`` sums."""
+    total = 0.0
+    for x in sorted(values):
+        total += x
+    return total
 
 
 def query(surface: SimilaritySurface, k: int, snr_db):
@@ -149,9 +159,7 @@ def brute_force_allocation(
 ) -> Assignment:
     """``brute_force_links``'s optimum as the pairs and total weight ``match_one`` returns."""
     links = brute_force_links(snr_db, surface, cons)
-    total = 0.0
-    for *_link, w in links:
-        total += w
+    total = ascending_sum(w for *_link, w in links)
     return Assignment(tuple((i, j) for i, j, *_plan in links), total)
 
 
@@ -159,7 +167,7 @@ def match_one(weights) -> Assignment:
     """``match_drops`` of one (users, channels) matrix, as an ``Assignment``.
 
     ``pairs`` holds the matched (user, channel) pairs of positive weight
-    sorted by user, and ``total_weight`` their sum in that order.
+    sorted by user, and ``total_weight`` their ascending sum.
     """
     match = match_drops(np.asarray(weights, dtype=float)[None])
     channel = match.channel[0]
@@ -170,23 +178,14 @@ def match_one(weights) -> Assignment:
 def brute_max_total(weights) -> float:
     """Maximum matching total of a small matrix, by enumerating every injective map.
 
-    The matrix is padded with zeros to square, and each permutation's
-    weights are summed left to right in row order; a padded 0.0 changes no
-    sum. So the total of a map equals ``match_one``'s sum of the same pairs.
+    Each map of the shorter side into the longer one has its weights
+    summed in ascending order, so the total of a map equals ``match_one``'s
+    sum of the same pairs.
     """
     w = np.asarray(weights, dtype=float)
-    size = max(w.shape)
-    padded = np.zeros((size, size))
-    padded[:w.shape[0], :w.shape[1]] = w
-    rows = padded.tolist()
-    best = -1.0
-    for perm in itertools.permutations(range(size)):
-        total = 0.0
-        for row, j in zip(rows, perm):
-            total += row[j]
-        if total > best:
-            best = total
-    return best
+    rows = (w if w.shape[0] <= w.shape[1] else w.T).tolist()
+    return max(ascending_sum(row[j] for row, j in zip(rows, cols))
+               for cols in itertools.permutations(range(len(rows[0])), len(rows)))
 
 
 def plain_max_weight_rect(weights: list[list[float]]) -> list[int]:

@@ -1,4 +1,9 @@
+import importlib.machinery
+import importlib.util
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -273,6 +278,13 @@ class TestHungarian:
         a = allocator.hungarian_max(np.array([[0.0, 0.0], [0.0, 3.0]]))
         assert a.pairs == ((1, 1),) and a.total_weight == 3.0
 
+    def test_hungarian_max_total_is_summed_as_sum_by_user(self):
+        # the matching is the diagonal, whose ascending sum differs from its sum in row order
+        diagonal = [0.6, 0.9, 0.5, 0.6, 0.9, 0.7, 0.6, 0.5, 0.6, 0.9]
+        a = allocator.hungarian_max(np.diag(diagonal))
+        assert a.pairs == tuple((i, i) for i in range(10))
+        assert a.total_weight == sum_by_user(np.array([diagonal]))[0] != sum(diagonal)
+
     def test_random_square_matches_brute_force(self):
         rng = np.random.default_rng(23)
         for _ in range(200):
@@ -349,10 +361,8 @@ class TestHungarianProperties:
             assert a.total_weight == pytest.approx(expect, abs=1e-9)
             assert all(weights[i, j] > 0.0 for i, j in a.pairs)
             assert list(a.pairs) == sorted(a.pairs)
-            total = 0.0
-            for i, j in a.pairs:
-                total += float(weights[i, j])
-            assert a.total_weight == total
+            assert a.total_weight == oracles.ascending_sum(float(weights[i, j])
+                                                          for i, j in a.pairs)
 
 
 # Entry values of ``rect_weights``: integer ties; 0.1 + 0.2, which rounds
@@ -364,8 +374,7 @@ PALETTES = [
     [0.0, 1e16 / 3, 1e16 / 3 + 0.5, 1e16 / 3 + 1.0, 2e16 / 3, 1e16],
 ]
 # On the 1e16 palette, a dual update of this matrix rounds a column dual
-# above 0.0, after which a later row's search must scan its matched columns
-# although its heaviest free column has the row's largest weight.
+# above 0.0.
 _a, _b, _c, _t, _x = PALETTES[2][1:]
 LIFTS_A_DUAL = np.array([
     [0.0, _x, _c, _t, _x, _c],
@@ -379,11 +388,10 @@ LIFTS_A_DUAL = np.array([
 
 @st.composite
 def rect_weights(draw):
-    """(weights, column permutation): rows <= columns, square or far wider.
+    """Matrices with rows <= columns, square or far wider.
 
     Entries come from a palette of tied values, or are any floats in [0, 1];
-    some rows are all zero. The permutation sets the order of tied columns in
-    each row's descending order.
+    some rows are all zero.
     """
     n = draw(st.integers(1, 8))
     m = draw(st.one_of(st.just(n), st.integers(n, 4 * n + 8)))
@@ -395,44 +403,7 @@ def rect_weights(draw):
     w = np.array(draw(st.lists(entries, min_size=n * m, max_size=n * m))).reshape(n, m)
     for i in draw(st.sets(st.integers(0, n - 1), max_size=n)):
         w[i] = 0.0
-    return w, np.array(draw(st.permutations(range(m))))
-
-
-def descending_order(w, perm):
-    """Each row's columns by descending weight, tied columns in ``perm`` order."""
-    return perm[np.argsort(-w[:, perm], axis=1, kind="stable")].tolist()
-
-
-class TestPrunedSearch:
-    """``_max_weight_rect`` finds the plain scan's matching, whatever the tie order."""
-
-    @settings(max_examples=500, deadline=None)
-    @given(rect_weights())
-    @example((np.zeros((3, 7)), np.arange(7)))
-    @example((np.array([[0.3, 0.1 + 0.2, 0.3], [0.1 + 0.2, 0.3, 0.3]]), np.array([2, 0, 1])))
-    @example((LIFTS_A_DUAL, np.arange(6)))
-    def test_equals_plain_scan(self, case):
-        w, perm = case
-        rows = w.tolist()
-        expect = oracles.plain_max_weight_rect(rows)
-        assert allocator._max_weight_rect(rows, descending_order(w, perm)) == expect
-        assert allocator._max_weight_rect(rows, descending_order(w, perm[::-1])) == expect
-
-    @pytest.mark.parametrize("sse_threshold", [Constraints().sse_threshold, 0.0])
-    @pytest.mark.parametrize("seed", [7, 8, 9])
-    @pytest.mark.parametrize("system", list(SystemKind))
-    def test_sampled_overloaded_drop_equals_plain_scan(self, system, seed, sse_threshold):
-        # a 120-user, 80-channel drop, transposed as match_drops does
-        cons = Constraints(sse_threshold=sse_threshold)
-        drop = sample_drops(120, 80, RadioParams(), [seed])
-        if system is SystemKind.SEMANTIC:
-            w = build_pair_plans(drop.snr_db, default_surrogate(20), cons).weight[0]
-        else:
-            se = bit_se(drop.snr_db, drop.snr_linear, system, TABLES)
-            w = bit_pipe_weights(se, MU40, cons)[0]
-        rows = w.T.tolist()
-        got = allocator._max_weight_rect(rows, np.argsort(-w.T, axis=1).tolist())
-        assert got == oracles.plain_max_weight_rect(rows)
+    return w
 
 
 @st.composite
@@ -461,6 +432,26 @@ def per_drop_matches(w):
     return totals, channels
 
 
+def plain_scan(w):
+    """(totals, channel of each user or -1) of ``oracles.plain_max_weight_rect`` on each drop.
+
+    The scan's rows are each matrix's shorter side. A user unmatched or
+    matched at zero weight has channel -1, as in ``DropMatches.channel``.
+    """
+    totals, channels = [], np.full(w.shape[:2], -1)
+    for d, drop in enumerate(w):
+        by_user = drop.shape[0] <= drop.shape[1]
+        rows = drop if by_user else drop.T
+        matched = []
+        for i, j in enumerate(oracles.plain_max_weight_rect(rows.tolist())):
+            if rows[i, j] > 0.0:
+                user, channel = (i, j) if by_user else (j, i)
+                channels[d, user] = channel
+                matched.append(float(rows[i, j]))
+        totals.append(oracles.ascending_sum(matched))
+    return totals, channels
+
+
 def match_on_fork(w, stacked):
     """``match_drops(w)`` forced onto its stacked fork, or its per-drop one."""
     with pytest.MonkeyPatch.context() as patch:
@@ -469,25 +460,50 @@ def match_on_fork(w, stacked):
 
 
 class TestStackedMatcher:
-    """The stacked fork gives every drop the matching the per-drop fork gives it."""
+    """The stacked fork gives every drop the plain scan's matching and the per-drop fork's total."""
 
     @settings(max_examples=300, deadline=None)
     @given(tied_stacks())
     @example(np.array([[[0.2, 0.2, 0.0], [0.2, 0.2, 0.1]]]))
-    def test_equals_per_drop_hungarian_bit_for_bit(self, w):
+    @example(np.array([[[0.3, 0.1, 0.1, 0.3], [0.4, 0.1, 0.3, 0.0], [0.0, 0.2, 0.0, 0.3]]]))
+    def test_equals_plain_scan_bit_for_bit(self, w):
+        # on a 0.1 grid two optimal matchings can hold different weights of
+        # equal exact sum, whose float sums differ: on the second example the
+        # stacked fork totals 0.9 and scipy's 0.8999999999999999. So the
+        # per-drop engine, which may pick the other, is held to rounding
         for stack in (w, w.transpose(0, 2, 1)):
             got = match_on_fork(stack, stacked=True)
-            per_drop = match_on_fork(stack, stacked=False)
-            totals, channels = per_drop_matches(stack)
-            assert got.total.tolist() == per_drop.total.tolist() == totals
-            assert np.array_equal(got.channel, per_drop.channel)
+            totals, channels = plain_scan(stack)
+            assert got.total.tolist() == totals
             assert np.array_equal(got.channel, channels)
+            per_drop = match_on_fork(stack, stacked=False)
+            assert per_drop.total == pytest.approx(got.total, rel=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rect_weights())
+    @example(np.zeros((3, 7)))
+    @example(np.array([[0.3, 0.1 + 0.2, 0.3], [0.1 + 0.2, 0.3, 0.3]]))
+    @example(LIFTS_A_DUAL)
+    def test_equals_plain_scan_on_tied_and_huge_weights(self, w):
+        assert allocator._max_weight_stack(w[None]).tolist() == [
+            oracles.plain_max_weight_rect(w.tolist())]
+
+    @pytest.mark.parametrize("sse_threshold", [Constraints().sse_threshold, 0.0])
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    @pytest.mark.parametrize("system", list(SystemKind))
+    def test_sampled_overloaded_drop_equals_plain_scan(self, system, seed, sse_threshold):
+        # a 120-user, 80-channel drop, transposed as match_drops does
+        cons = Constraints(sse_threshold=sse_threshold)
+        rows = sampled_weights(system, (1, 120, 80), seed, cons)[0].T
+        assert allocator._max_weight_stack(rows[None]).tolist() == [
+            oracles.plain_max_weight_rect(rows.tolist())]
 
     @staticmethod
     def assert_stacked_equals_per_drop(w):
         for stack in (w, w.transpose(0, 2, 1)):
             got = match_on_fork(stack, stacked=True)
-            totals, channels = per_drop_matches(stack)
+            assert got.total.tolist() == per_drop_matches(stack)[0]
+            totals, channels = plain_scan(stack)
             assert got.total.tolist() == totals
             assert np.array_equal(got.channel, channels)
 
@@ -517,8 +533,9 @@ class TestStackedMatcher:
     def test_match_drops_equals_per_drop_hungarian(self, shape):
         drops = sample_drops(shape[1], shape[2], RadioParams(), range(shape[0]))
         w = build_pair_plans(drops.snr_db, default_surrogate(20), Constraints()).weight
-        got = match_drops(w)
-        totals, channels = per_drop_matches(w)
+        got = match_on_fork(w, stacked=True)
+        assert got.total.tolist() == per_drop_matches(w)[0]
+        totals, channels = plain_scan(w)
         assert got.total.tolist() == totals
         assert np.array_equal(got.channel, channels)
 
@@ -584,6 +601,79 @@ class TestStackedMatcher:
         assert set(paths) == {"_max_weight_stack" if stacked else "hungarian_max"}
 
 
+def sampled_weights(system, shape, seed, cons=Constraints()):
+    """A (drops, users, channels) weight stack of ``system`` on sampled drops."""
+    drops = sample_drops(shape[1], shape[2], RadioParams(), range(seed, seed + shape[0]))
+    if system is SystemKind.SEMANTIC:
+        return build_pair_plans(drops.snr_db, default_surrogate(20), cons).weight
+    return bit_pipe_weights(bit_se(drops.snr_db, drops.snr_linear, system, TABLES), MU40, cons)
+
+
+class TestEngineIndependence:
+    """Both engines give every sampled drop the same total, bit for bit, and an optimal matching.
+
+    The stacked matcher and scipy's compiled solver are separate
+    implementations, so their agreement is the check on each. On ties they
+    may match other channels; a total depends only on the matched weights.
+    """
+
+    @pytest.mark.parametrize("shape", [(300, 5, 5), (300, 8, 3), (300, 3, 8), (4, 120, 80)],
+                             ids=["5x5", "8x3", "3x8", "120x80"])
+    @pytest.mark.parametrize("system", list(SystemKind), ids=lambda s: s.value)
+    def test_totals_agree_and_each_matching_is_optimal(self, system, shape):
+        w = sampled_weights(system, shape, seed=sum(shape))
+        stacked, per_drop = match_on_fork(w, stacked=True), match_on_fork(w, stacked=False)
+        assert stacked.total.tobytes() == per_drop.total.tobytes()
+        for got in (stacked, per_drop):
+            served = got.channel >= 0
+            matched = np.take_along_axis(w, np.maximum(got.channel, 0)[..., None], 2)[..., 0]
+            assert np.all(matched[served] > 0.0)
+            for d in range(len(w)):
+                channels = got.channel[d, served[d]].tolist()
+                assert len(set(channels)) == len(channels)
+                assert got.total[d] == oracles.ascending_sum(matched[d, served[d]].tolist())
+        if shape[1] * shape[2] <= 25:  # small enough to enumerate
+            assert stacked.total[:40].tolist() == [brute_max_total(drop) for drop in w[:40]]
+
+
+class TestSolverLoader:
+    """scipy's compiled solver is loaded from its extension file, or else through scipy.optimize."""
+
+    def test_cli_loads_the_extension_alone_and_scipy_optimize_reuses_it(self):
+        # importing scipy.optimize costs about half a second: the CLI must not
+        probe = ("import sys, semse.cli; from semse import allocator; "
+                 "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')); "
+                 "import scipy.optimize; "
+                 "print(allocator._linear_sum_assignment is scipy.optimize.linear_sum_assignment)")
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=str(Path(allocator.__file__).parents[1])),
+        ).stdout
+        assert out.splitlines() == ["['scipy.optimize._lsap']", "True"]
+
+    def test_fallback_without_the_extension_file_gives_the_same_matchings(
+        self, monkeypatch, tmp_path
+    ):
+        import scipy.optimize
+
+        w = sampled_weights(SystemKind.FOUR_G, (20, 8, 6), seed=40)
+        expect = match_on_fork(w, stacked=False)
+        # a scipy package whose directory holds no extension file
+        hidden = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        hidden.submodule_search_locations = [str(tmp_path)]
+        find_spec = importlib.util.find_spec
+        monkeypatch.setattr(importlib.util, "find_spec",
+                            lambda name, *a: hidden if name == "scipy" else find_spec(name, *a))
+        monkeypatch.delitem(sys.modules, "scipy.optimize._lsap")
+        solver = allocator._load_linear_sum_assignment()
+        assert "scipy.optimize._lsap" not in sys.modules  # the file loader did not run
+        assert solver is scipy.optimize.linear_sum_assignment
+        monkeypatch.setattr(allocator, "_linear_sum_assignment", solver)
+        got = match_on_fork(w, stacked=False)
+        assert got.total.tobytes() == expect.total.tobytes()
+        assert np.array_equal(got.channel, expect.channel)
+
+
 class TestWeightStacks:
     """The harness's weight buffer reaches the stacked matcher uncopied either way round."""
 
@@ -604,13 +694,13 @@ class TestWeightStacks:
         assert matched.shape == (80, min(n_users, n_channels), max(n_users, n_channels))
         # the matcher's drop-minor copy, ascontiguousarray(w.transpose(1, 2, 0)), is the stack
         assert np.shares_memory(np.ascontiguousarray(matched.transpose(1, 2, 0)), stacks)
-        per_drop = match_on_fork(flat, stacked=False)
-        assert got.total.tolist() == per_drop.total.tolist()
-        assert np.array_equal(got.channel, per_drop.channel)
+        totals, channels = plain_scan(flat)
+        assert got.total.tolist() == totals
+        assert np.array_equal(got.channel, channels)
 
 
 class TestSumByUser:
-    """Per-drop totals: summed left to right from 0.0, inf past the float range."""
+    """Per-drop totals: each drop summed in ascending order from 0.0, inf past the float range."""
 
     def test_row_of_negative_zeros_sums_to_positive_zero(self):
         total = sum_by_user(np.full((2, 3), -0.0))
@@ -618,32 +708,39 @@ class TestSumByUser:
         assert not np.signbit(total).any()
 
     def test_overflowing_row_is_inf_without_a_warning(self):
-        # pytest's filterwarnings turns an overflow RuntimeWarning into an error;
-        # left to right, the first two users already overflow
-        total = sum_by_user(np.array([[1e308, 1e308, -1e308], [1.0, 2.0, 3.0]]))
+        # pytest's filterwarnings turns an overflow RuntimeWarning into an error
+        total = sum_by_user(np.array([[1e308, 1e308, 1e308], [3.0, 1.0, 2.0]]))
         assert total.tolist() == [np.inf, 6.0]
 
-    def test_ten_users_are_summed_left_to_right(self):
-        x = np.full((1, 10), 0.1)
-        left_to_right = 0.0
-        for value in x[0].tolist():
-            left_to_right += value
-        assert sum_by_user(x).tolist() == [left_to_right]
-        assert x.sum(axis=1).tolist() != [left_to_right]  # a pairwise sum rounds otherwise
+    def test_ten_users_are_summed_in_ascending_order(self):
+        # a row whose ascending sum differs from its sum in user order, in
+        # descending order and pairwise, sorted or not
+        row = [0.6, 0.9, 0.5, 0.6, 0.9, 0.7, 0.6, 0.5, 0.6, 0.9]
+        ascending = oracles.ascending_sum(row)
+        assert sum_by_user(np.array([row])).tolist() == [ascending]
+        for other in (sum(row), sum(sorted(row, reverse=True)), np.sum(row), np.sum(sorted(row))):
+            assert other != ascending
+        # the total depends only on the values: any order of the users gives it
+        x = np.array([row, row[::-1], sorted(row, reverse=True)])
+        assert sum_by_user(x).tolist() == [ascending] * 3
 
-    def test_equals_a_column_by_column_sum_from_zero_bit_for_bit(self):
+    def test_equals_a_column_by_column_sum_of_each_sorted_row_bit_for_bit(self):
         rng = np.random.default_rng(21)
         tiny_or_huge = np.where(rng.random((40, 9)) < 0.5, 1e-320, 1e308 * rng.random((40, 9)))
         for x in (rng.random((50, 12)), rng.random((12, 50)).T, tiny_or_huge):
             reference = np.zeros(len(x))
             with np.errstate(over="ignore"):
-                for column in x.T:
+                for column in np.sort(x, axis=1).T:
                     reference += column
             assert sum_by_user(x).tobytes() == reference.tobytes()
 
 
 class TestAgainstScipy:
-    """Totals on sampled drops against scipy's rectangular assignment solver."""
+    """Totals on sampled drops against scipy's public ``linear_sum_assignment``.
+
+    The per-drop fork calls the same compiled function, so the single-drop
+    test holds the stacked fork to it.
+    """
 
     @pytest.mark.parametrize("shape", [(120, 80), (80, 120), (200, 200)])
     @pytest.mark.parametrize("system", [SystemKind.SEMANTIC, SystemKind.FOUR_G])
@@ -657,7 +754,7 @@ class TestAgainstScipy:
             w = bit_pipe_weights(bit_se(drop.snr_db, drop.snr_linear, system, TABLES), MU40, cons)
             assert len(np.unique(w)) < w.size // 10  # CQI steps: many tied weights
         rows, cols = lsa(w, maximize=True)
-        assert match_one(w).total_weight == pytest.approx(
+        assert match_on_fork(w[None], stacked=True).total[0] == pytest.approx(
             float(w[rows, cols].sum()), rel=1e-12
         )
 

@@ -6,10 +6,14 @@ README's Scenario files section shows are the ones ``ScenarioConfig`` has,
 for every scenario key.
 """
 
+import importlib
+import inspect
 import os
+import pkgutil
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 from types import ModuleType
 
@@ -59,3 +63,21 @@ def test_cli_import_leaves_hashlib_unloaded():
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
     ).stdout
     assert out.strip() == "False"
+
+
+def test_every_annotation_resolves():
+    # typing.get_type_hints evaluates each annotation in its own module, so an
+    # annotation naming a type the module never imports raises NameError
+    checked = 0
+    for info in pkgutil.walk_packages(semse.__path__, "semse."):
+        module = importlib.import_module(info.name)
+        for value in vars(module).values():
+            if getattr(value, "__module__", None) != module.__name__:
+                continue
+            members = vars(value).values() if inspect.isclass(value) else ()
+            for obj in (value, *members):
+                obj = getattr(obj, "__func__", getattr(obj, "fget", obj))
+                if inspect.isfunction(obj) or inspect.isclass(obj):
+                    typing.get_type_hints(obj)
+                    checked += 1
+    assert checked > 50
