@@ -35,9 +35,13 @@ This module owns how a weight is computed and stored. Conventional
 bit-pipe baselines go through the same matching, with weights equal to
 their bit SE transformed to S-SE: ``bit_se`` computes a system's bit SE,
 and ``bit_pipe_weights`` applies the one bit-to-S-SE transform, se /
-bits_per_word, and the S-SE floor. ``weight_stacks`` lays out the buffer a
-caller writes a block's weight stacks into, drop-minor with the matcher's
-rows outermost, so that ``match_drops`` reads it without a copy. All
+bits_per_word, and the S-SE floor. ``score_channels`` scores given
+channels on a weight stack: ``match_drops`` scores its matching there, and
+a caller can score one matching on other weights, such as a system's bit
+SE matching on its weights at each bits_per_word. ``weight_stacks`` lays
+out the buffer a caller writes a block's weight stacks into, drop-minor
+with the matcher's rows outermost, so that ``match_drops`` reads it
+without a copy. All
 weights and totals here are normalized, i.e. expressed per unit of
 ``SourceStats.info_per_word``; the reporting layer applies that scale.
 The exhaustive joint oracle the tests compare against lives in
@@ -389,7 +393,7 @@ class DropMatches(NamedTuple):
 # about 1,000 of 10x10 and beyond 400 of 20x80 on ideal ones, which seldom
 # tie or fall to 0, and beyond 512 of 20x20; on 120x80 the per-drop one is
 # 1-25x faster at 8-64 drops. A stack may mix systems. The shipped
-# scenarios match 1,000-3,200 matrices of 5x5 a call.
+# scenarios match 800-2,000 matrices of 5x5 a call.
 _STACK_MIN_DROPS = 256
 
 
@@ -453,7 +457,19 @@ def match_drops(weights) -> DropMatches:
         channel[d, col_of_row[d, j]] = j
     else:
         channel = col_of_row
-    matched = np.take_along_axis(w, np.maximum(channel, 0)[..., None], axis=2)[..., 0]
+    return score_channels(w, channel)
+
+
+def score_channels(weights: np.ndarray, channel: np.ndarray) -> DropMatches:
+    """``DropMatches`` of a (drops, users, channels) stack with each user on a given channel.
+
+    ``channel`` (drops, users) is -1 for a user with none. A user is served
+    only where its weight there is positive, and each drop's total is its
+    served users' weights summed by ``sum_by_user``. ``match_drops`` scores
+    its matching here, and so does a caller that scores one matching on
+    other weights.
+    """
+    matched = np.take_along_axis(weights, np.maximum(channel, 0)[..., None], axis=2)[..., 0]
     served = (channel >= 0) & (matched > 0.0)
     return DropMatches(sum_by_user(np.where(served, matched, 0.0)), np.where(served, channel, -1))
 

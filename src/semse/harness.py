@@ -36,12 +36,17 @@ and the k scan, and at most ``_CALL_WEIGHTS`` weights (pairs x stacks),
 which bounds the matcher; it always holds at least one drop. A block's
 per-pair k scan runs once over the whole block, and each bit-pipe system's
 bit SE is computed once per block and weighed per ``bits_per_word`` value
-by ``allocator.bit_pipe_weights``. Every weight stack of the sample (the
-semantic one, shared by every ``bits_per_word`` value, and each bit-pipe
-system at each of those values) is written into one
-``allocator.weight_stacks`` buffer, whose layout the allocator chooses, and
-matched in one call that returns per-drop totals as arrays. ``compare``
-runs the loop with the ideal and semantic systems and no sweep.
+by ``allocator.bit_pipe_weights``. Every weight stack of the sample is
+written into one ``allocator.weight_stacks`` buffer, whose layout the
+allocator chooses, and matched in one call that returns per-drop totals as
+arrays. The semantic stack is shared by every ``bits_per_word`` value.
+Above a zero S-SE floor each bit-pipe system has a stack per value, since
+the floor zeroes a different set of links at each. With ``sse_threshold =
+0`` a system's weights at every value are one bit SE scaled by
+1/bits_per_word, so its optimal channels do not depend on the value: its
+one stack is that bit SE, and each value's row is scored on the matched
+channels by ``allocator.score_channels`` with the value's own weights.
+``compare`` runs the loop with the ideal and semantic systems and no sweep.
 
 Each per-drop total is keyed by the (system, sweep_param, sweep_value) of
 the CSV row it averages into. ``drop_totals`` joins a row's blocks into one
@@ -88,9 +93,9 @@ _MAX_DROP_PAIRS = np.iinfo(np.intp).max // np.dtype(float).itemsize
 _BLOCK_PAIRS = 1 << 14
 # Most weights (pairs x stacks) in one match_drops call: this bounds the
 # weight buffer (8 bytes a weight) and the stacked matcher's working set
-# (a tracemalloc peak of 12.70 bytes a weight on the (3200, 5, 5) stack),
-# and lets the shipped 500-drop scenario and 200-drop bits_per_word sweep
-# match in one call each.
+# (a tracemalloc peak of 13.08 bytes a weight on the (800, 5, 5) stack of
+# the bits_per_word sweep), and lets the shipped 500-drop scenario and
+# 200-drop bits_per_word sweep match in one call each.
 _CALL_WEIGHTS = 1 << 17
 
 
@@ -312,12 +317,15 @@ def _matched_blocks(cfg: ScenarioConfig, surface: SimilaritySurface | None):
 
     A sample is a distinct (radio, n_channels) among the sweep values. One
     ``match_drops`` call per block matches all its stacks: the semantic one
-    if ``surface`` is given, shared by its ``bits_per_word`` values, and each
-    bit-pipe system's at each of those values, from one bit SE per system.
-    The sample's blocks are sized from its own pairs and stacks per drop.
+    if ``surface`` is given, shared by its ``bits_per_word`` values, and
+    each bit-pipe system's, from one bit SE per system: its bit SE alone at
+    ``sse_threshold = 0``, each value's row then scored on those channels,
+    else its weights at each value. The sample's blocks are sized from its
+    own pairs and stacks per drop.
     """
     tables = tables_for(cfg)
     cons = cfg.constraints
+    shared = cons.sse_threshold == 0  # each bit pipe matched once for all its values
     pipes = [s for s in cfg.systems if s is not SystemKind.SEMANTIC]
     first_pipe = int(surface is not None)  # stack index of the first bit-pipe stack
     samples: dict = {}  # (radio, n_channels) -> [(sweep_value, tf), ...]
@@ -325,11 +333,8 @@ def _matched_blocks(cfg: ScenarioConfig, surface: SimilaritySurface | None):
         at = _swept(cfg, value)
         samples.setdefault((at.radio, at.n_channels), []).append((value, at.tf))
     for (radio, n_channels), group in samples.items():
-        # stack s holds the weights of every row in rows[s]
-        rows = [[_row(system, cfg.sweep_param, value)] for value, _tf in group for system in pipes]
-        if surface is not None:
-            rows.insert(0, [_row(SystemKind.SEMANTIC, cfg.sweep_param, v) for v, _tf in group])
-        for block in _blocks(cfg.n_drops, cfg.n_users * n_channels, len(rows)):
+        n_stacks = first_pipe + (len(pipes) if shared else len(group) * len(pipes))
+        for block in _blocks(cfg.n_drops, cfg.n_users * n_channels, n_stacks):
             seeds = [cfg.base_seed + d for d in block]
             try:
                 drops = sample_drops(cfg.n_users, n_channels, radio, seeds)
@@ -342,20 +347,37 @@ def _matched_blocks(cfg: ScenarioConfig, surface: SimilaritySurface | None):
             # peaks do not add
             semantic = (allocator.build_pair_plans(drops.snr_db, surface, cons).weight
                         if surface is not None else None)
-            weights = allocator.weight_stacks(len(rows), len(block), cfg.n_users, n_channels)
+            weights = allocator.weight_stacks(n_stacks, len(block), cfg.n_users, n_channels)
             if semantic is not None:
                 weights[0] = semantic
             se_bits = [allocator.bit_se(drops.snr_db, drops.snr_linear, system, tables)
                        for system in pipes]
-            for s, ((_value, tf), se) in enumerate(itertools.product(group, se_bits), first_pipe):
-                weights[s] = allocator.bit_pipe_weights(se, tf, cons)
+            if shared:  # each pipe's bit SE, weighed per value once matched
+                for s, se in enumerate(se_bits, first_pipe):
+                    weights[s] = se
+            else:
+                for s, ((_value, tf), se) in enumerate(itertools.product(group, se_bits),
+                                                       first_pipe):
+                    weights[s] = allocator.bit_pipe_weights(se, tf, cons)
             del se_bits, semantic  # freed before the matcher allocates its working set
             matched = allocator.match_drops(weights.reshape(-1, cfg.n_users, n_channels))
+            total = matched.total.reshape(n_stacks, len(block))
+            channel = matched.channel.reshape(n_stacks, len(block), cfg.n_users)
+            matches = {}
+            if surface is not None:
+                semantic_matches = DropMatches(total[0], channel[0])
+                for value, _tf in group:
+                    matches[_row(SystemKind.SEMANTIC, cfg.sweep_param, value)] = semantic_matches
+            # the i-th (value, bit pipe), value-major, was matched in stack s:
+            # the pipe's one stack if shared, else a stack per value and pipe
+            for i, ((value, tf), system) in enumerate(itertools.product(group, pipes)):
+                s = first_pipe + i % (n_stacks - first_pipe)
+                matches[_row(system, cfg.sweep_param, value)] = (
+                    allocator.score_channels(allocator.bit_pipe_weights(weights[s], tf, cons),
+                                             channel[s])
+                    if shared else DropMatches(total[s], channel[s]))
             del weights  # freed before the next block samples
-            per_stack = zip(rows, matched.total.reshape(len(rows), len(block)),
-                            matched.channel.reshape(len(rows), len(block), cfg.n_users))
-            yield drops, {row: DropMatches(total, channel)
-                          for names, total, channel in per_stack for row in names}
+            yield drops, matches
 
 
 def drop_totals(cfg: ScenarioConfig, fixed_k_values: list[int] | None) -> dict:
@@ -470,8 +492,10 @@ def crossover_bits_per_word(records: list[SweepRecord]) -> dict[SystemKind, floa
     conventional curve crosses the semantic level at
     (mean * bits_per_word) / semantic_mean, averaged over the sweep values.
     That scaling, and so the value, is exact only with ``sse_threshold = 0``:
-    a floor above 0 zeroes a set of links that depends on bits_per_word, and
-    the value is then an approximation (the CLI labels it so).
+    each value's mean * bits_per_word then comes from one matching of the
+    bit SE per drop, the one the block loop scores every value on. A floor
+    above 0 zeroes a set of links that depends on bits_per_word, and the
+    value is then an approximation (the CLI labels it so).
     """
     mu_records = [r for r in records if r.sweep_param == "bits_per_word"]
     semantic = [r for r in mu_records if r.system is SystemKind.SEMANTIC]

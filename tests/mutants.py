@@ -59,6 +59,7 @@ SEEDING = (
 )
 SUM_BY_USER = "tests/test_allocator.py::TestSumByUser::"
 CLI_TESTS = "tests/test_harness.py::TestCli::"
+SHARED = "tests/test_harness.py::TestSharedBitPipeMatching::"
 
 MUTANTS = [
     # the k scan: its take rule and its candidate pruning
@@ -141,6 +142,22 @@ MUTANTS = [
            ("tests/test_acceptance.py::test_criterion_5_fixed_k_policy_dominated[8x3]",
             "tests/test_acceptance.py::test_criterion_5_fixed_k_policy_dominated[20x5]",
             "tests/test_golden.py::test_run_output_is_byte_identical[compare_overloaded]")),
+    # one matching per bit pipe at sse_threshold 0, each value scored on it
+    Mutant("bit pipes matched once above a zero floor", HARNESS,
+           "shared = cons.sse_threshold == 0", "shared = True",
+           ("tests/test_harness.py::TestBlocks::test_one_match_drops_call_per_block_and_sample"
+            "[kw0-None-10-1]",
+            "tests/test_golden.py::test_run_output_is_byte_identical[floored_bits_per_word_sweep]")),
+    Mutant("every value scored with the first value's weights", HARNESS,
+           "allocator.bit_pipe_weights(weights[s], tf, cons)",
+           "allocator.bit_pipe_weights(weights[s], group[0][1], cons)",
+           (SHARED + "test_each_value_is_scored_with_its_own_weights_on_those_channels",
+            "tests/test_golden.py::test_run_output_is_byte_identical[bits_per_word_sweep]")),
+    Mutant("a zero-weight matched pair scored as served", ALLOCATOR,
+           "served = (channel >= 0) & (matched > 0.0)", "served = channel >= 0",
+           (SHARED + "test_each_value_is_scored_with_its_own_weights_on_those_channels",
+            "tests/test_allocator.py::TestScoreChannels"
+            "::test_zero_weight_on_its_channel_is_unserved")),
     # which inputs a run reads, and the CLI's edge cases
     Mutant("tables_for reads every CQI table", HARNESS,
            "        if system not in cfg.systems:\n            continue\n", "",

@@ -735,6 +735,16 @@ class TestSumByUser:
             assert sum_by_user(x).tobytes() == reference.tobytes()
 
 
+class TestScoreChannels:
+    """A user is served on its given channel only where its weight there is positive."""
+
+    def test_zero_weight_on_its_channel_is_unserved(self):
+        w = np.array([[[0.0, 2.0], [1.0, 3.0]], [[0.5, 0.0], [0.0, 0.25]]])
+        scored = allocator.score_channels(w, np.array([[0, 1], [-1, 0]]))
+        np.testing.assert_array_equal(scored.channel, [[-1, 1], [-1, -1]])
+        np.testing.assert_array_equal(scored.total, [3.0, 0.0])
+
+
 class TestAgainstScipy:
     """Totals on sampled drops against scipy's public ``linear_sum_assignment``.
 

@@ -311,7 +311,8 @@ class TestBlocks:
         monkeypatch.setattr(harness, "_CALL_WEIGHTS", self.WEIGHTS)
 
     @pytest.mark.parametrize("kw, fixed_k, stacks, samples", [
-        # the weight budget binds: 10 stacks of 36 pairs
+        # the weight budget binds: 10 stacks of 36 pairs, one per bit pipe and
+        # value above a zero S-SE floor
         (dict(n_users=6, n_channels=6, n_drops=100, sweep_param="bits_per_word",
               sweep_values=(10.0, 20.0, 40.0)), None, 10, 1),
         (dict(n_users=6, n_channels=6, n_drops=300, sweep_param="tx_power_dbm",
@@ -323,6 +324,9 @@ class TestBlocks:
         # the pair budget binds: one stack
         (dict(n_users=6, n_channels=6, n_drops=300, systems=(SystemKind.SEMANTIC,)),
          None, 1, 1),
+        # at sse_threshold 0 a bit pipe's one stack serves every value
+        (dict(n_users=6, n_channels=6, n_drops=100, constraints=Constraints(sse_threshold=0.0),
+              sweep_param="bits_per_word", sweep_values=(10.0, 20.0, 40.0)), None, 4, 1),
     ])
     def test_one_match_drops_call_per_block_and_sample(
         self, monkeypatch, kw, fixed_k, stacks, samples
@@ -434,6 +438,58 @@ class TestBlocks:
         assert all(len(totals) == cfg.n_drops for totals in by_row.values())
 
 
+class TestSharedBitPipeMatching:
+    """At sse_threshold 0 each bit pipe is matched once per block, on its bit SE.
+
+    Every ``bits_per_word`` value's row is then scored on those channels
+    with the value's own weights.
+    """
+
+    @pytest.fixture(scope="class")
+    def cfg(self):
+        cfg = load_scenario(SCENARIOS / "bits_per_word_sweep.txt")
+        assert cfg.constraints.sse_threshold == 0.0
+        return cfg
+
+    def test_each_bit_pipe_keeps_its_channels_across_the_values(self, cfg):
+        blocks = 0
+        for _drops, matches in harness._matched_blocks(cfg, surface_for(cfg)):
+            blocks += 1
+            for system in ALL_SYSTEMS[1:]:
+                first = matches[system, "bits_per_word", cfg.sweep_values[0]].channel
+                for value in cfg.sweep_values[1:]:
+                    np.testing.assert_array_equal(
+                        matches[system, "bits_per_word", value].channel, first)
+        assert blocks == 1
+
+    def test_each_value_is_scored_with_its_own_weights_on_those_channels(self, cfg):
+        # at -10 dBm many 4G and 5G users are below the lowest CQI threshold
+        # on every channel, so the matching gives them a channel of weight 0
+        cfg = dataclasses.replace(cfg, radio=dataclasses.replace(cfg.radio, tx_power_dbm=-10.0))
+        cons, tables, unserved = cfg.constraints, tables_for(cfg), 0
+        for drops, matches in harness._matched_blocks(cfg, surface_for(cfg)):
+            for system in ALL_SYSTEMS[1:]:
+                se = bit_se(drops.snr_db, drops.snr_linear, system, tables)
+                for value in cfg.sweep_values:
+                    m = matches[system, "bits_per_word", value]
+                    w = bit_pipe_weights(se, harness._swept(cfg, value).tf, cons)
+                    expect = allocator.score_channels(w, m.channel)
+                    np.testing.assert_array_equal(m.total, expect.total)
+                    # a user is served exactly where its weight on its channel is positive
+                    d, i = np.nonzero(m.channel >= 0)
+                    assert (w[d, i, m.channel[d, i]] > 0.0).all()
+                    unserved += (m.channel < 0).sum()
+        assert unserved > 0
+
+    def test_sweep_row_equals_the_unswept_run_at_its_value(self, cfg):
+        swept = drop_totals(cfg, None)
+        for value in cfg.sweep_values:
+            alone = drop_totals(harness._swept(cfg, value), None)
+            assert len(alone) == len(cfg.systems)
+            for (system, _param, _value), totals in alone.items():
+                np.testing.assert_array_equal(swept[system, "bits_per_word", value], totals)
+
+
 class TestBlockBudgets:
     """The shipped budgets: one call per shipped scenario, one drop of a large cell per block."""
 
@@ -443,7 +499,7 @@ class TestBlockBudgets:
 
     @pytest.mark.parametrize("name, fixed_k, stacks", [
         ("default.txt", None, 4),
-        ("bits_per_word_sweep.txt", None, 16),
+        ("bits_per_word_sweep.txt", None, 4),  # sse_threshold 0: a bit pipe matched once
         ("default.txt", [1, 2, 3, 4, 5], 2),
     ])
     def test_shipped_scenarios_match_in_one_call(self, monkeypatch, name, fixed_k, stacks):
@@ -466,7 +522,7 @@ class TestBlockBudgets:
         )
         run_scenario(load_scenario(SCENARIOS / "bits_per_word_sweep.txt"))
         (stack,), (matched,) = stacks, seen
-        assert stack.shape == (3200, 5, 5)
+        assert stack.shape == (800, 5, 5)
         # the matcher's drop-minor copy, ascontiguousarray(w.transpose(1, 2, 0)), is the stack
         assert np.shares_memory(np.ascontiguousarray(matched.transpose(1, 2, 0)), stack)
         tracemalloc.start()
