@@ -18,18 +18,13 @@ then ``match_drops(plans.weight)``; a user i matched to channel j =
 ``match_drops`` is the one matcher entry point. It checks the weights once,
 takes the shorter side of each matrix as the matcher's rows, finds each
 row's column, and assembles every drop's ``DropMatches`` in user order. Two
-engines run the same method, shortest augmenting path (Crouse, "On
-implementing 2D rectangular assignment algorithms", IEEE TAES 2016). From
-``_STACK_MIN_DROPS`` drops up, ``_max_weight_stack`` runs every drop's
-search at once, with numpy over the drop axis, step for step the plain scan
-that ``tests/oracles.py`` keeps. Below that, ``hungarian_max`` matches one
-drop at a time with scipy's compiled ``linear_sum_assignment``. On ties the
-two may pick different optimal matchings, but a drop's total is its matched
-weights summed in ascending order (``sum_by_user``), so it depends only on
-which weights are matched, not on who holds them. On sampled drops the
-totals agree bit for bit whichever engine runs. Only two optimal matchings
-of different weights with equal exact sums, such as 0.1 + 0.2 and 0.3 on a
-grid of tenths, can round apart.
+engines run one method, scipy's shortest augmenting path (Crouse, "On
+implementing 2D rectangular assignment algorithms", IEEE TAES 2016). Below
+``_STACK_MIN_DROPS`` drops, ``hungarian_max`` matches one drop at a time with
+scipy's compiled ``linear_sum_assignment``. From there up,
+``_max_weight_stack`` runs every drop's search at once, with numpy over the
+drop axis, step for step scipy's, float expressions and tie rule included.
+So both return the same matching: a stack's depth decides only the speed.
 
 This module owns how a weight is computed and stored. Conventional
 bit-pipe baselines go through the same matching, with weights equal to
@@ -202,18 +197,21 @@ def weight_matrix(plans: PlanArrays) -> np.ndarray:
     return plans.weight
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _max_weight_stack(weights: np.ndarray) -> np.ndarray:
     """Maximum-weight assignment of every row of each matrix of a (drops, rows, cols) stack.
 
-    Each matrix has no more rows than columns. Shortest augmenting path on
-    the costs ``-weights`` (Crouse 2016): each row grows one Dijkstra search
-    over the columns not yet reached, and the duals are updated once per
-    augmentation. Each step of the plain scan, ``plain_max_weight_rect`` in
-    ``tests/oracles.py``, runs once for all drops still searching, with numpy
-    over the drop axis: the same float expressions, the same swap-remove
-    scan order, high to low, and tie rule (the last free tied column in scan
-    order, else the first tied one). So every drop gets the plain scan's
-    matching. Returns ``col_of_row``, shape (drops, rows).
+    Each matrix has no more rows than columns. scipy's ``augmenting_path``
+    (read in scipy 1.17.1) on the costs ``-weights``, with numpy over the drop
+    axis: each row grows one Dijkstra search over the columns not yet
+    reached, and the duals are updated once per augmentation. Each step runs
+    once for all drops still searching, with scipy's float expressions (its
+    reduced cost ``min_val + cost - u - v`` is ``min_val - w - u - v``, as
+    ``a + (-b) == a - b``), swap-remove scan order, high to low, and tie rule
+    (the last free tied column in scan order, else the first tied one). So
+    every drop gets scipy's matching, which ``plain_max_weight_rect`` in
+    ``tests/oracles.py`` transcribes. Like scipy's compiled code, it does not
+    warn on overflow. Returns ``col_of_row``, shape (drops, rows).
 
     State is held drop-minor and flat, ``x[row_or_col * drops + drop]``, so
     each step gathers with one flat index and reduces over a leading axis. A
@@ -226,9 +224,8 @@ def _max_weight_stack(weights: np.ndarray) -> np.ndarray:
     state's contiguous (cols, drops) slices, in reversed scan order. A
     search keeps one record, ``cols_seen``, its picks: a matched pick's row
     (``row_of_col``) is a row it reached, a drop's one free pick its sink.
-    One step ``min_val - dist`` per matched pick updates its ``v`` and its
-    row's ``u``. The sink's step, exactly 0.0 since ``dist`` there is the
-    pick's ``min_val`` and a free column's ``v`` 0.0, is skipped.
+    One step ``min_val - dist`` per pick updates its ``v``, and a matched
+    pick's row's ``u``.
     """
     n_drops, n, m = weights.shape
     drops = np.arange(n_drops)
@@ -246,8 +243,8 @@ def _max_weight_stack(weights: np.ndarray) -> np.ndarray:
     cols_seen = np.empty(m * n_drops, dtype=bool)  # a search's one record: its picks
     # Tie keys by scan position p, in the narrowest unsigned type: a tied
     # free column keys m+1+p (later ones higher), another tied column m-p
-    # (earlier ones higher), an untied one 0. The largest key is then the
-    # plain scan's tie rule pick and position[key] its p; a scan of the first s
+    # (earlier ones higher), an untied one 0. The largest key is then
+    # scipy's tie rule pick and position[key] its p; a scan of the first s
     # positions keeps that order with key_free[:s] and key_other[:s].
     p = np.arange(m)[:, None]
     key_type = np.min_scalar_type(2 * m)
@@ -261,14 +258,12 @@ def _max_weight_stack(weights: np.ndarray) -> np.ndarray:
     for cur in range(n):
         cols_seen.fill(False)
         np.add(at_pos[::-1], drops, out=remaining.reshape(m, n_drops))
-        min_val = np.zeros(n_drops)
         active = drops
         for size in range(m, 0, -1):
             if size == m:  # first step: every column of every drop, dist all inf
-                base = min_val - u[cur * n_drops:(cur + 1) * n_drops]
-                r = np.subtract(base, w[cur].reshape(m, n_drops), out=dist_cols)
-                del base
-                np.subtract(r, v_cols, out=r)
+                # min_val and u[cur] are still 0.0: the reduced cost is 0.0 - w - v
+                r = np.subtract(0.0, w[cur].reshape(m, n_drops), out=dist_cols)
+                r -= v_cols
                 better = r < np.inf
                 np.copyto(path_cols, cur, where=better)
                 np.copyto(dist_cols, np.inf, where=~better)
@@ -280,7 +275,8 @@ def _max_weight_stack(weights: np.ndarray) -> np.ndarray:
             else:
                 at = remaining[at_pos[:size] + active]  # (size, active drops)
                 r = w[i, at]
-                np.subtract(min_val[active] - u[i_at], r, out=r)
+                np.subtract(min_val[active], r, out=r)
+                r -= u[i_at]
                 r -= v[at]
                 d = dist[at]
                 better = r < d
@@ -305,12 +301,13 @@ def _max_weight_stack(weights: np.ndarray) -> np.ndarray:
             i_at = np.multiply(i, n_drops, dtype=np.intp) + active
         u[cur * n_drops:(cur + 1) * n_drops] += min_val
         seen = np.flatnonzero(cols_seen)
-        row = row_of_col[seen]
-        sink = seen[row < 0]  # each drop's one free pick, the column its search ends at
-        seen, row = seen[row >= 0], row[row >= 0]
-        step = min_val[seen % n_drops] - dist[seen]
+        drop = seen % n_drops
+        step = min_val[drop] - dist[seen]
         v[seen] -= step
-        u[np.multiply(row, n_drops, dtype=np.intp) + seen % n_drops] += step
+        row = row_of_col[seen]
+        matched = row >= 0
+        sink = seen[~matched]  # each drop's one free pick, the column its search ends at
+        u[np.multiply(row[matched], n_drops, dtype=np.intp) + drop[matched]] += step[matched]
         active, j = sink % n_drops, sink // n_drops
         while active.size:  # augment along each path back to row ``cur``
             j_at = np.multiply(j, n_drops, dtype=np.intp) + active
@@ -430,12 +427,8 @@ def match_drops(weights) -> DropMatches:
     The matcher's rows are the shorter side, the channels when there are
     more users than channels. A stack of at least ``_STACK_MIN_DROPS`` drops
     is matched at once, fewer drops one ``hungarian_max`` call at a time. A
-    stack laid out by ``weight_stacks`` is read without a copy. Only the
-    optimal total is contractual: it depends only on the matched weights,
-    so it is the same whichever engine runs, but on ties the two may return
-    different channels (see the module docstring). So ``compare``, which
-    scores fixed k on the ideal matching's channels, could print another
-    fixed-k row if tied positive ideal weights were matched otherwise.
+    stack laid out by ``weight_stacks`` is read without a copy. Both
+    engines return the same ``DropMatches``.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 3 or w.size == 0:

@@ -11,11 +11,11 @@ deleting the mutant. A change that moves or rewrites a mutated line updates
 the mutant's text in the same change.
 
 Left out, because no test can kill it:
-- dropping the matched filter in ``_max_weight_stack`` (``seen, row =
-  seen[row >= 0], row[row >= 0]``). The sink's step ``min_val - dist`` is
-  then applied too: to its own ``v`` and, since its row is -1, to the ``u``
-  of row n-1 of its drop. That step is exactly 0.0, so only a sign of zero
-  could expose it.
+- dropping the ``matched`` filter from ``_max_weight_stack``'s ``u`` step.
+  The sink's step ``min_val - dist`` is then added, since its row is -1, to
+  the ``u`` of row n-1 of its drop too. No step reads that ``u``: no search
+  reaches row n-1 before it is matched, which is by its own search, the
+  last, whose first step takes its ``u`` as 0.0 without reading it.
 
 Run it from any directory as ``python tests/mutants.py``. pytest does not
 collect this file.
@@ -52,8 +52,7 @@ PLAN_SCAN = (
 )
 GOLDEN_SWEEP = ("tests/test_golden.py::test_run_output_is_byte_identical[n_channels_sweep]",)
 STACKED = ("tests/test_allocator.py::TestStackedMatcher::test_equals_plain_scan_bit_for_bit",)
-ENGINES = ("tests/test_allocator.py::TestEngineIndependence"
-           "::test_totals_agree_and_each_matching_is_optimal")
+IDENTITY = "tests/test_allocator.py::TestForkIdentity::"
 SEEDING = (
     "tests/test_channel.py::test_sample_drops_equal_default_rng_drops_for_every_seed_width",
 )
@@ -101,7 +100,8 @@ MUTANTS = [
            'with np.errstate(over="ignore"):\n        return np.add.accumulate',
            "if True:\n        return np.add.accumulate",
            (SUM_BY_USER + "test_overflowing_row_is_inf_without_a_warning",)),
-    # the stacked matcher: tie keys, evaluation order, its one record per search
+    # the stacked matcher: tie keys, scipy's evaluation order and dual steps, its one
+    # record per search
     Mutant("stacked key_free/key_other swapped", ALLOCATOR,
            "key_free, key_other = (m + 1 + p)", "key_other, key_free = (m + 1 + p)", STACKED),
     Mutant("stacked tie key: the earliest tied free column", ALLOCATOR,
@@ -110,21 +110,26 @@ MUTANTS = [
            "row_of_col[at] < 0, key_free[:size]", "row_of_col[at] < -1, key_free[:size]",
            STACKED + ("tests/test_allocator.py::TestStackedMatcher"
                       "::test_match_drops_equals_per_drop_hungarian[shape1]",)),
-    Mutant("stacked evaluation order base - (w + v)", ALLOCATOR,
-           "np.subtract(min_val[active] - u[i_at], r, out=r)\n                r -= v[at]",
-           "r += v[at]\n                np.subtract(min_val[active] - u[i_at], r, out=r)",
-           STACKED),
-    # with two sinks in a drop, the bit-for-bit test hangs in the augmentation
+    Mutant("stacked evaluation order (min_val - u) - w - v", ALLOCATOR,
+           "np.subtract(min_val[active], r, out=r)\n                r -= u[i_at]\n",
+           "np.subtract(min_val[active] - u[i_at], r, out=r)\n",
+           STACKED + (IDENTITY + "test_forks_agree_on_tied_stacks",
+                      IDENTITY + "test_tied_tenths_total_scipys_sum")),
+    Mutant("stacked sink without its v step", ALLOCATOR,
+           "        v[seen] -= step\n        row = row_of_col[seen]\n",
+           "        v[seen[row_of_col[seen] >= 0]] -= step[row_of_col[seen] >= 0]\n"
+           "        row = row_of_col[seen]\n",
+           (IDENTITY + "test_forks_agree_on_tied_stacks",)),
+    # with two sinks in a drop the augmentation can loop forever; this stack fails first
     Mutant("stacked sink row <= 0", ALLOCATOR,
-           "sink = seen[row < 0]", "sink = seen[row <= 0]",
-           ("tests/test_allocator.py::TestAgainstScipy::test_stacked_totals_match"
-            "_linear_sum_assignment[SystemKind.SEMANTIC-shape1-True]",)),
+           "sink = seen[~matched]", "sink = seen[row <= 0]",
+           (IDENTITY + "test_forks_agree_on_sampled_stacks[5g-3x8]",)),
     # the per-drop matcher: a maximum, its positive pairs, its total summed as sum_by_user sums
     Mutant("hungarian_max with maximize=False", ALLOCATOR,
            "_linear_sum_assignment(rows, maximize=True)",
            "_linear_sum_assignment(rows, maximize=False)",
            ("tests/test_acceptance.py::test_criterion_2_hungarian_optimality",
-            ENGINES + "[semantic-5x5]")),
+            IDENTITY + "test_forks_agree_on_sampled_stacks[semantic-5x5]")),
     Mutant("hungarian_max total in row order", ALLOCATOR,
            "for x in sorted(weights):", "for x in weights:",
            ("tests/test_allocator.py::TestHungarian"

@@ -11,8 +11,10 @@ injective user-to-channel map jointly with every per-user k, and
 ``brute_force_allocation`` reports its optimum as an ``Assignment``.
 ``match_one`` is the package's matcher, ``allocator.match_drops``, on one
 drop, reported the same way; ``brute_max_total`` is the maximum matching
-total by enumeration, and ``plain_max_weight_rect`` the full scan that the
-stacked matcher, ``allocator._max_weight_stack``, must equal step for step.
+total by enumeration, and ``plain_max_weight_rect`` a transcription of
+scipy's ``augmenting_path``, the full scan that both of ``match_drops``'s
+engines run and that the stacked one, ``allocator._max_weight_stack``, must
+equal step for step.
 Every total here is summed as ``allocator.sum_by_user`` sums, in ascending
 order (``ascending_sum``).
 """
@@ -192,13 +194,15 @@ def plain_max_weight_rect(weights: list[list[float]]) -> list[int]:
     """Maximum-weight assignment of every row of a rectangular weight matrix.
 
     ``weights`` is a list of rows with no more rows than columns. Returns
-    ``col_of_row``. Shortest augmenting path on the costs ``-weights``
-    (Crouse, "On implementing 2D rectangular assignment algorithms", IEEE
-    TAES 2016): each row grows one Dijkstra search over the columns not yet
-    reached, preferring a free column on ties so the search ends early, and
-    the duals are updated once per augmentation. O(rows^2 * cols) in the
-    worst case. The reduced cost ``base - row[j] - v[j]`` is bit-identical
-    to ``base + (-row[j]) - v[j]``, so no negated copy is made.
+    ``col_of_row``. scipy's ``augmenting_path`` (scipy 1.17.1), transcribed:
+    shortest augmenting path on the costs ``-weights`` (Crouse, "On
+    implementing 2D rectangular assignment algorithms", IEEE TAES 2016).
+    Each row grows one Dijkstra search over the columns not yet reached,
+    preferring a free column on ties so the search ends early, and the duals
+    are updated once per augmentation. O(rows^2 * cols) in the worst case.
+    scipy's reduced cost ``min_val + cost - u[i] - v[j]`` is bit for bit
+    ``min_val - row[j] - u[i] - v[j]``, as ``a + (-b) == a - b``, so no
+    negated copy is made.
     """
     inf = float("inf")
     n, m = len(weights), len(weights[0])
@@ -221,11 +225,10 @@ def plain_max_weight_rect(weights: list[list[float]]) -> list[int]:
         while True:
             rows_seen.append(i)
             row = weights[i]
-            base = min_val - u[i]
             lowest = inf
             index = -1
             for it, j in enumerate(remaining):
-                r = base - row[j] - v[j]
+                r = min_val - row[j] - u[i] - v[j]
                 d = dist[j]
                 if r < d:
                     path[j] = i
