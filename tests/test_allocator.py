@@ -643,7 +643,18 @@ class TestForkIdentity:
                              ids=["5x5", "8x3", "3x8", "120x80", "80x120", "200x200"])
     @pytest.mark.parametrize("system", list(SystemKind), ids=lambda s: s.value)
     def test_forks_agree_on_sampled_stacks(self, system, shape):
-        w = sampled_weights(system, shape, seed=sum(shape))
+        self.assert_identical_and_optimal(sampled_weights(system, shape, seed=sum(shape)))
+
+    @pytest.mark.parametrize("shape", [(300, 5, 5), (300, 8, 3), (300, 3, 8)],
+                             ids=["5x5", "8x3", "3x8"])
+    @pytest.mark.parametrize("system", list(SystemKind), ids=lambda s: s.value)
+    def test_forks_agree_at_a_zero_sse_floor(self, system, shape):
+        # no floor keeps the weak links' small weights, so other ties arise
+        cons = Constraints(sse_threshold=0.0)
+        self.assert_identical_and_optimal(sampled_weights(system, shape, sum(shape) + 1, cons))
+
+    @staticmethod
+    def assert_identical_and_optimal(w):
         got = assert_forks_identical(w)
         served = got.channel >= 0
         matched = np.take_along_axis(w, np.maximum(got.channel, 0)[..., None], 2)[..., 0]
@@ -652,7 +663,7 @@ class TestForkIdentity:
             channels = got.channel[d, served[d]].tolist()
             assert len(set(channels)) == len(channels)
             assert got.total[d] == oracles.ascending_sum(matched[d, served[d]].tolist())
-        if shape[1] * shape[2] <= 25:  # small enough to enumerate
+        if w.shape[1] * w.shape[2] <= 25:  # small enough to enumerate
             assert got.total[:40].tolist() == [brute_max_total(drop) for drop in w[:40]]
 
 
