@@ -33,20 +33,22 @@ not grow with ``n_drops``. A sample's blocks are sized from its own pairs
 and stacks per drop under two budgets: a block holds at most
 ``_BLOCK_PAIRS`` pairs (users x channels x drops), which bounds sampling
 and the k scan, and at most ``_CALL_WEIGHTS`` weights (pairs x stacks),
-which bounds the matcher; it always holds at least one drop. A block's
-per-pair k scan runs once over the whole block, and each bit-pipe system's
-bit SE is computed once per block and weighed per ``bits_per_word`` value
-by ``allocator.bit_pipe_weights``. Every weight stack of the sample is
-written into one ``allocator.weight_stacks`` buffer, whose layout the
-allocator chooses, and matched in one call that returns per-drop totals as
-arrays. The semantic stack is shared by every ``bits_per_word`` value.
-Above a zero S-SE floor each bit-pipe system has a stack per value, since
-the floor zeroes a different set of links at each. With ``sse_threshold =
-0`` a system's weights at every value are one bit SE scaled by
-1/bits_per_word, so its optimal channels do not depend on the value: its
-one stack is that bit SE, and each value's row is scored on the matched
-channels by ``allocator.score_channels`` with the value's own weights.
-``compare`` runs the loop with the ideal and semantic systems and no sweep.
+which bounds the matcher; it always holds at least one drop. Each sample
+has one table: the weight stacks it matches, each named by its system and
+the ``TransformFactor`` it is weighed at, and its CSV rows, each naming
+its stack and the ``TransformFactor`` its channels are scored at. The
+semantic stack serves every ``bits_per_word`` value. Above a zero S-SE
+floor a bit-pipe system has a stack per value, since the floor zeroes a
+different set of links at each. With ``sse_threshold = 0`` its weights at
+every value are one bit SE scaled by 1/bits_per_word, so its optimal
+channels do not depend on the value: its one stack is that bit SE, and
+each value's row is scored on the matched channels by
+``allocator.score_channels`` with the value's own weights. A block runs
+the per-pair k scan and each bit pipe's ``allocator.bit_se`` once, writes
+every stack into one ``allocator.weight_stacks`` buffer, whose layout the
+allocator chooses, and matches it in one call that returns per-drop
+totals as arrays. ``compare`` runs the loop with the ideal and semantic
+systems and no sweep.
 
 Each per-drop total is keyed by the (system, sweep_param, sweep_value) of
 the CSV row it averages into. ``drop_totals`` joins a row's blocks into one
@@ -315,26 +317,33 @@ def _row(system: SystemKind, sweep_param: str | None, value) -> tuple:
 def _matched_blocks(cfg: ScenarioConfig, surface: SimilaritySurface | None):
     """Yield (drops, {row key: DropMatches}) per sample and block, blocks in order.
 
-    A sample is a distinct (radio, n_channels) among the sweep values. One
-    ``match_drops`` call per block matches all its stacks: the semantic one
-    if ``surface`` is given, shared by its ``bits_per_word`` values, and
-    each bit-pipe system's, from one bit SE per system: its bit SE alone at
-    ``sse_threshold = 0``, each value's row then scored on those channels,
-    else its weights at each value. The sample's blocks are sized from its
-    own pairs and stacks per drop.
+    A sample is a distinct (radio, n_channels) among the sweep values. Its
+    table lists its stacks, keyed (system, tf) with tf the ``TransformFactor``
+    of the stack's weights, None for the semantic weights (if ``surface`` is
+    given) and for a bare bit SE, and its rows, (row key, stack index, tf)
+    with tf the ``TransformFactor`` the stack's channels are scored at, None
+    where the row takes the stack's own totals. Its blocks are sized from
+    its own pairs and stacks per drop.
     """
     tables = tables_for(cfg)
     cons = cfg.constraints
     shared = cons.sse_threshold == 0  # each bit pipe matched once for all its values
     pipes = [s for s in cfg.systems if s is not SystemKind.SEMANTIC]
-    first_pipe = int(surface is not None)  # stack index of the first bit-pipe stack
     samples: dict = {}  # (radio, n_channels) -> [(sweep_value, tf), ...]
     for value in cfg.sweep_values or (None,):
         at = _swept(cfg, value)
         samples.setdefault((at.radio, at.n_channels), []).append((value, at.tf))
     for (radio, n_channels), group in samples.items():
-        n_stacks = first_pipe + (len(pipes) if shared else len(group) * len(pipes))
-        for block in _blocks(cfg.n_drops, cfg.n_users * n_channels, n_stacks):
+        stacks: dict = {}  # (system, tf weighed at) -> stack index, in index order
+        rows = []  # (row key, stack index, tf scored at): semantic, then value-major
+        if surface is not None:
+            stacks[SystemKind.SEMANTIC, None] = 0
+            rows += [(_row(SystemKind.SEMANTIC, cfg.sweep_param, value), 0, None)
+                     for value, _tf in group]
+        for (value, tf), system in itertools.product(group, pipes):
+            s = stacks.setdefault((system, None if shared else tf), len(stacks))
+            rows.append((_row(system, cfg.sweep_param, value), s, tf if shared else None))
+        for block in _blocks(cfg.n_drops, cfg.n_users * n_channels, len(stacks)):
             seeds = [cfg.base_seed + d for d in block]
             try:
                 drops = sample_drops(cfg.n_users, n_channels, radio, seeds)
@@ -343,39 +352,26 @@ def _matched_blocks(cfg: ScenarioConfig, surface: SimilaritySurface | None):
                             if cfg.sweep_param == "n_channels" else f"n_channels = {n_channels}")
                 raise ScenarioError(f"a drop of n_users = {cfg.n_users} by {channels} "
                                     f"is too large to allocate") from None
-            # the k scan runs before the weight buffer exists, so that their
-            # peaks do not add
-            semantic = (allocator.build_pair_plans(drops.snr_db, surface, cons).weight
-                        if surface is not None else None)
-            weights = allocator.weight_stacks(n_stacks, len(block), cfg.n_users, n_channels)
-            if semantic is not None:
-                weights[0] = semantic
-            se_bits = [allocator.bit_se(drops.snr_db, drops.snr_linear, system, tables)
-                       for system in pipes]
-            if shared:  # each pipe's bit SE, weighed per value once matched
-                for s, se in enumerate(se_bits, first_pipe):
-                    weights[s] = se
-            else:
-                for s, ((_value, tf), se) in enumerate(itertools.product(group, se_bits),
-                                                       first_pipe):
-                    weights[s] = allocator.bit_pipe_weights(se, tf, cons)
-            del se_bits, semantic  # freed before the matcher allocates its working set
+            # each system's semantic weights or bit SE; the k scan runs before
+            # the weight buffer exists, so that their peaks do not add
+            per_system = ({SystemKind.SEMANTIC: allocator.build_pair_plans(
+                drops.snr_db, surface, cons).weight} if surface is not None else {})
+            for system in pipes:
+                per_system[system] = allocator.bit_se(drops.snr_db, drops.snr_linear, system,
+                                                      tables)
+            weights = allocator.weight_stacks(len(stacks), len(block), cfg.n_users, n_channels)
+            for s, (system, tf) in enumerate(stacks):
+                weights[s] = (per_system[system] if tf is None
+                              else allocator.bit_pipe_weights(per_system[system], tf, cons))
+            del per_system  # freed before the matcher allocates its working set
             matched = allocator.match_drops(weights.reshape(-1, cfg.n_users, n_channels))
-            total = matched.total.reshape(n_stacks, len(block))
-            channel = matched.channel.reshape(n_stacks, len(block), cfg.n_users)
+            total = matched.total.reshape(len(stacks), len(block))
+            channel = matched.channel.reshape(len(stacks), len(block), cfg.n_users)
             matches = {}
-            if surface is not None:
-                semantic_matches = DropMatches(total[0], channel[0])
-                for value, _tf in group:
-                    matches[_row(SystemKind.SEMANTIC, cfg.sweep_param, value)] = semantic_matches
-            # the i-th (value, bit pipe), value-major, was matched in stack s:
-            # the pipe's one stack if shared, else a stack per value and pipe
-            for i, ((value, tf), system) in enumerate(itertools.product(group, pipes)):
-                s = first_pipe + i % (n_stacks - first_pipe)
-                matches[_row(system, cfg.sweep_param, value)] = (
-                    allocator.score_channels(allocator.bit_pipe_weights(weights[s], tf, cons),
-                                             channel[s])
-                    if shared else DropMatches(total[s], channel[s]))
+            for row, s, tf in rows:
+                matches[row] = (DropMatches(total[s], channel[s]) if tf is None
+                                else allocator.score_channels(
+                                    allocator.bit_pipe_weights(weights[s], tf, cons), channel[s]))
             del weights  # freed before the next block samples
             yield drops, matches
 

@@ -241,11 +241,21 @@ class TestRunScenario:
         cfg = quick_cfg()
         assert run_scenario(cfg) == run_scenario(cfg)
 
-    def test_system_subset_does_not_perturb_results(self):
-        semantic_only = run_scenario(quick_cfg(systems=(SystemKind.SEMANTIC,)))
-        full = run_scenario(quick_cfg())
-        full_semantic = [r for r in full if r.system is SystemKind.SEMANTIC]
-        assert semantic_only == full_semantic
+    @pytest.mark.parametrize("sse_threshold", [0.0, 0.025])
+    @pytest.mark.parametrize("systems", [
+        (SystemKind.SEMANTIC,),
+        (SystemKind.IDEAL, SystemKind.FIVE_G),  # stack 0 is a bit pipe
+        (SystemKind.SEMANTIC, SystemKind.FOUR_G),
+        (SystemKind.FIVE_G, SystemKind.SEMANTIC, SystemKind.IDEAL),
+    ], ids=lambda systems: "-".join(s.value for s in systems))
+    def test_system_subset_does_not_perturb_results(self, systems, sse_threshold):
+        cfg = quick_cfg(constraints=Constraints(sse_threshold=sse_threshold),
+                        sweep_param="bits_per_word", sweep_values=(10.0, 19.0, 40.0))
+        full = drop_totals(cfg, None)
+        subset = drop_totals(dataclasses.replace(cfg, systems=systems), None)
+        assert subset.keys() == {row for row in full if row[0] in systems}
+        for row, totals in subset.items():
+            assert totals.tobytes() == full[row].tobytes()
 
     def test_record_per_system_and_value(self):
         systems = (SystemKind.FIVE_G, SystemKind.SEMANTIC, SystemKind.IDEAL)
