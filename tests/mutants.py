@@ -59,6 +59,8 @@ SEEDING = (
 SUM_BY_USER = "tests/test_allocator.py::TestSumByUser::"
 CLI_TESTS = "tests/test_harness.py::TestCli::"
 SHARED = "tests/test_harness.py::TestSharedBitPipeMatching::"
+# every CSV row's totals and the CSV itself, against a plain definition of each row
+REFERENCE = "tests/test_harness.py::TestReferencePipeline::test_every_row_equals_the_reference"
 
 MUTANTS = [
     # the k scan: its take rule and its candidate pruning
@@ -73,9 +75,9 @@ MUTANTS = [
             "::test_surrogate_columns_hold_at_most_two_candidates",)),
     # the mean and std of the totals, shifted by the first total
     Mutant("_std without - scaled[0]", HARNESS,
-           "(scaled - scaled[0]).std(ddof=1)", "scaled.std(ddof=1)", GOLDEN_SWEEP),
+           "(scaled - scaled[0]).std(ddof=1)", "scaled.std(ddof=1)", GOLDEN_SWEEP + (REFERENCE,)),
     Mutant("plain t.mean() in _records", HARNESS,
-           "float(t[0] + (t - t[0]).mean())", "float(t.mean())", GOLDEN_SWEEP),
+           "float(t[0] + (t - t[0]).mean())", "float(t.mean())", GOLDEN_SWEEP + (REFERENCE,)),
     # which matcher runs, and how a total is summed
     Mutant("_STACK_MIN_DROPS = 1", ALLOCATOR,
            "_STACK_MIN_DROPS = 256", "_STACK_MIN_DROPS = 1",
@@ -146,18 +148,21 @@ MUTANTS = [
            "np.where(served & ok, w, 0.0)", "np.where(ok, w, 0.0)",
            ("tests/test_acceptance.py::test_criterion_5_fixed_k_policy_dominated[8x3]",
             "tests/test_acceptance.py::test_criterion_5_fixed_k_policy_dominated[20x5]",
-            "tests/test_golden.py::test_run_output_is_byte_identical[compare_overloaded]")),
+            "tests/test_golden.py::test_run_output_is_byte_identical[compare_overloaded]",
+            REFERENCE)),
     # one matching per bit pipe at sse_threshold 0, each value scored on it
     Mutant("bit pipes matched once above a zero floor", HARNESS,
            "shared = cons.sse_threshold == 0", "shared = True",
            ("tests/test_harness.py::TestBlocks::test_one_match_drops_call_per_block_and_sample"
             "[kw0-None-10-1]",
-            "tests/test_golden.py::test_run_output_is_byte_identical[floored_bits_per_word_sweep]")),
+            "tests/test_golden.py::test_run_output_is_byte_identical[floored_bits_per_word_sweep]",
+            REFERENCE)),
     Mutant("every value scored with the first value's weights", HARNESS,
            "allocator.bit_pipe_weights(weights[s], tf, cons)",
            "allocator.bit_pipe_weights(weights[s], group[0][1], cons)",
            (SHARED + "test_each_value_is_scored_with_its_own_weights_on_those_channels",
-            "tests/test_golden.py::test_run_output_is_byte_identical[bits_per_word_sweep]")),
+            "tests/test_golden.py::test_run_output_is_byte_identical[bits_per_word_sweep]",
+            REFERENCE)),
     Mutant("a zero-weight matched pair scored as served", ALLOCATOR,
            "served = (channel >= 0) & (matched > 0.0)", "served = channel >= 0",
            (SHARED + "test_each_value_is_scored_with_its_own_weights_on_those_channels",

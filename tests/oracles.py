@@ -15,10 +15,13 @@ total by enumeration, and ``plain_max_weight_rect`` a transcription of
 scipy's ``augmenting_path``, the full scan that both of ``match_drops``'s
 engines run and that the stacked one, ``allocator._max_weight_stack``, must
 equal step for step.
+``reference_drop_totals`` is ``harness.drop_totals`` by its definition, one
+drop, system and sweep value at a time, on these oracles.
 Every total here is summed as ``allocator.sum_by_user`` sums, in ascending
 order (``ascending_sum``).
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -27,9 +30,14 @@ from semse.allocator import (
     Assignment,
     Constraints,
     PlanArrays,
+    bit_pipe_weights,
+    bit_se,
     match_drops,
     sse_at_k,
 )
+from semse.channel import sample_drops
+from semse.harness import _swept, surface_for, tables_for
+from semse.link_adaptation import SystemKind
 from semse.similarity import SimilaritySurface
 
 # largest joint k-combination tensor the oracle materializes at once;
@@ -256,3 +264,73 @@ def plain_max_weight_rect(weights: list[list[float]]) -> list[int]:
             if i == cur:
                 break
     return col_of_row
+
+
+def _served_links(weights) -> list[tuple[int, int]]:
+    """The (user, channel) pairs of positive weight that ``plain_max_weight_rect`` matches.
+
+    The matrix's shorter side is the matcher's rows, as in ``match_drops``.
+    """
+    w = np.asarray(weights, dtype=float)
+    if w.shape[0] <= w.shape[1]:
+        pairs = enumerate(plain_max_weight_rect(w.tolist()))
+    else:
+        pairs = ((i, j) for j, i in enumerate(plain_max_weight_rect(w.T.tolist())))
+    return [(i, j) for i, j in pairs if w[i, j] > 0.0]
+
+
+def _fixed_k_total(surface: SimilaritySurface, k: int, snr_db, links, cons: Constraints) -> float:
+    """Each link's S-SE at k by ``query``, where both floors hold, summed."""
+    scores = []
+    for i, j in links:
+        xi = query(surface, k, float(snr_db[i, j]))
+        if xi >= cons.similarity_threshold and xi / k >= cons.sse_threshold:
+            scores.append(xi / k)
+    return ascending_sum(scores)
+
+
+def reference_drop_totals(cfg, fixed_k_values) -> dict:
+    """``harness.drop_totals(cfg, fixed_k_values)`` by its definition: {row key: (n_drops,) totals}.
+
+    For each sweep value, system and drop it samples that drop alone, with
+    ``sample_drops(..., [seed])``, and weighs it: ``full_k_scan`` for the
+    semantic system, ``bit_pipe_weights(bit_se(...))`` for a bit pipe. It
+    matches the weights with ``plain_max_weight_rect`` and sums the served
+    links' weights with ``ascending_sum``. With ``sse_threshold = 0`` a bit
+    pipe is matched on its bit SE, and the value's weights are scored on
+    those links. For ``compare`` the scenario runs unswept with the ideal
+    and semantic systems: each fixed k scores the ideal system's served
+    links with ``query``, and the optimized row is the semantic total. No
+    blocks, table, buffer or engine fork.
+    """
+    if fixed_k_values is not None:
+        cfg = dataclasses.replace(cfg, systems=(SystemKind.IDEAL, SystemKind.SEMANTIC),
+                                  sweep_param=None, sweep_values=())
+    cons, tables = cfg.constraints, tables_for(cfg)
+    surface = surface_for(cfg) if SystemKind.SEMANTIC in cfg.systems else None
+    totals: dict = {}
+    for value in cfg.sweep_values or (None,):
+        at = _swept(cfg, value)
+        key = (cfg.sweep_param or "none", 0.0 if value is None else float(value))
+        for system in cfg.systems:
+            for d in range(cfg.n_drops):
+                drop = sample_drops(at.n_users, at.n_channels, at.radio, [cfg.base_seed + d])[0]
+                if system is SystemKind.SEMANTIC:
+                    w = full_k_scan(drop.snr_db, surface, cons).weight
+                    links = _served_links(w)
+                else:
+                    se = bit_se(drop.snr_db, drop.snr_linear, system, tables)
+                    w = bit_pipe_weights(se, at.tf, cons)
+                    links = _served_links(se if cons.sse_threshold == 0 else w)
+                total = ascending_sum(w[i, j] for i, j in links)
+                if fixed_k_values is None:
+                    rows = {(system, *key): total}
+                elif system is SystemKind.IDEAL:
+                    rows = {(SystemKind.SEMANTIC, "fixed_k", float(k)):
+                            _fixed_k_total(surface, k, drop.snr_db, links, cons)
+                            for k in fixed_k_values}
+                else:
+                    rows = {(SystemKind.SEMANTIC, "optimized_k", 0.0): total}
+                for row, x in rows.items():
+                    totals.setdefault(row, []).append(x)
+    return {row: np.array(x, dtype=float) for row, x in totals.items()}

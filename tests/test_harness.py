@@ -1,11 +1,14 @@
 import dataclasses
 import errno
+import math
 import re
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semse import allocator, harness
 from semse.cli import main
@@ -37,7 +40,7 @@ from semse.channel import RadioParams, sample_drop
 from semse.link_adaptation import SystemKind, builtin_table
 from semse.metrics import SourceStats, TransformFactor
 
-from oracles import ascending_sum, match_one, query
+from oracles import ascending_sum, match_one, query, reference_drop_totals
 
 ALL_SYSTEMS = (
     SystemKind.SEMANTIC,
@@ -446,6 +449,84 @@ class TestBlocks:
             for row, t in by_row.items()
         }
         assert all(len(totals) == cfg.n_drops for totals in by_row.values())
+
+
+# a few values of each sweep parameter, none printing like another
+REFERENCE_SWEEPS = {
+    "n_channels": (1.0, 2.0, 3.0, 4.0, 5.0, 6.0),
+    "tx_power_dbm": (-10.0, 0.0, 10.0, 30.0),
+    "bits_per_word": (5.0, 10.0, 19.0, 40.0),
+}
+
+
+@st.composite
+def reference_cases(draw):
+    """(cfg, fixed k values or None, (_BLOCK_PAIRS, _CALL_WEIGHTS, _STACK_MIN_DROPS))."""
+    sweep_param = draw(st.sampled_from([None, *SWEEPABLE]))
+    values = () if sweep_param is None else tuple(draw(st.lists(
+        st.sampled_from(REFERENCE_SWEEPS[sweep_param]), min_size=1, max_size=3, unique=True)))
+    cfg = ScenarioConfig(
+        n_users=draw(st.integers(1, 6)), n_channels=draw(st.integers(1, 6)),
+        constraints=Constraints(sse_threshold=draw(st.sampled_from([0.0, 0.025]))),
+        systems=tuple(draw(st.lists(st.sampled_from(ALL_SYSTEMS), min_size=1, unique=True))),
+        n_drops=draw(st.integers(1, 12)), base_seed=draw(st.integers(0, 1000)),
+        sweep_param=sweep_param, sweep_values=values,
+    )
+    fixed_k = draw(st.none() | st.lists(st.integers(1, cfg.constraints.k_max), max_size=3,
+                                        unique=True))
+    budgets = draw(st.integers(1, 256)), draw(st.integers(1, 1024)), draw(st.integers(1, 8))
+    return cfg, fixed_k, budgets
+
+
+def reference_records(cfg: ScenarioConfig, by_row: dict) -> list:
+    """A record per row: the mean, the first total plus the mean deviation from it,
+    and the std error of the deviations, both times info_per_word."""
+    n, scale = cfg.n_drops, cfg.src.info_per_word
+    records = []
+    for row, t in by_row.items():
+        mean = float(t[0] + (t - t[0]).mean())
+        stderr = float((t - t[0]).std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
+        records.append(SweepRecord(*row, mean * scale, stderr * scale, n))
+    return records
+
+
+class TestReferencePipeline:
+    """Every row of a run or a comparison equals ``oracles.reference_drop_totals``.
+
+    Each example lowers both block budgets and the stacked matcher's drop
+    threshold, so that a sample spans several blocks and both matching
+    engines run.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(reference_cases())
+    # equal totals of 0.1388675, which print at the rounding edge: a mean or
+    # std error taken without the first total's shift prints otherwise
+    @example((quick_cfg(n_users=6, n_channels=1, n_drops=10, systems=(SystemKind.FOUR_G,),
+                        radio=RadioParams(tx_power_dbm=30.0)), None, (64, 256, 4)))
+    # more users than channels: the ideal matching leaves users unserved
+    @example((quick_cfg(n_users=6, n_channels=2, n_drops=10), [1, 3, 5], (48, 96, 4)))
+    # one bit-pipe matching per block and value above a zero floor, where at
+    # -10 dBm the floor moves optimal channels; one per block below it
+    @example((quick_cfg(n_users=4, n_channels=4, n_drops=10, sweep_param="bits_per_word",
+                        sweep_values=(19.0, 40.0), radio=RadioParams(tx_power_dbm=-10.0)),
+              None, (64, 512, 4)))
+    @example((quick_cfg(n_users=4, n_channels=4, n_drops=10, sweep_param="bits_per_word",
+                        sweep_values=(10.0, 40.0), constraints=Constraints(sse_threshold=0.0)),
+              None, (64, 512, 4)))
+    def test_every_row_equals_the_reference(self, case):
+        cfg, fixed_k, (block_pairs, call_weights, stack_min_drops) = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "_BLOCK_PAIRS", block_pairs)
+            mp.setattr(harness, "_CALL_WEIGHTS", call_weights)
+            mp.setattr(allocator, "_STACK_MIN_DROPS", stack_min_drops)
+            by_row = drop_totals(cfg, fixed_k)
+            records = run_scenario(cfg) if fixed_k is None else run_model_comparison(cfg, fixed_k)
+        expect = reference_drop_totals(cfg, fixed_k)
+        assert by_row.keys() == expect.keys()
+        for row, totals in expect.items():
+            assert by_row[row].tobytes() == totals.tobytes(), row
+        assert format_csv(records) == format_csv(reference_records(cfg, expect))
 
 
 class TestSharedBitPipeMatching:
