@@ -35,20 +35,23 @@ and stacks per drop under two budgets: a block holds at most
 and the k scan, and at most ``_CALL_WEIGHTS`` weights (pairs x stacks),
 which bounds the matcher; it always holds at least one drop. Each sample
 has one table: the weight stacks it matches, each named by its system and
-the ``TransformFactor`` it is weighed at, and its CSV rows, each naming
-its stack and the ``TransformFactor`` its channels are scored at. The
+the ``TransformFactor`` it is weighed at, and its CSV rows. One rule makes
+every row of ``run`` and ``compare``: a row is (row key, stack, scorer),
+the stack's matched channels scored by the row's scorer, which is None
+(the stack's own totals), a ``TransformFactor`` (``score_channels`` on
+that value's weights) or a fixed k (each matched link's S-SE at k). The
 semantic stack serves every ``bits_per_word`` value. Above a zero S-SE
 floor a bit-pipe system has a stack per value, since the floor zeroes a
 different set of links at each. With ``sse_threshold = 0`` its weights at
 every value are one bit SE scaled by 1/bits_per_word, so its optimal
 channels do not depend on the value: its one stack is that bit SE, and
-each value's row is scored on the matched channels by
-``allocator.score_channels`` with the value's own weights. A block runs
-the per-pair k scan and each bit pipe's ``allocator.bit_se`` once, writes
-every stack into one ``allocator.weight_stacks`` buffer, whose layout the
-allocator chooses, and matches it in one call that returns per-drop
-totals as arrays. ``compare`` runs the loop with the ideal and semantic
-systems and no sweep.
+each value's row scores it at the value's ``TransformFactor``. A block
+runs the per-pair k scan and each bit pipe's ``allocator.bit_se`` once,
+writes every stack into one ``allocator.weight_stacks`` buffer, whose
+layout the allocator chooses, and matches it in one call that returns
+per-drop totals as arrays. ``compare`` runs the loop unswept with the
+ideal and semantic systems, and only adds rows: a fixed-k row per k on
+the ideal stack, then the semantic stack's totals as ``optimized_k``.
 
 Each per-drop total is keyed by the (system, sweep_param, sweep_value) of
 the CSV row it averages into. ``drop_totals`` joins a row's blocks into one
@@ -314,16 +317,15 @@ def _row(system: SystemKind, sweep_param: str | None, value) -> tuple:
     return system, sweep_param or "none", 0.0 if value is None else float(value)
 
 
-def _matched_blocks(cfg: ScenarioConfig, surface: SimilaritySurface | None):
+def _matched_blocks(cfg: ScenarioConfig, surface: SimilaritySurface | None, fixed_k_values=None):
     """Yield (drops, {row key: DropMatches}) per sample and block, blocks in order.
 
     A sample is a distinct (radio, n_channels) among the sweep values. Its
     table lists its stacks, keyed (system, tf) with tf the ``TransformFactor``
     of the stack's weights, None for the semantic weights (if ``surface`` is
-    given) and for a bare bit SE, and its rows, (row key, stack index, tf)
-    with tf the ``TransformFactor`` the stack's channels are scored at, None
-    where the row takes the stack's own totals. Its blocks are sized from
-    its own pairs and stacks per drop.
+    given) and for a bare bit SE, and its rows, (row key, stack index,
+    scorer) by the module's row rule; with ``fixed_k_values``, ``compare``'s
+    rows. Its blocks are sized from its own pairs and stacks per drop.
     """
     tables = tables_for(cfg)
     cons = cfg.constraints
@@ -335,7 +337,7 @@ def _matched_blocks(cfg: ScenarioConfig, surface: SimilaritySurface | None):
         samples.setdefault((at.radio, at.n_channels), []).append((value, at.tf))
     for (radio, n_channels), group in samples.items():
         stacks: dict = {}  # (system, tf weighed at) -> stack index, in index order
-        rows = []  # (row key, stack index, tf scored at): semantic, then value-major
+        rows = []  # (row key, stack index, scorer): semantic, then value-major
         if surface is not None:
             stacks[SystemKind.SEMANTIC, None] = 0
             rows += [(_row(SystemKind.SEMANTIC, cfg.sweep_param, value), 0, None)
@@ -343,6 +345,10 @@ def _matched_blocks(cfg: ScenarioConfig, surface: SimilaritySurface | None):
         for (value, tf), system in itertools.product(group, pipes):
             s = stacks.setdefault((system, None if shared else tf), len(stacks))
             rows.append((_row(system, cfg.sweep_param, value), s, tf if shared else None))
+        if fixed_k_values is not None:  # compare's rows, in place of the unswept run's
+            ideal = stacks[SystemKind.IDEAL, None if shared else cfg.tf]
+            rows = [(_row(SystemKind.SEMANTIC, "fixed_k", k), ideal, k) for k in fixed_k_values]
+            rows.append((_row(SystemKind.SEMANTIC, "optimized_k", None), 0, None))
         for block in _blocks(cfg.n_drops, cfg.n_users * n_channels, len(stacks)):
             seeds = [cfg.base_seed + d for d in block]
             try:
@@ -367,11 +373,21 @@ def _matched_blocks(cfg: ScenarioConfig, surface: SimilaritySurface | None):
             matched = allocator.match_drops(weights.reshape(-1, cfg.n_users, n_channels))
             total = matched.total.reshape(len(stacks), len(block))
             channel = matched.channel.reshape(len(stacks), len(block), cfg.n_users)
-            matches = {}
-            for row, s, tf in rows:
-                matches[row] = (DropMatches(total[s], channel[s]) if tf is None
-                                else allocator.score_channels(
-                                    allocator.bit_pipe_weights(weights[s], tf, cons), channel[s]))
+            matches, located = {}, {}  # located: {stack index: its matched links' SNR located}
+            for row, s, scorer in rows:
+                if scorer is None:
+                    matches[row] = DropMatches(total[s], channel[s])
+                elif isinstance(scorer, TransformFactor):
+                    matches[row] = allocator.score_channels(
+                        allocator.bit_pipe_weights(weights[s], scorer, cons), channel[s])
+                else:  # a fixed k, at each user's matched link; unmatched users score 0
+                    if s not in located:
+                        j = np.maximum(channel[s], 0)[..., None]
+                        located[s] = surface.locate(np.take_along_axis(drops.snr_db, j, 2)[..., 0])
+                    _xi, w, ok = allocator.sse_at_k(surface, scorer, located[s], cons)
+                    served = (channel[s] >= 0) & ok
+                    matches[row] = DropMatches(allocator.sum_by_user(np.where(served, w, 0.0)),
+                                               np.where(served, channel[s], -1))
             del weights  # freed before the next block samples
             yield drops, matches
 
@@ -382,42 +398,25 @@ def drop_totals(cfg: ScenarioConfig, fixed_k_values: list[int] | None) -> dict:
     A row key is the (system, sweep_param, sweep_value) of a record of
     ``run_scenario(cfg)`` if ``fixed_k_values`` is None, else of
     ``run_model_comparison(cfg, fixed_k_values)``: the unswept scenario runs
-    with the ideal and semantic systems, and the ideal matching is scored
-    with every user at each fixed k (pairs below the similarity or S-SE
-    floor score 0) next to the optimized total. The record's mean is the
-    array's mean times ``info_per_word``.
+    with the ideal and semantic systems, and a fixed-k row scores the ideal
+    matching with every user at k (pairs below the similarity or S-SE floor
+    score 0). Every row, ``compare``'s too, is a (row key, stack, scorer) of
+    the block loop's table, and this joins its blocks. The record's mean is
+    the array's mean times ``info_per_word``.
     """
-    cons = cfg.constraints
     if fixed_k_values is not None:
         for k in fixed_k_values:
-            if not 1 <= k <= cons.k_max:
-                raise ScenarioError(f"fixed k={k} outside 1..{cons.k_max}")
+            if not 1 <= k <= cfg.constraints.k_max:
+                raise ScenarioError(f"fixed k={k} outside 1..{cfg.constraints.k_max}")
         if len(set(fixed_k_values)) < len(fixed_k_values):
             raise ScenarioError(f"fixed k values must not repeat, got {fixed_k_values}")
         cfg = dataclasses.replace(cfg, systems=(SystemKind.IDEAL, SystemKind.SEMANTIC),
                                   sweep_param=None, sweep_values=())
     surface = surface_for(cfg) if SystemKind.SEMANTIC in cfg.systems else None
     parts: dict = {}  # {row key: its per-drop totals, block by block}
-    for drops, matches in _matched_blocks(cfg, surface):
-        if fixed_k_values is None:
-            totals = {row: m.total for row, m in matches.items()}
-        else:
-            channel = matches[SystemKind.IDEAL, "none", 0.0].channel
-            # SNR of each user's ideal-matched pair; unmatched users score 0
-            served = channel >= 0
-            snr_matched = np.take_along_axis(
-                drops.snr_db, np.where(served, channel, 0)[..., None], axis=2
-            )[..., 0]
-            located = surface.locate(snr_matched)
-            totals = {}
-            for k in fixed_k_values:
-                _xi, w, ok = allocator.sse_at_k(surface, k, located, cons)
-                score = np.where(served & ok, w, 0.0)
-                totals[SystemKind.SEMANTIC, "fixed_k", float(k)] = allocator.sum_by_user(score)
-            optimized = matches[SystemKind.SEMANTIC, "none", 0.0].total
-            totals[SystemKind.SEMANTIC, "optimized_k", 0.0] = optimized
-        for row, total in totals.items():
-            parts.setdefault(row, []).append(total)
+    for _drops, matches in _matched_blocks(cfg, surface, fixed_k_values):
+        for row, m in matches.items():
+            parts.setdefault(row, []).append(m.total)
     return {row: np.concatenate(p) for row, p in parts.items()}
 
 

@@ -145,10 +145,14 @@ MUTANTS = [
            "np.where(w >= cons.sse_threshold, w, 0.0)", "np.where(w > cons.sse_threshold, w, 0.0)",
            ("tests/test_allocator.py::TestBitPipeWeights::test_weight_at_the_floor_is_kept",)),
     Mutant("fixed k scores unserved users", HARNESS,
-           "np.where(served & ok, w, 0.0)", "np.where(ok, w, 0.0)",
+           "served = (channel[s] >= 0) & ok", "served = ok",
            ("tests/test_acceptance.py::test_criterion_5_fixed_k_policy_dominated[8x3]",
             "tests/test_acceptance.py::test_criterion_5_fixed_k_policy_dominated[20x5]",
             "tests/test_golden.py::test_run_output_is_byte_identical[compare_overloaded]",
+            REFERENCE)),
+    Mutant("fixed k scored on the semantic stack's channels", HARNESS,
+           ", ideal, k) for k in fixed_k_values]", ", 0, k) for k in fixed_k_values]",
+           ("tests/test_golden.py::test_run_output_is_byte_identical[compare_overloaded]",
             REFERENCE)),
     # one matching per bit pipe at sse_threshold 0, each value scored on it
     Mutant("bit pipes matched once above a zero floor", HARNESS,
@@ -158,7 +162,7 @@ MUTANTS = [
             "tests/test_golden.py::test_run_output_is_byte_identical[floored_bits_per_word_sweep]",
             REFERENCE)),
     Mutant("every value scored with the first value's weights", HARNESS,
-           "allocator.bit_pipe_weights(weights[s], tf, cons)",
+           "allocator.bit_pipe_weights(weights[s], scorer, cons)",
            "allocator.bit_pipe_weights(weights[s], group[0][1], cons)",
            (SHARED + "test_each_value_is_scored_with_its_own_weights_on_those_channels",
             "tests/test_golden.py::test_run_output_is_byte_identical[bits_per_word_sweep]",

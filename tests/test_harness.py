@@ -39,6 +39,7 @@ from semse.allocator import (
 from semse.channel import RadioParams, sample_drop
 from semse.link_adaptation import SystemKind, builtin_table
 from semse.metrics import SourceStats, TransformFactor
+from semse.similarity import SimilaritySurface
 
 from oracles import ascending_sum, match_one, query, reference_drop_totals
 
@@ -479,8 +480,11 @@ def reference_cases(draw):
 
 
 def reference_records(cfg: ScenarioConfig, by_row: dict) -> list:
-    """A record per row: the mean, the first total plus the mean deviation from it,
-    and the std error of the deviations, both times info_per_word."""
+    """A record per row, its mean and std error times info_per_word.
+
+    The mean is the first total plus the mean deviation from it, and the
+    std error that of the deviations, as ``harness._records`` takes them.
+    """
     n, scale = cfg.n_drops, cfg.src.info_per_word
     records = []
     for row, t in by_row.items():
@@ -691,6 +695,25 @@ class TestComparison:
         assert params == ["fixed_k", "fixed_k", "optimized_k"]
         assert [r.sweep_value for r in records] == [2.0, 4.0, 0.0]
 
+    def test_fixed_k_rows_are_scored_on_gathered_links(self, monkeypatch):
+        # each block gathers the ideal stack's matched links and locates them
+        # once, and each k scores those (drops, users) links, not every pair
+        cfg = load_scenario(SCENARIOS / "default.txt")
+        blocks, located, scored = [], [], []
+        real_sample, real_locate, real_sse = (
+            harness.sample_drops, SimilaritySurface.locate, allocator.sse_at_k)
+        monkeypatch.setattr(
+            harness, "sample_drops", lambda *args: blocks.append(args[3]) or real_sample(*args))
+        monkeypatch.setattr(SimilaritySurface, "locate",
+                            lambda self, snr: located.append(np.shape(snr)) or real_locate(self, snr))
+        monkeypatch.setattr(allocator, "sse_at_k", lambda surface, k, at, cons: (
+            scored.append((k, at[0].shape)) or real_sse(surface, k, at, cons)))
+        run_model_comparison(cfg, [1, 2, 3, 4, 5])
+        links = [(len(seeds), cfg.n_users) for seeds in blocks]
+        # the k scan locates the (drops, users, channels) pairs
+        assert [shape for shape in located if len(shape) == 2] == links
+        assert scored == [(k, shape) for shape in links for k in range(1, 6)]
+
 
 class TestCsv:
     def test_header_only_for_empty_records(self, tmp_path):
@@ -882,6 +905,17 @@ class TestCli:
         assert "bits_per_word = 1e-310" in captured.err
         assert "info_per_word = 1.0" not in captured.err
         assert captured.out == ""
+
+    def test_compare_at_a_zero_floor_reads_no_weight_at_bits_per_word(self, tmp_path, capsys):
+        # the ideal system is then matched on its bit SE, and no compare row
+        # scores it at bits_per_word, so a value whose S-SE overflows runs
+        outputs = []
+        for value in ("40", "1e-310"):
+            scenario = write_scenario(
+                tmp_path, f"n_drops = 3\nsse_threshold = 0\nbits_per_word = {value}\n")
+            assert main(["compare", str(scenario), "--k", "1,2"]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
 
     def test_table_whose_totals_overflow_is_named_with_bits_per_word(self, tmp_path, capsys):
         # the per-drop totals overflow in the user-order sum: that used to
