@@ -33,10 +33,11 @@ and ``bit_pipe_weights`` applies the one bit-to-S-SE transform, se /
 bits_per_word, and the S-SE floor. ``score_channels`` scores given
 channels on a weight stack: ``match_drops`` scores its matching there, and
 a caller can score one matching on other weights, such as a system's bit
-SE matching on its weights at each bits_per_word. ``weight_stacks`` lays
-out the buffer a caller writes a block's weight stacks into, drop-minor
-with the matcher's rows outermost, so that ``match_drops`` reads it
-without a copy. All
+SE matching on its weights at each bits_per_word. It serves users by the
+one rule of ``serve``: a user is served where its weight on its channel
+is positive. ``weight_stacks`` lays out the buffer a caller writes a
+block's weight stacks into, drop-minor with the matcher's rows
+outermost, so that ``match_drops`` reads it without a copy. All
 weights and totals here are normalized, i.e. expressed per unit of
 ``SourceStats.info_per_word``; the reporting layer applies that scale.
 The exhaustive joint oracle the tests compare against lives in
@@ -456,13 +457,22 @@ def match_drops(weights) -> DropMatches:
 def score_channels(weights: np.ndarray, channel: np.ndarray) -> DropMatches:
     """``DropMatches`` of a (drops, users, channels) stack with each user on a given channel.
 
-    ``channel`` (drops, users) is -1 for a user with none. A user is served
-    only where its weight there is positive, and each drop's total is its
-    served users' weights summed by ``sum_by_user``. ``match_drops`` scores
-    its matching here, and so does a caller that scores one matching on
-    other weights.
+    ``channel`` (drops, users) is -1 for a user with none. ``match_drops``
+    scores its matching here, and so does a caller that scores one matching
+    on other weights.
     """
-    matched = np.take_along_axis(weights, np.maximum(channel, 0)[..., None], axis=2)[..., 0]
+    return serve(np.take_along_axis(weights, np.maximum(channel, 0)[..., None], axis=2)[..., 0],
+                 channel)
+
+
+def serve(matched: np.ndarray, channel: np.ndarray) -> DropMatches:
+    """``DropMatches`` of users on given channels, given each one's weight there.
+
+    ``matched`` and ``channel`` are (drops, users); ``channel`` is -1 for a
+    user with none. A user is served only where its weight there is
+    positive, and each drop's total is its served users' weights summed by
+    ``sum_by_user``.
+    """
     served = (channel >= 0) & (matched > 0.0)
     return DropMatches(sum_by_user(np.where(served, matched, 0.0)), np.where(served, channel, -1))
 

@@ -39,17 +39,18 @@ the ``TransformFactor`` it is weighed at, and its CSV rows. One rule makes
 every row of ``run`` and ``compare``: a row is (row key, stack, scorer),
 the stack's matched channels scored by the row's scorer, which is None
 (the stack's own totals), a ``TransformFactor`` (``score_channels`` on
-that value's weights) or a fixed k (each matched link's S-SE at k). The
-semantic stack serves every ``bits_per_word`` value. Above a zero S-SE
-floor a bit-pipe system has a stack per value, since the floor zeroes a
-different set of links at each. With ``sse_threshold = 0`` its weights at
-every value are one bit SE scaled by 1/bits_per_word, so its optimal
-channels do not depend on the value: its one stack is that bit SE, and
-each value's row scores it at the value's ``TransformFactor``. A block
-runs the per-pair k scan and each bit pipe's ``allocator.bit_se`` once,
-writes every stack into one ``allocator.weight_stacks`` buffer, whose
-layout the allocator chooses, and matches it in one call that returns
-per-drop totals as arrays. ``compare`` runs the loop unswept with the
+that value's weights) or a fixed k (each matched link's S-SE at k, where
+both floors hold); every scorer serves a user by ``allocator.serve``'s
+rule. The semantic stack serves every ``bits_per_word`` value. Above a
+zero S-SE floor a bit-pipe system has a stack per value, since the floor
+zeroes a different set of links at each. With ``sse_threshold = 0`` its
+weights at every value are one bit SE scaled by 1/bits_per_word, so its
+optimal channels do not depend on the value: its one stack is that bit
+SE, and each value's row scores it at the value's ``TransformFactor``. A
+block runs the per-pair k scan and each bit pipe's ``allocator.bit_se``
+once, writes every stack into one ``allocator.weight_stacks`` buffer,
+whose layout the allocator chooses, and matches it in one call that
+returns per-drop totals as arrays. ``compare`` runs the loop unswept with the
 ideal and semantic systems, and only adds rows: a fixed-k row per k on
 the ideal stack, then the semantic stack's totals as ``optimized_k``.
 
@@ -318,7 +319,7 @@ def _row(system: SystemKind, sweep_param: str | None, value) -> tuple:
 
 
 def _matched_blocks(cfg: ScenarioConfig, surface: SimilaritySurface | None, fixed_k_values=None):
-    """Yield (drops, {row key: DropMatches}) per sample and block, blocks in order.
+    """Yield {row key: DropMatches} per sample and block, blocks in order.
 
     A sample is a distinct (radio, n_channels) among the sweep values. Its
     table lists its stacks, keyed (system, tf) with tf the ``TransformFactor``
@@ -380,16 +381,14 @@ def _matched_blocks(cfg: ScenarioConfig, surface: SimilaritySurface | None, fixe
                 elif isinstance(scorer, TransformFactor):
                     matches[row] = allocator.score_channels(
                         allocator.bit_pipe_weights(weights[s], scorer, cons), channel[s])
-                else:  # a fixed k, at each user's matched link; unmatched users score 0
+                else:  # a fixed k, at each user's matched link where both floors hold
                     if s not in located:
                         j = np.maximum(channel[s], 0)[..., None]
                         located[s] = surface.locate(np.take_along_axis(drops.snr_db, j, 2)[..., 0])
                     _xi, w, ok = allocator.sse_at_k(surface, scorer, located[s], cons)
-                    served = (channel[s] >= 0) & ok
-                    matches[row] = DropMatches(allocator.sum_by_user(np.where(served, w, 0.0)),
-                                               np.where(served, channel[s], -1))
+                    matches[row] = allocator.serve(np.where(ok, w, 0.0), channel[s])
             del weights  # freed before the next block samples
-            yield drops, matches
+            yield matches
 
 
 def drop_totals(cfg: ScenarioConfig, fixed_k_values: list[int] | None) -> dict:
@@ -414,7 +413,7 @@ def drop_totals(cfg: ScenarioConfig, fixed_k_values: list[int] | None) -> dict:
                                   sweep_param=None, sweep_values=())
     surface = surface_for(cfg) if SystemKind.SEMANTIC in cfg.systems else None
     parts: dict = {}  # {row key: its per-drop totals, block by block}
-    for _drops, matches in _matched_blocks(cfg, surface, fixed_k_values):
+    for matches in _matched_blocks(cfg, surface, fixed_k_values):
         for row, m in matches.items():
             parts.setdefault(row, []).append(m.total)
     return {row: np.concatenate(p) for row, p in parts.items()}

@@ -58,8 +58,7 @@ SEEDING = (
 )
 SUM_BY_USER = "tests/test_allocator.py::TestSumByUser::"
 CLI_TESTS = "tests/test_harness.py::TestCli::"
-SHARED = "tests/test_harness.py::TestSharedBitPipeMatching::"
-# every CSV row's totals and the CSV itself, against a plain definition of each row
+# every CSV row's totals and record, against a plain definition of each row
 REFERENCE = "tests/test_harness.py::TestReferencePipeline::test_every_row_equals_the_reference"
 
 MUTANTS = [
@@ -78,6 +77,10 @@ MUTANTS = [
            "(scaled - scaled[0]).std(ddof=1)", "scaled.std(ddof=1)", GOLDEN_SWEEP + (REFERENCE,)),
     Mutant("plain t.mean() in _records", HARNESS,
            "float(t[0] + (t - t[0]).mean())", "float(t.mean())", GOLDEN_SWEEP + (REFERENCE,)),
+    Mutant("_records without the info_per_word scale", HARNESS,
+           "n, scale = cfg.n_drops, cfg.src.info_per_word", "n, scale = cfg.n_drops, 1.0",
+           ("tests/test_harness.py::TestRunScenario::test_info_per_word_scales_reported_means",
+            REFERENCE)),
     # which matcher runs, and how a total is summed
     Mutant("_STACK_MIN_DROPS = 1", ALLOCATOR,
            "_STACK_MIN_DROPS = 256", "_STACK_MIN_DROPS = 1",
@@ -145,7 +148,8 @@ MUTANTS = [
            "np.where(w >= cons.sse_threshold, w, 0.0)", "np.where(w > cons.sse_threshold, w, 0.0)",
            ("tests/test_allocator.py::TestBitPipeWeights::test_weight_at_the_floor_is_kept",)),
     Mutant("fixed k scores unserved users", HARNESS,
-           "served = (channel[s] >= 0) & ok", "served = ok",
+           "allocator.serve(np.where(ok, w, 0.0), channel[s])",
+           "allocator.serve(np.where(ok, w, 0.0), np.maximum(channel[s], 0))",
            ("tests/test_acceptance.py::test_criterion_5_fixed_k_policy_dominated[8x3]",
             "tests/test_acceptance.py::test_criterion_5_fixed_k_policy_dominated[20x5]",
             "tests/test_golden.py::test_run_output_is_byte_identical[compare_overloaded]",
@@ -164,14 +168,14 @@ MUTANTS = [
     Mutant("every value scored with the first value's weights", HARNESS,
            "allocator.bit_pipe_weights(weights[s], scorer, cons)",
            "allocator.bit_pipe_weights(weights[s], group[0][1], cons)",
-           (SHARED + "test_each_value_is_scored_with_its_own_weights_on_those_channels",
-            "tests/test_golden.py::test_run_output_is_byte_identical[bits_per_word_sweep]",
+           ("tests/test_golden.py::test_run_output_is_byte_identical[bits_per_word_sweep]",
             REFERENCE)),
     Mutant("a zero-weight matched pair scored as served", ALLOCATOR,
            "served = (channel >= 0) & (matched > 0.0)", "served = channel >= 0",
-           (SHARED + "test_each_value_is_scored_with_its_own_weights_on_those_channels",
-            "tests/test_allocator.py::TestScoreChannels"
-            "::test_zero_weight_on_its_channel_is_unserved")),
+           ("tests/test_allocator.py::TestScoreChannels"
+            "::test_zero_weight_on_its_channel_is_unserved",
+            "tests/test_harness.py::TestComparison"
+            "::test_a_user_scoring_0_at_a_fixed_k_is_unserved")),
     # which inputs a run reads, and the CLI's edge cases
     Mutant("tables_for reads every CQI table", HARNESS,
            "        if system not in cfg.systems:\n            continue\n", "",

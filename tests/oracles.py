@@ -16,7 +16,8 @@ scipy's ``augmenting_path``, the full scan that both of ``match_drops``'s
 engines run and that the stacked one, ``allocator._max_weight_stack``, must
 equal step for step.
 ``reference_drop_totals`` is ``harness.drop_totals`` by its definition, one
-drop, system and sweep value at a time, on these oracles.
+drop, system and sweep value at a time, on these oracles and, for drops
+larger than the fuzzed ones, scipy's public ``linear_sum_assignment``.
 Every total here is summed as ``allocator.sum_by_user`` sums, in ascending
 order (``ascending_sum``).
 """
@@ -25,6 +26,7 @@ import dataclasses
 import itertools
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from semse.allocator import (
     Assignment,
@@ -43,6 +45,9 @@ from semse.similarity import SimilaritySurface
 # largest joint k-combination tensor the oracle materializes at once;
 # beyond this it iterates the first user's k and holds K**(n-1) floats
 _JOINT_BLOCK_LIMIT = 1 << 22
+# longest side the reference pipeline matches with ``plain_max_weight_rect``,
+# the fuzzed shapes' largest; scipy's public solver matches larger drops
+_PLAIN_MATCH_SIDE = 6
 
 
 def ascending_sum(values) -> float:
@@ -267,15 +272,19 @@ def plain_max_weight_rect(weights: list[list[float]]) -> list[int]:
 
 
 def _served_links(weights) -> list[tuple[int, int]]:
-    """The (user, channel) pairs of positive weight that ``plain_max_weight_rect`` matches.
+    """The matched (user, channel) pairs of positive weight.
 
     The matrix's shorter side is the matcher's rows, as in ``match_drops``.
+    Up to ``_PLAIN_MATCH_SIDE`` a side ``plain_max_weight_rect`` matches
+    them, above it scipy's public ``linear_sum_assignment``.
     """
     w = np.asarray(weights, dtype=float)
-    if w.shape[0] <= w.shape[1]:
-        pairs = enumerate(plain_max_weight_rect(w.tolist()))
+    rows = w if w.shape[0] <= w.shape[1] else w.T
+    if max(w.shape) <= _PLAIN_MATCH_SIDE:
+        cols = plain_max_weight_rect(rows.tolist())
     else:
-        pairs = ((i, j) for j, i in enumerate(plain_max_weight_rect(w.T.tolist())))
+        cols = linear_sum_assignment(rows, maximize=True)[1].tolist()
+    pairs = enumerate(cols) if rows is w else ((i, j) for j, i in enumerate(cols))
     return [(i, j) for i, j in pairs if w[i, j] > 0.0]
 
 
@@ -295,13 +304,14 @@ def reference_drop_totals(cfg, fixed_k_values) -> dict:
     For each sweep value, system and drop it samples that drop alone, with
     ``sample_drops(..., [seed])``, and weighs it: ``full_k_scan`` for the
     semantic system, ``bit_pipe_weights(bit_se(...))`` for a bit pipe. It
-    matches the weights with ``plain_max_weight_rect`` and sums the served
-    links' weights with ``ascending_sum``. With ``sse_threshold = 0`` a bit
-    pipe is matched on its bit SE, and the value's weights are scored on
-    those links. For ``compare`` the scenario runs unswept with the ideal
-    and semantic systems: each fixed k scores the ideal system's served
-    links with ``query``, and the optimized row is the semantic total. No
-    blocks, table, buffer or engine fork.
+    matches the weights with ``plain_max_weight_rect``, or above its size
+    with scipy's public solver, and sums the served links' weights with
+    ``ascending_sum``. With ``sse_threshold = 0`` a bit pipe is matched on
+    its bit SE, and the value's weights are scored on those links. For
+    ``compare`` the scenario runs unswept with the ideal and semantic
+    systems: each fixed k scores the ideal system's served links with
+    ``query``, and the optimized row is the semantic total. No blocks,
+    table, buffer or engine fork.
     """
     if fixed_k_values is not None:
         cfg = dataclasses.replace(cfg, systems=(SystemKind.IDEAL, SystemKind.SEMANTIC),

@@ -15,7 +15,7 @@ from semse.allocator import (
     bit_pipe_weights,
     build_pair_plans,
 )
-from semse.channel import RadioParams, pathloss_db, sample_drop, snr
+from semse.channel import RadioParams, pathloss_db, sample_drops, snr
 from semse.harness import (
     ScenarioConfig,
     crossover_bits_per_word,
@@ -221,7 +221,7 @@ def test_criterion_9_invariant_suites():
         assert snr(params, g, c * f)[0] == pytest.approx(c * base, rel=1e-12)
 
     # placement and fading distributions
-    drop = sample_drop(100_000, 1, params, 77)
+    drop = sample_drops(100_000, 1, params, [77])[0]
     assert np.mean(drop.user_distances_km < params.cell_radius_km / 2) == pytest.approx(
         0.25, abs=0.01
     )
@@ -238,7 +238,7 @@ def test_criterion_9_invariant_suites():
     surface5 = default_surrogate(20)
     cons = Constraints()
     for seed in range(20):
-        d = sample_drop(5, 5, params, 4000 + seed)
+        d = sample_drops(5, 5, params, [4000 + seed])[0]
         plans = build_pair_plans(d.snr_db, surface5, cons)
         a = match_one(plans.weight)
         users = [i for i, _ in a.pairs]
@@ -252,8 +252,8 @@ def test_criterion_9_invariant_suites():
             assert plans.weight[i, j] >= cons.sse_threshold
 
     # seed determinism end to end
-    d1 = sample_drop(5, 5, params, 123)
-    d2 = sample_drop(5, 5, params, 123)
+    d1 = sample_drops(5, 5, params, [123])[0]
+    d2 = sample_drops(5, 5, params, [123])[0]
     assert np.array_equal(d1.snr_db, d2.snr_db)
     cfg = ScenarioConfig(n_users=3, n_channels=3, n_drops=10)
     assert run_scenario(cfg) == run_scenario(cfg)

@@ -17,6 +17,8 @@ import typing
 from pathlib import Path
 from types import ModuleType
 
+import pytest
+
 import semse
 from semse.harness import _DEFAULT, ScenarioConfig, load_scenario
 
@@ -39,6 +41,9 @@ def test_readme_scenario_defaults_are_the_real_defaults(tmp_path):
     assert sorted(re.findall(r"^(?:# )?(\w+) =", block, re.M)) == sorted(_DEFAULT)
 
 
+# runs the block seeding and match_drops as a user would, so also at the
+# oldest supported numpy
+@pytest.mark.numpy_floor
 def test_library_use_example_runs(capsys):
     code = re.search(r"```python\n(.*?)```", library_use(), re.S).group(1)
     exec(compile(code, "README.md", "exec"), {})

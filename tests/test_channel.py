@@ -9,10 +9,12 @@ from semse.channel import (
     MIN_DISTANCE_KM,
     RadioParams,
     pathloss_db,
-    sample_drop,
     sample_drops,
     snr,
 )
+
+# channel.py reproduces numpy's seeding, so its tests run at the oldest supported numpy
+pytestmark = pytest.mark.numpy_floor
 
 PARAMS = RadioParams()
 
@@ -89,13 +91,13 @@ def test_snr_rejects_nonpositive_gains():
 
 
 def test_sample_drop_is_deterministic():
-    a = sample_drop(5, 4, PARAMS, 123)
-    b = sample_drop(5, 4, PARAMS, 123)
+    a = sample_drops(5, 4, PARAMS, [123])[0]
+    b = sample_drops(5, 4, PARAMS, [123])[0]
     assert np.array_equal(a.user_distances_km, b.user_distances_km)
     assert np.array_equal(a.large_scale_gain, b.large_scale_gain)
     assert np.array_equal(a.fading_power, b.fading_power)
     assert np.array_equal(a.snr_db, b.snr_db)
-    c = sample_drop(5, 4, PARAMS, 124)
+    c = sample_drops(5, 4, PARAMS, [124])[0]
     assert not np.array_equal(a.snr_db, c.snr_db)
 
 
@@ -121,7 +123,7 @@ def test_sample_drops_equal_single_drops_bit_for_bit(shape):
     block = sample_drops(*shape, params, seeds)
     assert block.snr_db.shape == (len(seeds), *shape)
     for d, seed in enumerate(seeds):
-        single = sample_drop(*shape, params, seed)
+        single = sample_drops(*shape, params, [seed])[0]
         for name, expect in reference_drop(*shape, params, seed).items():
             assert np.array_equal(getattr(block[d], name), expect)
             assert np.array_equal(getattr(single, name), expect)
@@ -172,13 +174,13 @@ def test_sample_drops_rejects_a_non_integer_seed():
 
 def test_sample_drop_rejects_zero_counts():
     with pytest.raises(ValueError):
-        sample_drop(0, 4, PARAMS, 1)
+        sample_drops(0, 4, PARAMS, [1])
     with pytest.raises(ValueError):
-        sample_drop(4, 0, PARAMS, 1)
+        sample_drops(4, 0, PARAMS, [1])
 
 
 def test_sample_drop_shapes_and_bounds():
-    drop = sample_drop(6, 3, PARAMS, 5)
+    drop = sample_drops(6, 3, PARAMS, [5])[0]
     assert drop.snr_db.shape == (6, 3)
     assert np.all(drop.user_distances_km > 0)
     assert np.all(drop.user_distances_km <= PARAMS.cell_radius_km)
@@ -188,7 +190,7 @@ def test_sample_drop_shapes_and_bounds():
 
 
 def test_snr_arrays_follow_the_link_budget():
-    drop = sample_drop(4, 5, PARAMS, 11)
+    drop = sample_drops(4, 5, PARAMS, [11])[0]
     p_mw = 10 ** (PARAMS.tx_power_dbm / 10)
     noise_mw = 10 ** (PARAMS.noise_psd_dbm_hz / 10) * PARAMS.bandwidth_hz
     for n in range(4):
@@ -202,26 +204,26 @@ def test_snr_arrays_follow_the_link_budget():
 def test_channel_columns_are_nested_across_m():
     # same seed: the m-channel drop is the first m columns of the (m+1)-channel drop
     for m in range(1, 6):
-        small = sample_drop(5, m, PARAMS, 77)
-        big = sample_drop(5, m + 1, PARAMS, 77)
+        small = sample_drops(5, m, PARAMS, [77])[0]
+        big = sample_drops(5, m + 1, PARAMS, [77])[0]
         assert np.array_equal(small.fading_power, big.fading_power[:, :m])
         assert np.array_equal(small.snr_db, big.snr_db[:, :m])
         assert np.array_equal(small.user_distances_km, big.user_distances_km)
 
 
 def test_uniform_disc_placement():
-    drop = sample_drop(100_000, 1, PARAMS, 2024)
+    drop = sample_drops(100_000, 1, PARAMS, [2024])[0]
     frac = np.mean(drop.user_distances_km < PARAMS.cell_radius_km / 2)
     assert frac == pytest.approx(0.25, abs=0.01)
 
 
 def test_fading_mean_is_one():
-    drop = sample_drop(1000, 1000, PARAMS, 99)
+    drop = sample_drops(1000, 1000, PARAMS, [99])[0]
     assert drop.fading_power.mean() == pytest.approx(1.0, abs=0.01)
 
 
 def test_fading_is_exponential_ks():
-    drop = sample_drop(100_000, 1, PARAMS, 31)
+    drop = sample_drops(100_000, 1, PARAMS, [31])[0]
     x = np.sort(drop.fading_power.ravel())
     n = x.size
     cdf = 1.0 - np.exp(-x)
@@ -233,6 +235,6 @@ def test_fading_is_exponential_ks():
 
 def test_no_shadowing_pins_gain_to_pathloss():
     params = RadioParams(shadow_sigma_db=0.0)
-    drop = sample_drop(50, 2, params, 8)
+    drop = sample_drops(50, 2, params, [8])[0]
     expect = 10 ** (-pathloss_db(drop.user_distances_km, params) / 10)
     assert np.allclose(drop.large_scale_gain, expect, rtol=1e-12)

@@ -19,6 +19,10 @@ from semse.link_adaptation import (
     table_se,
 )
 
+# the CQI table checks compare against references computed in the same
+# process, not pinned bytes, so they run at the oldest supported numpy
+pytestmark = pytest.mark.numpy_floor
+
 # transcription oracles: 3GPP TS 36.213 Table 7.2.3-1 and TS 38.214 Table 5.2.2.1-2
 LTE_EFFICIENCIES = [
     0.1523, 0.2344, 0.3770, 0.6016, 0.8770, 1.1758, 1.4766,

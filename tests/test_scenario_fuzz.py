@@ -155,12 +155,16 @@ def assert_rejected_by_key_or_printed_exactly(path, capsys, lines: dict) -> None
             assert x == 0.0 or sys.float_info.min <= x < float("inf"), line
 
 
+# how an overflow warning surfaces may differ at the oldest supported numpy,
+# so every extreme-value run is also run there
+@pytest.mark.numpy_floor
 @pytest.mark.parametrize("value", EXTREMES)
 @pytest.mark.parametrize("key", FLOAT_KEYS)
 def test_extreme_float_is_rejected_by_key_or_printed_exactly(tmp_path, capsys, key, value):
     assert_rejected_by_key_or_printed_exactly(tmp_path / "scenario.txt", capsys, {key: value})
 
 
+@pytest.mark.numpy_floor
 @pytest.mark.parametrize("value", EXTREMES)
 @pytest.mark.parametrize("key", [key for key in FLOAT_KEYS if key != "sse_threshold"])
 def test_extreme_float_with_no_sse_floor_is_rejected_by_key_or_printed_exactly(
@@ -172,6 +176,7 @@ def test_extreme_float_with_no_sse_floor_is_rejected_by_key_or_printed_exactly(
     )
 
 
+@pytest.mark.numpy_floor
 @pytest.mark.parametrize("floor", [None, "0"], ids=["default_floor", "no_floor"])
 @pytest.mark.parametrize("value", EXTREMES)
 @pytest.mark.parametrize("sweep_param", SWEEPABLE)
@@ -185,6 +190,7 @@ def test_extreme_sweep_value_is_rejected_by_key_or_printed_exactly(
 
 
 # capsys is read, and the scenario file rewritten, by every example
+@pytest.mark.numpy_floor
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.lists(st.sampled_from(FLOAT_KEYS), min_size=2, max_size=2, unique=True),
@@ -222,6 +228,7 @@ CQI_THRESHOLDS = {
 }
 
 
+@pytest.mark.numpy_floor
 @pytest.mark.parametrize("floors", FLOORS)
 @pytest.mark.parametrize("xi", SIMILARITIES)
 @pytest.mark.parametrize("grid", SURFACE_GRIDS)
@@ -237,6 +244,7 @@ def test_extreme_surface_file_is_rejected_by_key_or_printed_exactly(
     )
 
 
+@pytest.mark.numpy_floor
 @pytest.mark.parametrize("floors", FLOORS)
 @pytest.mark.parametrize("thresholds", CQI_THRESHOLDS)
 @pytest.mark.parametrize("efficiencies", CQI_EFFICIENCIES)
@@ -254,6 +262,7 @@ def test_extreme_cqi_file_is_rejected_by_key_or_printed_exactly(
     )
 
 
+@pytest.mark.numpy_floor  # the oldest supported numpy's mean and std may differ
 def test_std_error_of_tiny_totals_keeps_its_digits():
     # at bits_per_word = 1e300 the ideal totals are about 1e-299: their
     # squared deviations underflow unless the totals are scaled first
@@ -267,6 +276,7 @@ def test_std_error_of_tiny_totals_keeps_its_digits():
 
 
 # Each size is rejected before any array is built.
+@pytest.mark.numpy_floor  # the oldest supported numpy's dimension errors may differ
 @pytest.mark.parametrize("text, key", [
     ("n_users = 100000000000000000000", "n_users"),
     ("n_channels = 100000000000000000000", "n_channels"),

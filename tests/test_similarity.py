@@ -15,6 +15,9 @@ from semse.similarity import (
 
 from oracles import query
 
+# similarity.py reproduces np.interp's formula, so its tests run at the oldest supported numpy
+pytestmark = pytest.mark.numpy_floor
+
 
 def small_surface():
     return SimilaritySurface(
