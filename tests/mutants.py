@@ -60,6 +60,7 @@ SUM_BY_USER = "tests/test_allocator.py::TestSumByUser::"
 CLI_TESTS = "tests/test_harness.py::TestCli::"
 # every CSV row's totals and record, against a plain definition of each row
 REFERENCE = "tests/test_harness.py::TestReferencePipeline::test_every_row_equals_the_reference"
+SHARED = "tests/test_harness.py::TestSharedBitPipeMatching::"
 
 MUTANTS = [
     # the k scan: its take rule and its candidate pruning
@@ -168,11 +169,13 @@ MUTANTS = [
     Mutant("every value scored with the first value's weights", HARNESS,
            "allocator.bit_pipe_weights(weights[s], scorer, cons)",
            "allocator.bit_pipe_weights(weights[s], group[0][1], cons)",
-           ("tests/test_golden.py::test_run_output_is_byte_identical[bits_per_word_sweep]",
+           (SHARED + "test_each_value_is_scored_with_its_own_weights_on_those_channels",
+            "tests/test_golden.py::test_run_output_is_byte_identical[bits_per_word_sweep]",
             REFERENCE)),
     Mutant("a zero-weight matched pair scored as served", ALLOCATOR,
            "served = (channel >= 0) & (matched > 0.0)", "served = channel >= 0",
-           ("tests/test_allocator.py::TestScoreChannels"
+           (SHARED + "test_each_value_is_scored_with_its_own_weights_on_those_channels",
+            "tests/test_allocator.py::TestScoreChannels"
             "::test_zero_weight_on_its_channel_is_unserved",
             "tests/test_harness.py::TestComparison"
             "::test_a_user_scoring_0_at_a_fixed_k_is_unserved")),

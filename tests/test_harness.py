@@ -28,14 +28,20 @@ from semse.harness import (
     run_model_comparison,
     run_scenario,
     surface_for,
+    tables_for,
 )
-from semse.allocator import Constraints
-from semse.channel import RadioParams
+from semse.allocator import (
+    Constraints,
+    bit_pipe_weights,
+    bit_se,
+    build_pair_plans,
+)
+from semse.channel import RadioParams, sample_drops
 from semse.link_adaptation import SystemKind, builtin_table
 from semse.metrics import SourceStats, TransformFactor
 from semse.similarity import SimilaritySurface
 
-from oracles import reference_drop_totals
+from oracles import ascending_sum, match_one, query, reference_drop_totals
 
 ALL_SYSTEMS = (
     SystemKind.SEMANTIC,
@@ -222,6 +228,12 @@ class TestLibraryBoundary:
             ScenarioConfig(sweep_param=sweep_param, sweep_values=(3.0, bad))
 
 
+def split_comparison(totals: dict) -> tuple[dict, float]:
+    """Compare totals as ({k: fixed-k totals}, optimized totals), per drop or per run."""
+    fixed = {int(k): t for (_s, param, k), t in totals.items() if param == "fixed_k"}
+    return fixed, totals[SystemKind.SEMANTIC, "optimized_k", 0.0]
+
+
 def quick_cfg(**kw) -> ScenarioConfig:
     defaults = dict(n_users=3, n_channels=3, n_drops=20, base_seed=9)
     defaults.update(kw)
@@ -232,6 +244,22 @@ class TestRunScenario:
     def test_repeat_runs_are_identical(self):
         cfg = quick_cfg()
         assert run_scenario(cfg) == run_scenario(cfg)
+
+    @pytest.mark.parametrize("sse_threshold", [0.0, 0.025])
+    @pytest.mark.parametrize("systems", [
+        (SystemKind.SEMANTIC,),
+        (SystemKind.IDEAL, SystemKind.FIVE_G),  # stack 0 is a bit pipe
+        (SystemKind.SEMANTIC, SystemKind.FOUR_G),
+        (SystemKind.FIVE_G, SystemKind.SEMANTIC, SystemKind.IDEAL),
+    ], ids=lambda systems: "-".join(s.value for s in systems))
+    def test_system_subset_does_not_perturb_results(self, systems, sse_threshold):
+        cfg = quick_cfg(constraints=Constraints(sse_threshold=sse_threshold),
+                        sweep_param="bits_per_word", sweep_values=(10.0, 19.0, 40.0))
+        full = drop_totals(cfg, None)
+        subset = drop_totals(dataclasses.replace(cfg, systems=systems), None)
+        assert subset.keys() == {row for row in full if row[0] in systems}
+        for row, totals in subset.items():
+            assert totals.tobytes() == full[row].tobytes()
 
     def test_record_per_system_and_value(self):
         systems = (SystemKind.FIVE_G, SystemKind.SEMANTIC, SystemKind.IDEAL)
@@ -348,6 +376,52 @@ class TestBlocks:
         every_seed = range(cfg.base_seed, cfg.base_seed + cfg.n_drops)
         assert sorted(seeds) == sorted([*every_seed] * samples)
 
+    def big_cfg(self, **kw):
+        cfg = quick_cfg(n_users=60, n_channels=60, n_drops=20, base_seed=3, **kw)
+        assert cfg.n_users * cfg.n_channels * cfg.n_drops > harness._BLOCK_PAIRS
+        return cfg
+
+    def test_totals_past_the_pair_budget_equal_single_drop_solves(self):
+        cfg = self.big_cfg()
+        cons, surface, tables = cfg.constraints, surface_for(cfg), tables_for(cfg)
+        totals = drop_totals(cfg, None)
+        assert all(t.shape == (cfg.n_drops,) for t in totals.values())
+        for d in range(cfg.n_drops):
+            drop = sample_drops(cfg.n_users, cfg.n_channels, cfg.radio, [cfg.base_seed + d])[0]
+            semantic = build_pair_plans(drop.snr_db, surface, cons).weight
+            expect = {SystemKind.SEMANTIC: match_one(semantic)}
+            for system in ALL_SYSTEMS[1:]:
+                expect[system] = match_one(bit_pipe_weights(
+                    bit_se(drop.snr_db, drop.snr_linear, system, tables), cfg.tf, cons
+                ))
+            assert {row: t[d] for row, t in totals.items()} == {
+                (s, "none", 0.0): a.total_weight for s, a in expect.items()
+            }
+
+    def test_comparison_past_the_pair_budget_equals_per_pair_scoring(self):
+        cfg = self.big_cfg()
+        cons, surface = cfg.constraints, surface_for(cfg)
+        scored = 0
+        totals = drop_totals(cfg, [3, 5, 8])
+        assert all(t.shape == (cfg.n_drops,) for t in totals.values())
+        for d in range(cfg.n_drops):
+            fixed, optimized = split_comparison({row: t[d] for row, t in totals.items()})
+            drop = sample_drops(cfg.n_users, cfg.n_channels, cfg.radio, [cfg.base_seed + d])[0]
+            ideal = match_one(bit_pipe_weights(
+                bit_se(drop.snr_db, drop.snr_linear, SystemKind.IDEAL, {}), cfg.tf, cons
+            ))
+            for k, total in fixed.items():
+                scores = []
+                for i, j in ideal.pairs:
+                    xi = query(surface, k, float(drop.snr_db[i, j]))
+                    if xi >= cons.similarity_threshold and xi / k >= cons.sse_threshold:
+                        scores.append(xi / k)
+                scored += len(scores)
+                assert total == ascending_sum(scores)
+            semantic = build_pair_plans(drop.snr_db, surface, cons).weight
+            assert optimized == match_one(semantic).total_weight
+        assert scored > 0
+
     @pytest.mark.parametrize("sweep_param, values, samples", [
         ("bits_per_word", (10.0, 20.0, 40.0), 1),
         ("tx_power_dbm", (0.0, 10.0), 2),
@@ -365,6 +439,20 @@ class TestBlocks:
         assert len(totals) == len(values) * len(cfg.systems)
         assert all(t.shape == (cfg.n_drops,) for t in totals.values())
         assert seeds == [list(range(9, 29))] * samples
+
+    @pytest.mark.parametrize("fixed_k", [None, [1, 3, 5]], ids=["run", "compare"])
+    def test_view_totals_average_to_the_csv_row_means(self, fixed_k):
+        cfg = quick_cfg(src=SourceStats(2.5), sweep_param="tx_power_dbm",
+                        sweep_values=(0.0, 10.0))
+        by_row = drop_totals(cfg, fixed_k)
+        records = run_scenario(cfg) if fixed_k is None else run_model_comparison(cfg, fixed_k)
+        assert len(by_row) == (8 if fixed_k is None else 4)
+        # the records' mean: the first total plus the mean deviation from it
+        assert {(r.system, r.sweep_param, r.sweep_value): r.mean_total_sse for r in records} == {
+            row: float(t[0] + (t - t[0]).mean()) * cfg.src.info_per_word
+            for row, t in by_row.items()
+        }
+        assert all(len(totals) == cfg.n_drops for totals in by_row.values())
 
 
 # a few values of each sweep parameter, none printing like another
@@ -477,13 +565,17 @@ class TestReferencePipeline:
 class TestSharedBitPipeMatching:
     """At sse_threshold 0 each bit pipe is matched once per block, on its bit SE.
 
-    Every ``bits_per_word`` value's row reads those channels; that each is
-    scored with the value's own weights is ``TestReferencePipeline``'s to check.
+    Every ``bits_per_word`` value's row is then scored on those channels
+    with the value's own weights.
     """
 
-    def test_each_bit_pipe_keeps_its_channels_across_the_values(self):
+    @pytest.fixture(scope="class")
+    def cfg(self):
         cfg = load_scenario(SCENARIOS / "bits_per_word_sweep.txt")
         assert cfg.constraints.sse_threshold == 0.0
+        return cfg
+
+    def test_each_bit_pipe_keeps_its_channels_across_the_values(self, cfg):
         blocks = 0
         for matches in harness._matched_blocks(cfg, surface_for(cfg)):
             blocks += 1
@@ -493,6 +585,36 @@ class TestSharedBitPipeMatching:
                     np.testing.assert_array_equal(
                         matches[system, "bits_per_word", value].channel, first)
         assert blocks == 1
+
+    def test_each_value_is_scored_with_its_own_weights_on_those_channels(self, cfg):
+        # at -10 dBm many 4G and 5G users are below the lowest CQI threshold
+        # on every channel, so the matching gives them a channel of weight 0
+        cfg = dataclasses.replace(cfg, radio=dataclasses.replace(cfg.radio, tx_power_dbm=-10.0))
+        cons, tables, unserved = cfg.constraints, tables_for(cfg), 0
+        # the run's drops, all in one block as the test above finds
+        (matches,) = harness._matched_blocks(cfg, surface_for(cfg))
+        seeds = range(cfg.base_seed, cfg.base_seed + cfg.n_drops)
+        drops = sample_drops(cfg.n_users, cfg.n_channels, cfg.radio, seeds)
+        for system in ALL_SYSTEMS[1:]:
+            se = bit_se(drops.snr_db, drops.snr_linear, system, tables)
+            for value in cfg.sweep_values:
+                m = matches[system, "bits_per_word", value]
+                w = bit_pipe_weights(se, harness._swept(cfg, value).tf, cons)
+                expect = allocator.score_channels(w, m.channel)
+                np.testing.assert_array_equal(m.total, expect.total)
+                # a user is served exactly where its weight on its channel is positive
+                d, i = np.nonzero(m.channel >= 0)
+                assert (w[d, i, m.channel[d, i]] > 0.0).all()
+                unserved += (m.channel < 0).sum()
+        assert unserved > 0
+
+    def test_sweep_row_equals_the_unswept_run_at_its_value(self, cfg):
+        swept = drop_totals(cfg, None)
+        for value in cfg.sweep_values:
+            alone = drop_totals(harness._swept(cfg, value), None)
+            assert len(alone) == len(cfg.systems)
+            for (system, _param, _value), totals in alone.items():
+                np.testing.assert_array_equal(swept[system, "bits_per_word", value], totals)
 
 
 class TestBlockBudgets:
